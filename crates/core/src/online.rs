@@ -13,32 +13,52 @@
 //!
 //! Works in any dimension `2..=8` over exact integer coordinates.
 
+use crate::context::HullContext;
 use crate::facet::{
-    facet_verts, join_ridge, ridge_omitting, FacetVerts, RidgeKey, MAX_DIM, NO_VERT,
+    facet_verts, join_ridge, ridge_omitting, Facet, FacetVerts, RidgeKey, MAX_DIM, NO_VERT,
 };
 use crate::output::HullOutput;
+use crate::par::batch::{filter_seeds, run_batch, BatchSeeds};
+use chull_concurrent::{pool, FastHashMap};
 use chull_geometry::{Hyperplane, KernelCounts, PlaneBlock, PointSet, Sign};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Sentinel facet id.
 const NO_FACET: u32 = u32::MAX;
 
+/// Per-thread scratch of [`OnlineHull::descend`], reused across calls so
+/// a descent allocates nothing.
+struct DescentScratch {
+    /// Facet id → stamp of the last descent that visited it. Comparing
+    /// stamps against the per-call epoch makes "clearing" free, so a
+    /// descent costs O(nodes visited) instead of the O(facets ever
+    /// created) that a fresh `vec![false; n]` per query used to pay — the
+    /// allocation alone re-linearized every point-location query.
+    stamps: Vec<u64>,
+    /// The running stamp.
+    epoch: u64,
+    /// The DFS stack of visible history nodes still to expand.
+    stack: Vec<u32>,
+}
+
 thread_local! {
-    /// Per-thread descent scratch: facet id → stamp of the last descent
-    /// that visited it, plus the running stamp. Comparing stamps against
-    /// the per-call epoch makes "clearing" free, so a descent costs
-    /// O(nodes visited) instead of the O(facets ever created) that a
-    /// fresh `vec![false; n]` per query used to pay — the allocation
-    /// alone re-linearized every point-location query.
-    static DESCENT_SCRATCH: RefCell<(Vec<u64>, u64)> = const { RefCell::new((Vec::new(), 0)) };
+    static DESCENT_SCRATCH: RefCell<DescentScratch> = const {
+        RefCell::new(DescentScratch {
+            stamps: Vec::new(),
+            epoch: 0,
+            stack: Vec::new(),
+        })
+    };
 }
 
 /// Batches smaller than this insert sequentially in
-/// [`OnlineHull::insert_batch_par`]: the parallel path pays an
-/// `O(|hull| · batch)` conflict-seeding cost that only amortizes for real
-/// batches. The cutoff depends solely on the batch length, so a journal
-/// replay re-derives the same sequential/parallel decision per batch.
+/// [`OnlineHull::insert_batch_par`]: the parallel path pays two pool
+/// fork-joins (location, then the `ProcessRidge` recursion) that only
+/// amortize for real batches. The cutoff depends solely on the batch
+/// length, so a journal replay re-derives the same sequential/parallel
+/// decision per batch.
 pub const MIN_PAR_BATCH: usize = 8;
 
 /// Where a point sits relative to the current hull — the answer of
@@ -287,14 +307,18 @@ impl OnlineHull {
         debug_assert!(block.is_none_or(|b| b.len() == self.facets.len()));
         let qf = PlaneBlock::query_row(q);
         DESCENT_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.1 += 1;
-            let epoch = scratch.1;
-            if scratch.0.len() < self.facets.len() {
-                scratch.0.resize(self.facets.len(), 0);
+            let DescentScratch {
+                stamps,
+                epoch,
+                stack,
+            } = &mut *cell.borrow_mut();
+            *epoch += 1;
+            let epoch = *epoch;
+            if stamps.len() < self.facets.len() {
+                stamps.resize(self.facets.len(), 0);
             }
-            let stamps = &mut scratch.0;
-            let mut stack: Vec<u32> = Vec::new();
+            // An early stop leaves the previous call's stack non-empty.
+            stack.clear();
             let mut visited = 0usize;
             for &s in &self.seeds {
                 stamps[s as usize] = epoch;
@@ -403,17 +427,27 @@ impl OnlineHull {
     /// extended the hull — exactly what [`OnlineHull::insert`] would have
     /// returned inserting the batch one point at a time in slice order.
     ///
+    /// The recursion is seeded output-sensitively: every batch point
+    /// descends the pre-batch history graph (points split across the
+    /// pool), and only the alive facets some point sees, their neighbours
+    /// and the ridges of the visible facets enter the recursion. A hull
+    /// that is still its bare seed simplex has no history to descend and
+    /// filters the batch through its `d + 1` facets instead — the same
+    /// tests, with less bookkeeping.
+    ///
     /// The resulting hull (facet set, ids, adjacency, history graph,
     /// dependence depths, kernel counters) is identical for every
     /// `threads` value: created facets are integrated in canonical
     /// `(creator, verts)` order, which is schedule-independent. Batches
     /// shorter than [`MIN_PAR_BATCH`] take the sequential path.
     ///
-    /// Kernel counters follow the *offline* (conflict-list) counting
-    /// regime — `(batch size) × (alive facets)` seeding tests plus the
-    /// recursion's merge tests — which differs from the online locate
-    /// counting that per-point [`OnlineHull::insert`] performs; both are
-    /// deterministic, but they are not comparable across paths.
+    /// Kernel counters count the batch's location tests (each point's
+    /// descent of the pre-batch history, or the simplex filter) plus the
+    /// recursion's merge tests. Per-point [`OnlineHull::insert`] instead
+    /// descends a history that the earlier points of the batch have
+    /// already extended, so the totals of the two paths differ; both are
+    /// deterministic. From a bare simplex a single batch performs exactly
+    /// offline Algorithm 2's tests.
     pub fn insert_batch_par(&mut self, points: &[Vec<i64>], threads: usize) -> Vec<bool> {
         for p in points {
             assert_eq!(p.len(), self.dim, "point of wrong dimension");
@@ -423,7 +457,7 @@ impl OnlineHull {
             return points.iter().map(|p| self.insert(p)).collect();
         }
         let threads = if threads == 0 {
-            chull_concurrent::pool::default_threads()
+            pool::default_threads()
         } else {
             threads
         };
@@ -431,79 +465,197 @@ impl OnlineHull {
         for p in points {
             self.pts.push(p);
         }
-        let batch_ids: Vec<u32> = (base..base + points.len() as u32).collect();
+        let batch_ids = base..base + points.len() as u32;
+        let (seed_ids, seeds) = if self.facets.len() == self.dim + 1 {
+            self.simplex_seeds(&batch_ids.collect::<Vec<u32>>(), threads)
+        } else {
+            self.located_seeds(batch_ids, threads)
+        };
+        let mut accepted = vec![false; points.len()];
+        self.apply_seeds(&seed_ids, seeds, points.len(), threads, |creator| {
+            accepted[(creator - base) as usize] = true;
+        });
+        accepted
+    }
 
-        // Seed slots: alive facets in facet-id order.
-        let mut seed_ids: Vec<u32> = Vec::new();
-        let mut slot_of = vec![NO_FACET; self.facets.len()];
-        for (id, f) in self.facets.iter().enumerate() {
-            if f.alive {
-                slot_of[id] = seed_ids.len() as u32;
-                seed_ids.push(id as u32);
-            }
-        }
-        let seed_verts: Vec<FacetVerts> = seed_ids
-            .iter()
-            .map(|&id| self.facets[id as usize].verts)
-            .collect();
+    /// Batch seeds from the bare seed simplex (facets `0..=dim`, no
+    /// history yet): the parallel conflict filter of `candidates` through
+    /// all `d + 1` facets, and the simplex's ridges. Shared by
+    /// [`OnlineHull::insert_batch_par`] on a fresh hull and the
+    /// bulk-recovery install. Returns the pre-batch facet id of each seed
+    /// slot alongside the seeds.
+    fn simplex_seeds(&self, candidates: &[u32], threads: usize) -> (Vec<u32>, BatchSeeds) {
+        debug_assert!(
+            self.facets.iter().all(|f| f.alive) && self.facets.len() == self.dim + 1,
+            "simplex seeding requires a bare seed simplex"
+        );
+        // Facet ids on a bare simplex are exactly the seed slots
+        // `0..=dim`, so adjacency pairs map to slots without translation.
+        let seed_ids: Vec<u32> = (0..self.facets.len() as u32).collect();
+        let verts: Vec<FacetVerts> = self.facets.iter().map(|f| f.verts).collect();
+        let simplex: Vec<u32> = (0..=self.dim as u32).collect();
+        let ctx = HullContext::new(&self.pts, &simplex);
+        let (facets, counts, busy_ns) = filter_seeds(&ctx, &verts, candidates, threads);
         let mut ridges: Vec<(u32, RidgeKey, u32)> = self
             .adj
             .iter()
-            .map(|(&r, &pair)| {
+            .map(|(&r, &pair)| (pair[0], r, pair[1]))
+            .collect();
+        // HashMap iteration order is arbitrary; sort by ridge key so the
+        // spawn order (and any armed telemetry) is reproducible.
+        ridges.sort_unstable_by_key(|&(_, r, _)| r);
+        let seeds = BatchSeeds {
+            facets,
+            ridges,
+            counts,
+            busy_ns,
+        };
+        (seed_ids, seeds)
+    }
+
+    /// Batch seeds by history-graph location: the alive facets that some
+    /// point of `ids` (already appended to the point set) sees, in
+    /// ascending id order with conflict lists ascending by point id, then
+    /// their not-visible neighbours with empty conflict lists. Ridges are
+    /// those of the visible facets, each listed once. Facets keep their
+    /// cached plane and visible sign. Returns the pre-batch facet id of
+    /// each seed slot alongside the seeds.
+    fn located_seeds(&self, ids: Range<u32>, threads: usize) -> (Vec<u32>, BatchSeeds) {
+        let (pairs, counts, busy_ns) = self.locate_batch(ids, threads);
+        let mut seed_ids: Vec<u32> = Vec::new();
+        let mut facets: Vec<Facet> = Vec::new();
+        for group in pairs.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let id = (group[0] >> 32) as u32;
+            seed_ids.push(id);
+            facets.push(self.seed_facet(id, group.iter().map(|&p| p as u32).collect()));
+        }
+        let visible = seed_ids.len();
+        let mut slot_of: FastHashMap<u32, u32> = seed_ids
+            .iter()
+            .enumerate()
+            .map(|(slot, &id)| (id, slot as u32))
+            .collect();
+        let mut ridges: Vec<(u32, RidgeKey, u32)> = Vec::new();
+        for slot in 0..visible as u32 {
+            let id = seed_ids[slot as usize];
+            let verts = self.facets[id as usize].verts;
+            for omit in 0..self.dim {
+                let r = ridge_omitting(&verts, self.dim, omit);
+                let pair = self.adj[&r];
                 debug_assert!(
                     pair[0] != NO_FACET && pair[1] != NO_FACET,
                     "hull not closed"
                 );
-                (slot_of[pair[0] as usize], r, slot_of[pair[1] as usize])
-            })
-            .collect();
-        // HashMap iteration order is arbitrary; sort by ridge key so the
-        // spawn order (and any armed telemetry) is reproducible. The hull
-        // outcome is schedule-independent either way.
-        ridges.sort_unstable_by_key(|&(_, r, _)| r);
+                let other = if pair[0] == id { pair[1] } else { pair[0] };
+                let other_slot = *slot_of.entry(other).or_insert_with(|| {
+                    seed_ids.push(other);
+                    facets.push(self.seed_facet(other, Vec::new()));
+                    (seed_ids.len() - 1) as u32
+                });
+                // A ridge between two visible facets is met from both
+                // sides; list it once.
+                if (other_slot as usize) < visible && other_slot < slot {
+                    continue;
+                }
+                ridges.push((slot, r, other_slot));
+            }
+        }
+        let seeds = BatchSeeds {
+            facets,
+            ridges,
+            counts,
+            busy_ns,
+        };
+        (seed_ids, seeds)
+    }
 
+    /// Locate every point of `ids` (already appended to the point set) by
+    /// history descent, the points split across a pool of `threads`
+    /// workers, each task writing into its own buffer. Returns every
+    /// (alive visible facet, point) pair packed as `facet << 32 | point`
+    /// and sorted, so pairs group by facet with points ascending; the
+    /// kernel counters of the descent tests; and the task-busy
+    /// nanoseconds (0 when disarmed).
+    fn locate_batch(&self, ids: Range<u32>, threads: usize) -> (Vec<u64>, KernelCounts, u64) {
+        let (start, end) = (ids.start, ids.end);
+        let chunk = ids.len().div_ceil(threads.max(1) * 4).max(1) as u32;
+        let mut bufs: Vec<(Vec<u64>, KernelCounts, u64)> = (start..end)
+            .step_by(chunk as usize)
+            .map(|_| Default::default())
+            .collect();
+        pool::scope_with_threads(threads, |s| {
+            for (lo, buf) in (start..end).step_by(chunk as usize).zip(bufs.iter_mut()) {
+                s.spawn(move |_| {
+                    let armed_at = chull_obs::armed().then(std::time::Instant::now);
+                    let (pairs, counts, busy_ns) = buf;
+                    for q in lo..(lo + chunk).min(end) {
+                        self.descend(self.pts.pt(q), None, counts, |f| {
+                            pairs.push(u64::from(f) << 32 | u64::from(q));
+                            false
+                        });
+                    }
+                    if let Some(t) = armed_at {
+                        *busy_ns = t.elapsed().as_nanos() as u64;
+                    }
+                });
+            }
+        });
+        let mut pairs: Vec<u64> = Vec::with_capacity(bufs.iter().map(|b| b.0.len()).sum());
+        let mut counts = KernelCounts::default();
+        let mut busy_ns = 0;
+        for (p, c, b) in bufs {
+            pairs.extend(p);
+            counts.merge(&c);
+            busy_ns += b;
+        }
+        pairs.sort_unstable();
+        (pairs, counts, busy_ns)
+    }
+
+    /// Pre-batch facet `id` as a batch seed: its cached plane and visible
+    /// sign with the given conflict list.
+    fn seed_facet(&self, id: u32, conflicts: Vec<u32>) -> Facet {
+        let f = &self.facets[id as usize];
+        Facet {
+            verts: f.verts,
+            visible_sign: f.visible_sign,
+            conflicts,
+            plane: f.plane.clone(),
+        }
+    }
+
+    /// Run Algorithm 3 from `seeds` (slot `i` is pre-batch facet
+    /// `seed_ids[i]`) over the `batch_len` points last appended, record
+    /// its [`BatchTelemetry`], and integrate the result: kill the replaced
+    /// pre-batch facets before registering any new adjacency (so shared
+    /// ridges never see three incidents), then append created facets in
+    /// canonical `(creator, verts)` order, wiring adjacency, history-graph
+    /// children, and dependence depths, and fold the run's kernel
+    /// counters in. `on_created` fires once per created facet with the
+    /// creator's point id.
+    fn apply_seeds(
+        &mut self,
+        seed_ids: &[u32],
+        seeds: BatchSeeds,
+        batch_len: usize,
+        threads: usize,
+        mut on_created: impl FnMut(u32),
+    ) {
         let run = {
             let simplex: Vec<u32> = (0..=self.dim as u32).collect();
             // Same seed ids and interior centroid as `OnlineHull::new`, so
             // every `make_facet` sign is bit-identical to this hull's own.
-            let ctx = crate::context::HullContext::new(&self.pts, &simplex);
-            crate::par::batch::run_batch(ctx, &seed_verts, &ridges, &batch_ids, threads)
+            let ctx = HullContext::new(&self.pts, &simplex);
+            run_batch(ctx, seeds, batch_len, threads)
         };
         self.last_batch = BatchTelemetry {
-            batch_len: points.len(),
+            batch_len,
             created: run.created.len(),
             recursion_depth: run.recursion_depth,
             buried: run.buried,
             replaced: run.replaced,
             busy_ns: run.busy_ns,
         };
-
-        let mut accepted = vec![false; points.len()];
-        let batch_depth = self.integrate_batch_run(run, &seed_ids, |creator| {
-            accepted[(creator - base) as usize] = true;
-        });
-        if chull_obs::armed() {
-            crate::telemetry::engine_metrics()
-                .online_insert_depth
-                .record(batch_depth as u64);
-        }
-        accepted
-    }
-
-    /// Integrate one [`crate::par::batch::run_batch`] result: kill the
-    /// replaced pre-batch facets before registering any new adjacency (so
-    /// shared ridges never see three incidents), then append created
-    /// facets in canonical `(creator, verts)` order, wiring adjacency,
-    /// history-graph children, and dependence depths, and fold the run's
-    /// kernel counters in. `on_created` fires once per created facet with
-    /// the creator's point id. Shared by [`OnlineHull::insert_batch_par`]
-    /// and the bulk-recovery install. Returns the deepest depth created.
-    fn integrate_batch_run(
-        &mut self,
-        run: crate::par::batch::BatchRun,
-        seed_ids: &[u32],
-        mut on_created: impl FnMut(u32),
-    ) -> u32 {
         for &slot in &run.dead_seeds {
             let id = seed_ids[slot as usize];
             self.facets[id as usize].alive = false;
@@ -553,7 +705,11 @@ impl OnlineHull {
         }
         self.kernel.merge(&run.counts);
         self.last_visited = 0;
-        batch_depth
+        if chull_obs::armed() {
+            crate::telemetry::engine_metrics()
+                .online_insert_depth
+                .record(batch_depth as u64);
+        }
     }
 
     /// Extend a **freshly seeded** hull (seed simplex only, every point
@@ -564,46 +720,12 @@ impl OnlineHull {
     /// divide-and-conquer survivors run through a single
     /// [`crate::par::batch::run_batch`] from the simplex.
     fn install_bulk(&mut self, candidates: &[u32], threads: usize) {
-        debug_assert!(
-            self.facets.iter().all(|f| f.alive) && self.facets.len() == self.dim + 1,
-            "install_bulk requires a fresh seed simplex"
-        );
         self.last_batch = BatchTelemetry::default();
         if candidates.is_empty() {
             return;
         }
-        // Facet ids on a fresh simplex are exactly the seed slots
-        // `0..=dim`, so adjacency pairs map to slots without translation.
-        let seed_ids: Vec<u32> = (0..self.facets.len() as u32).collect();
-        let seed_verts: Vec<FacetVerts> = seed_ids
-            .iter()
-            .map(|&id| self.facets[id as usize].verts)
-            .collect();
-        let mut ridges: Vec<(u32, RidgeKey, u32)> = self
-            .adj
-            .iter()
-            .map(|(&r, &pair)| (pair[0], r, pair[1]))
-            .collect();
-        ridges.sort_unstable_by_key(|&(_, r, _)| r);
-        let run = {
-            let simplex: Vec<u32> = (0..=self.dim as u32).collect();
-            let ctx = crate::context::HullContext::new(&self.pts, &simplex);
-            crate::par::batch::run_batch(ctx, &seed_verts, &ridges, candidates, threads)
-        };
-        self.last_batch = BatchTelemetry {
-            batch_len: candidates.len(),
-            created: run.created.len(),
-            recursion_depth: run.recursion_depth,
-            buried: run.buried,
-            replaced: run.replaced,
-            busy_ns: run.busy_ns,
-        };
-        let batch_depth = self.integrate_batch_run(run, &seed_ids, |_| {});
-        if chull_obs::armed() {
-            crate::telemetry::engine_metrics()
-                .online_insert_depth
-                .record(batch_depth as u64);
-        }
+        let (seed_ids, seeds) = self.simplex_seeds(candidates, threads);
+        self.apply_seeds(&seed_ids, seeds, candidates.len(), threads, |_| {});
     }
 
     /// Deepest dependence chain over all facets ever created: the
@@ -1339,6 +1461,195 @@ mod tests {
         verify_hull(&pts, &hull.output()).unwrap();
         // And further single inserts keep working on the batch-built state.
         assert!(!hull.insert(&[1, 1]), "interior point after batch");
+    }
+
+    /// Everything a batch may write, in facet-id order: vertices,
+    /// liveness, dependence depth and history children.
+    fn history_of(hull: &OnlineHull) -> Vec<(FacetVerts, bool, u32, Vec<u32>)> {
+        hull.facets
+            .iter()
+            .map(|f| (f.verts, f.alive, f.depth, f.children.clone()))
+            .collect()
+    }
+
+    /// Apply `batches` one after the other to a hull that already has
+    /// history, checking each against three oracles: the located visible
+    /// set of every point equals the scan oracle's on the pre-batch hull;
+    /// the result equals per-point insertion (canonical hull, accepted
+    /// flags); and it is bit-identical at 1, 2 and 4 workers.
+    fn check_located_batches(name: &str, mut hull: OnlineHull, batches: &[Vec<Vec<i64>>]) {
+        for (bi, batch) in batches.iter().enumerate() {
+            assert!(batch.len() >= MIN_PAR_BATCH);
+            assert!(hull.facets.len() > hull.dim + 1, "no history to descend");
+            let mut probe = hull.clone();
+            let base = probe.pts.len() as u32;
+            for p in batch {
+                probe.pts.push(p);
+            }
+            let (pairs, locate_counts, _) = probe.locate_batch(base..base + batch.len() as u32, 3);
+            for (i, p) in batch.iter().enumerate() {
+                let q = base + i as u32;
+                let located: Vec<u32> = pairs
+                    .iter()
+                    .filter(|&&pair| pair as u32 == q)
+                    .map(|&pair| (pair >> 32) as u32)
+                    .collect();
+                let scanned = hull.visible_facets_scan(p, &mut KernelCounts::default());
+                assert_eq!(located, scanned, "{name}: batch {bi} point {i} {p:?}");
+            }
+
+            let mut solo = hull.clone();
+            let solo_accepted: Vec<bool> = batch.iter().map(|p| solo.insert(p)).collect();
+            let mut reference: Option<OnlineHull> = None;
+            for threads in [1usize, 2, 4] {
+                let mut h = hull.clone();
+                let accepted = h.insert_batch_par(batch, threads);
+                assert_eq!(
+                    accepted, solo_accepted,
+                    "{name}: batch {bi} at {threads} workers"
+                );
+                assert_eq!(h.output().canonical(), solo.output().canonical());
+                assert!(h.kernel.tests - hull.kernel.tests >= locate_counts.tests);
+                match &reference {
+                    None => reference = Some(h),
+                    Some(r) => {
+                        assert_eq!(
+                            history_of(&h),
+                            history_of(r),
+                            "{name}: at {threads} workers"
+                        );
+                        assert_eq!(h.output().facets, r.output().facets);
+                        assert_eq!(h.kernel, r.kernel, "{name}: kernel at {threads} workers");
+                        assert_eq!(h.dep_depth(), r.dep_depth());
+                    }
+                }
+            }
+            hull = reference.unwrap();
+            verify_hull(hull.points(), &hull.output()).unwrap();
+        }
+    }
+
+    /// A hull with history from `rows` (first `d + 1` affinely
+    /// independent): the first `prefix` rows applied as one batch, then
+    /// the rest cut into `unit`-point batches for
+    /// [`check_located_batches`].
+    fn hull_and_batches(
+        rows: &[Vec<i64>],
+        prefix: usize,
+        unit: usize,
+    ) -> (OnlineHull, Vec<Vec<Vec<i64>>>) {
+        let dim = rows[0].len();
+        let mut hull = OnlineHull::new(dim, &rows[..=dim]);
+        hull.insert_batch_par(&rows[dim + 1..prefix], 2);
+        let batches = rows[prefix..].chunks(unit).map(|c| c.to_vec()).collect();
+        (hull, batches)
+    }
+
+    fn rows_of(pts: &PointSet) -> Vec<Vec<i64>> {
+        (0..pts.len()).map(|i| pts.point(i).to_vec()).collect()
+    }
+
+    #[test]
+    fn located_batches_match_scan_inserts_and_worker_counts() {
+        let circle = prepare_points(&generators::near_sphere_d(2, 1500, 1 << 24, 3), 4);
+        let disk = prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(1500, 1 << 20, 5)),
+            6,
+        );
+        let ball = prepare_points(
+            &PointSet::from_points3(&generators::ball_3d(900, 1 << 20, 7)),
+            8,
+        );
+        let sphere = prepare_points(&generators::near_sphere_d(3, 600, 1 << 20, 9), 10);
+        for (name, pts) in [
+            ("circle", circle),
+            ("disk", disk),
+            ("ball", ball),
+            ("sphere", sphere),
+        ] {
+            let rows = rows_of(&pts);
+            let prefix = rows.len() / 3;
+            let (hull, batches) = hull_and_batches(&rows, prefix, 128);
+            check_located_batches(name, hull, &batches);
+        }
+    }
+
+    #[test]
+    fn located_batches_handle_duplicates_and_zero_signs() {
+        // 2D: a square with history; batches mix points on its edges,
+        // on the edges' extensions (zero against one edge, visible from
+        // another), copies of hull vertices and of each other.
+        let mut hull = OnlineHull::new(2, &[vec![0, 0], vec![1000, 0], vec![0, 1000]]);
+        assert!(hull.insert(&[1000, 1000]));
+        assert!(!hull.insert(&[300, 400]));
+        let batch1: Vec<Vec<i64>> = vec![
+            vec![500, 0],
+            vec![0, 250],
+            vec![1000, 500],
+            vec![250, 1000],
+            vec![1500, 0],
+            vec![1500, 0],
+            vec![-300, 0],
+            vec![0, 1300],
+            vec![1000, 1000],
+            vec![10, 10],
+            vec![2000, 2000],
+            vec![2000, 2000],
+            vec![1000, -1],
+        ];
+        let batch2: Vec<Vec<i64>> = vec![
+            vec![1750, 1000],
+            vec![-300, 0],
+            vec![-300, 1300],
+            vec![0, 1300],
+            vec![-300, 650],
+            vec![2000, -1],
+            vec![2000, -1],
+            vec![2500, 2500],
+            vec![-1, -1],
+            vec![5, 5],
+        ];
+        check_located_batches("square", hull, &[batch1, batch2]);
+
+        // Many collinear points, and coplanar points on the cube's faces.
+        let line = prepare_points(
+            &PointSet::from_points2(&generators::collinear_heavy_2d(600, 12, 13)),
+            14,
+        );
+        let rows = rows_of(&line);
+        let mut rows2 = rows.clone();
+        rows2.extend(rows[100..160].iter().cloned());
+        let (hull, batches) = hull_and_batches(&rows2, 200, 64);
+        check_located_batches("collinear", hull, &batches);
+        let cube = prepare_points(
+            &PointSet::from_points3(&generators::cube_faces_3d(500, 64, 15)),
+            16,
+        );
+        let rows = rows_of(&cube);
+        let (hull, batches) = hull_and_batches(&rows, 100, 80);
+        check_located_batches("cube faces", hull, &batches);
+    }
+
+    #[test]
+    fn located_batch_cost_is_output_sensitive() {
+        // A near-circle hull with over 10k alive facets: seeding one
+        // 256-point batch by scanning it would cost batch x alive tests.
+        let pts = prepare_points(&generators::near_sphere_d(2, 14_000, 1 << 24, 21), 22);
+        let rows = rows_of(&pts);
+        let mut hull = OnlineHull::new(2, &rows[..3]);
+        hull.insert_batch_par(&rows[3..], 2);
+        let alive = hull.output().num_facets();
+        assert!(alive >= 10_000, "only {alive} alive facets");
+        let batch = rows_of(&generators::near_sphere_d(2, 256, 1 << 24, 23));
+        let before = hull.kernel.tests;
+        let accepted = hull.insert_batch_par(&batch, 2);
+        assert!(
+            accepted.iter().any(|&a| a),
+            "the batch must change the hull"
+        );
+        let delta = hull.kernel.tests - before;
+        let bound = (batch.len() * alive / 20) as u64;
+        assert!(delta < bound, "{delta} tests for one batch, bound {bound}");
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! inserted as one parallel step. The state of Algorithm 2 after any
 //! insert prefix is exactly "alive facets + conflict lists over the
 //! remaining points", so seeding the recursion with the current hull's
-//! alive facets — each given a conflict list filtered from the batch
-//! points — and spawning `ProcessRidge` on every current ridge continues
-//! the sequential process: the batch performs precisely the facet
-//! creations that inserting its points one at a time (in id order) would,
-//! independent of schedule or worker count.
+//! alive facets — each given its conflict list over the batch points —
+//! and spawning `ProcessRidge` on every current ridge continues the
+//! sequential process: the batch performs precisely the facet creations
+//! that inserting its points one at a time (in id order) would,
+//! independent of schedule or worker count. Ridges with no conflict on
+//! either side are final at once, so only the facets some batch point
+//! sees, their neighbours, and the ridges between them need seeding
+//! ([`BatchSeeds`]); `OnlineHull` finds those facets by history-graph
+//! location.
 //!
 //! The ridge multimap is the growable CAS table
 //! ([`chull_concurrent::RidgeMapCas`]) by default, or the `TestAndSet`
@@ -67,7 +71,8 @@ pub(crate) struct BatchRun {
     /// Created facets in canonical order.
     pub created: Vec<CreatedFacet>,
     /// Staged-kernel counters for every visibility test performed
-    /// (seeding plus recursion), schedule-independent.
+    /// (the seeds' conflict lists plus the recursion),
+    /// schedule-independent.
     pub counts: KernelCounts,
     /// Maximum `ProcessRidge` recursion depth (Theorem 5.3).
     pub recursion_depth: u64,
@@ -79,23 +84,73 @@ pub(crate) struct BatchRun {
     pub busy_ns: u64,
 }
 
-/// Run the batch recursion. `seed_verts` are the current alive facets (in
-/// a caller-chosen slot order), `ridges` the current hull's ridges as
-/// `(slot, key, slot)` pairs, `batch_ids` the new points' ids sorted
-/// ascending (already appended to the context's point set).
+/// The pre-batch facets Algorithm 3 starts from, in a caller-chosen slot
+/// order: each seed facet carries its conflict list over the batch
+/// (ascending point ids), and `ridges` lists the `(slot, key, slot)`
+/// ridges to spawn `ProcessRidge` on. A ridge with no conflicts on either
+/// side may be listed or left out; it is skipped either way.
+pub(crate) struct BatchSeeds {
+    pub facets: Vec<Facet>,
+    pub ridges: Vec<(u32, RidgeKey, u32)>,
+    /// Staged-kernel counters of the visibility tests that built the
+    /// conflict lists.
+    pub counts: KernelCounts,
+    /// Task-busy nanoseconds spent building them (0 when disarmed).
+    pub busy_ns: u64,
+}
+
+/// The parallel conflict filter: one task per seed facet `verts[i]`
+/// collects every candidate it sees, through the same `make_facet` the
+/// recursion uses, so the counting semantics are uniform under both
+/// kernel features. `candidates` must be sorted ascending.
+pub(crate) fn filter_seeds(
+    ctx: &HullContext<'_>,
+    verts: &[FacetVerts],
+    candidates: &[u32],
+    threads: usize,
+) -> (Vec<Facet>, KernelCounts, u64) {
+    let mut slots: Vec<Option<(Facet, KernelCounts)>> = (0..verts.len()).map(|_| None).collect();
+    let busy_ns = StripedCounter::new();
+    pool::scope_with_threads(threads, |s| {
+        for (v, slot) in verts.iter().zip(slots.iter_mut()) {
+            let busy_ns = &busy_ns;
+            s.spawn(move |_| {
+                let start = chull_obs::armed().then(std::time::Instant::now);
+                *slot = Some(ctx.make_facet(*v, candidates, u32::MAX));
+                if let Some(start) = start {
+                    busy_ns.add(start.elapsed().as_nanos() as u64);
+                }
+            });
+        }
+    });
+    let mut counts = KernelCounts::default();
+    let facets = slots
+        .into_iter()
+        .map(|x| {
+            let (facet, c) = x.expect("seed task ran");
+            counts.merge(&c);
+            facet
+        })
+        .collect();
+    (facets, counts, busy_ns.sum())
+}
+
+/// Run the batch recursion from `seeds`. `batch_len` (the number of new
+/// points, already appended to the context's point set) only sizes the
+/// ridge multimap.
 pub(crate) fn run_batch(
     ctx: HullContext<'_>,
-    seed_verts: &[FacetVerts],
-    ridges: &[(u32, RidgeKey, u32)],
-    batch_ids: &[u32],
+    seeds: BatchSeeds,
+    batch_len: usize,
     threads: usize,
 ) -> BatchRun {
-    let seed_count = seed_verts.len();
+    let seed_count = seeds.facets.len();
     let dim = ctx.dim;
+    let ridges = &seeds.ridges;
     let shared = Shared {
         ctx,
         arena: ConcurrentArena::new(),
-        map: BatchMap::growable_with_capacity(batch_ids.len() * dim * 4 + ridges.len() + 1024),
+        map: BatchMap::growable_with_capacity(batch_len * dim * 4 + ridges.len() + 1024),
         tests: StripedCounter::new(),
         filter_hits: StripedCounter::new(),
         i128_fallbacks: StripedCounter::new(),
@@ -106,29 +161,9 @@ pub(crate) fn run_batch(
         busy_ns: StripedCounter::new(),
         trace: None,
     };
-
-    // Seed conflict lists in parallel: each alive facet filters the batch
-    // points through the same `make_facet` the recursion uses, so the
-    // counting semantics are uniform under both kernel features.
-    let mut slots: Vec<Option<(Facet, KernelCounts)>> = (0..seed_count).map(|_| None).collect();
-    let chunk = seed_count / (threads.max(1) * 8) + 1;
-    pool::scope_with_threads(threads, |s| {
-        for (chunk_verts, chunk_slots) in seed_verts.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            let shared = &shared;
-            s.spawn(move |_| {
-                let armed = chull_obs::armed();
-                let start = armed.then(std::time::Instant::now);
-                for (v, slot) in chunk_verts.iter().zip(chunk_slots.iter_mut()) {
-                    *slot = Some(shared.ctx.make_facet(*v, batch_ids, u32::MAX));
-                }
-                if let Some(start) = start {
-                    shared.busy_ns.add(start.elapsed().as_nanos() as u64);
-                }
-            });
-        }
-    });
-    for (facet, counts) in slots.into_iter().map(|x| x.expect("seed task ran")) {
-        shared.add_counts(&counts);
+    shared.add_counts(&seeds.counts);
+    shared.busy_ns.add(seeds.busy_ns);
+    for facet in seeds.facets {
         shared.arena.push(ParFacet {
             facet,
             dead: AtomicBool::new(ALIVE),
@@ -137,12 +172,12 @@ pub(crate) fn run_batch(
         });
     }
 
-    // Spawn `ProcessRidge` for every current ridge. A ridge with no
+    // Spawn `ProcessRidge` for every seed ridge. A ridge with no
     // conflicts on either side is skipped: line 9 would finalize it
     // immediately, and a conflict-free facet can never die (burying needs
     // equal non-MAX pivots; replacement targets the earlier pivot's side).
     pool::scope_with_threads(threads, |s| {
-        for &(a, r, b) in ridges {
+        for &(a, r, b) in ridges.iter() {
             let (fa, fb) = (shared.arena.get(a), shared.arena.get(b));
             if fa.facet.conflicts.is_empty() && fb.facet.conflicts.is_empty() {
                 continue;
@@ -196,7 +231,7 @@ pub(crate) fn run_batch(
         filter_hits: shared.filter_hits.sum(),
         i128_fallbacks: shared.i128_fallbacks.sum(),
         bigint_fallbacks: shared.bigint_fallbacks.sum(),
-        // Conflict-list batches never descend the history graph.
+        // Only queries count descent steps.
         descent_steps: 0,
     };
     BatchRun {

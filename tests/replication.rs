@@ -412,6 +412,10 @@ fn follower_bootstraps_via_bulk_build() {
     wait_until("follower to bootstrap", || {
         follower.service().batch_units(0).unwrap() == units
     });
+    // The shard publishes the units before the replica counts them.
+    wait_until("replica to count the bootstrap", || {
+        state.applied() >= units
+    });
     let fservice = follower.service();
     let stats = fservice.stats_for(0).unwrap();
     assert_eq!(
