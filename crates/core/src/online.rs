@@ -24,9 +24,13 @@ use chull_geometry::{Hyperplane, KernelCounts, PlaneBlock, PointSet, Sign};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel facet id.
 const NO_FACET: u32 = u32::MAX;
+
+/// History-graph children stored in the facet itself; see [`Children`].
+const INLINE_CHILDREN: usize = 4;
 
 /// Per-thread scratch of [`OnlineHull::descend`], reused across calls so
 /// a descent allocates nothing.
@@ -95,6 +99,79 @@ pub struct BatchTelemetry {
     pub busy_ns: u64,
 }
 
+/// The history-graph children of one facet, in the order they were
+/// linked: the first [`INLINE_CHILDREN`] ids inline (unused slots hold
+/// `NO_FACET`), the rest spilled to the heap. About 92% of facets have at
+/// most four children (near-circle 2D, ball 3D), so most lists never
+/// allocate: copying a history costs no allocation per facet, and a
+/// descent reads a child list from the facet it already has in cache.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Children {
+    inline: [u32; INLINE_CHILDREN],
+    spill: Vec<u32>,
+}
+
+impl Children {
+    const EMPTY: Children = Children {
+        inline: [NO_FACET; INLINE_CHILDREN],
+        spill: Vec::new(),
+    };
+
+    fn push(&mut self, id: u32) {
+        match self.inline.iter_mut().find(|c| **c == NO_FACET) {
+            Some(slot) => *slot = id,
+            None => self.spill.push(id),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.inline
+            .iter()
+            .copied()
+            .take_while(|&c| c != NO_FACET)
+            .chain(self.spill.iter().copied())
+    }
+}
+
+/// Which insertion history a hull holds, so that
+/// [`OnlineHull::refresh_replica`] only ever extends a copy of an earlier
+/// state of the same history. [`OnlineHull::new`] (and every constructor
+/// built on it) starts a fresh lineage; a clone keeps its source's
+/// lineage but is marked as a copy, and the first mutation of a copy
+/// forks it into a lineage of its own — from then on it holds a history
+/// its source never had.
+#[derive(Debug)]
+struct Lineage {
+    id: u64,
+    copy: bool,
+}
+
+impl Lineage {
+    fn fresh() -> Lineage {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Lineage {
+            id: NEXT.fetch_add(1, Ordering::Relaxed),
+            copy: false,
+        }
+    }
+
+    /// Called before every mutation of the hull's history or points.
+    fn on_write(&mut self) {
+        if self.copy {
+            *self = Lineage::fresh();
+        }
+    }
+}
+
+impl Clone for Lineage {
+    fn clone(&self) -> Lineage {
+        Lineage {
+            id: self.id,
+            copy: true,
+        }
+    }
+}
+
 #[derive(Clone)]
 struct OFacet {
     verts: FacetVerts,
@@ -103,7 +180,7 @@ struct OFacet {
     /// staged `O(d)` dot-product sign instead of an `O(d³)` determinant.
     plane: Hyperplane,
     alive: bool,
-    children: Vec<u32>,
+    children: Children,
     /// Dependence depth: seeds are 1, a facet joining ridge `(t1, t2)`
     /// is `1 + max(depth(t1), depth(t2))` — the online analogue of the
     /// `depth(t)` recurrence behind Theorem 4.2's `O(log n)` whp bound.
@@ -125,7 +202,19 @@ pub struct OnlineHull {
     pts: PointSet,
     facets: Vec<OFacet>,
     seeds: Vec<u32>,
-    /// Ridge -> two incident alive facets.
+    /// Per facet: the history length (`facets.len()`) when the facet last
+    /// died or gained a child. A copy taken at history length `n` differs
+    /// from this hull, among its own `n` facets, exactly in those stamped
+    /// `>= n` — what [`OnlineHull::refresh_replica`] re-copies.
+    changed_at: Vec<u32>,
+    /// Per point id: the number of alive facets incident to it, so
+    /// [`OnlineHull::hull_vertices`] is one pass over the points instead
+    /// of a sort over the whole history. May be shorter than the point
+    /// set; missing entries are 0.
+    incidence: Vec<u32>,
+    /// Ridge -> the two incident alive facets, the smaller id first (or
+    /// one facet and `NO_FACET` while the other side is being replaced).
+    /// The order makes the map a function of the alive facet set alone.
     adj: HashMap<RidgeKey, [u32; 2]>,
     /// Homogeneous interior reference point (seed simplex coordinate sums).
     interior_row: Vec<i64>,
@@ -138,6 +227,7 @@ pub struct OnlineHull {
     dep_depth: u32,
     /// Telemetry of the last parallel batch insert (see [`BatchTelemetry`]).
     pub last_batch: BatchTelemetry,
+    lineage: Lineage,
 }
 
 impl OnlineHull {
@@ -169,6 +259,8 @@ impl OnlineHull {
             pts: pts.clone(),
             facets: Vec::new(),
             seeds: Vec::new(),
+            changed_at: Vec::new(),
+            incidence: Vec::new(),
             adj: HashMap::new(),
             interior_row,
             interior_hom: dim as i64 + 1,
@@ -176,6 +268,7 @@ impl OnlineHull {
             kernel: KernelCounts::default(),
             dep_depth: 0,
             last_batch: BatchTelemetry::default(),
+            lineage: Lineage::fresh(),
         };
         for omit in 0..=dim {
             let verts: Vec<u32> = simplex
@@ -186,7 +279,7 @@ impl OnlineHull {
             let fv = facet_verts(&verts);
             let plane = hull.plane_for(&fv);
             let visible_sign = hull.visible_sign_for(&plane);
-            let id = hull.push_facet(fv, visible_sign, plane, 1);
+            let id = hull.push_facet(fv, visible_sign, plane, 1, true);
             hull.seeds.push(id);
         }
         hull
@@ -201,12 +294,15 @@ impl OnlineHull {
         Hyperplane::new(self.dim, &rows[..self.dim])
     }
 
+    /// Append a facet to the history; an `alive` one also joins the
+    /// adjacency map and the vertex incidence counts.
     fn push_facet(
         &mut self,
         verts: FacetVerts,
         visible_sign: Sign,
         plane: Hyperplane,
         depth: u32,
+        alive: bool,
     ) -> u32 {
         let id = self.facets.len() as u32;
         self.dep_depth = self.dep_depth.max(depth);
@@ -214,21 +310,55 @@ impl OnlineHull {
             verts,
             visible_sign,
             plane,
-            alive: true,
-            children: Vec::new(),
+            alive,
+            children: Children::EMPTY,
             depth,
         });
-        for omit in 0..self.dim {
-            let r = ridge_omitting(&verts, self.dim, omit);
-            let entry = self.adj.entry(r).or_insert([NO_FACET, NO_FACET]);
-            if entry[0] == NO_FACET {
-                entry[0] = id;
-            } else {
-                debug_assert_eq!(entry[1], NO_FACET);
-                entry[1] = id;
+        self.changed_at.push(id);
+        if alive {
+            self.add_to_adj(id);
+            if self.incidence.len() < self.pts.len() {
+                self.incidence.resize(self.pts.len(), 0);
+            }
+            for &v in &verts[..self.dim] {
+                self.incidence[v as usize] += 1;
             }
         }
         id
+    }
+
+    /// Kill alive facet `id`: it leaves the adjacency map and the
+    /// incidence counts, and stays in the history.
+    fn kill(&mut self, id: u32) {
+        let f = &mut self.facets[id as usize];
+        debug_assert!(f.alive);
+        f.alive = false;
+        for &v in &f.verts[..self.dim] {
+            self.incidence[v as usize] -= 1;
+        }
+        self.changed_at[id as usize] = self.facets.len() as u32;
+        self.remove_from_adj(id);
+    }
+
+    /// Link `child` under `parent` in the history graph.
+    fn add_child(&mut self, parent: u32, child: u32) {
+        self.facets[parent as usize].children.push(child);
+        self.changed_at[parent as usize] = self.facets.len() as u32;
+    }
+
+    fn add_to_adj(&mut self, id: u32) {
+        let verts = self.facets[id as usize].verts;
+        for omit in 0..self.dim {
+            let r = ridge_omitting(&verts, self.dim, omit);
+            let entry = self.adj.entry(r).or_insert([NO_FACET, NO_FACET]);
+            debug_assert_eq!(entry[1], NO_FACET, "ridge with three alive facets");
+            if entry[0] == NO_FACET {
+                entry[0] = id;
+            } else {
+                entry[1] = id;
+                entry.sort_unstable();
+            }
+        }
     }
 
     fn remove_from_adj(&mut self, id: u32) {
@@ -332,8 +462,7 @@ impl OnlineHull {
                 if self.facets[id as usize].alive && on_alive(id) {
                     return visited;
                 }
-                for ci in 0..self.facets[id as usize].children.len() {
-                    let c = self.facets[id as usize].children[ci];
+                for c in self.facets[id as usize].children.iter() {
                     if stamps[c as usize] != epoch {
                         stamps[c as usize] = epoch;
                         visited += 1;
@@ -366,6 +495,7 @@ impl OnlineHull {
     /// boundary (and was recorded but changed nothing).
     pub fn insert(&mut self, coords: &[i64]) -> bool {
         assert_eq!(coords.len(), self.dim, "point of wrong dimension");
+        self.lineage.on_write();
         let mut counts = KernelCounts::default();
         let (visible, visited) = self.locate(coords, &mut counts);
         self.kernel.merge(&counts);
@@ -396,8 +526,7 @@ impl OnlineHull {
             }
         }
         for &t in &visible {
-            self.facets[t as usize].alive = false;
-            self.remove_from_adj(t);
+            self.kill(t);
         }
         let mut insert_depth = 0u32;
         for (r, t1, t2) in boundary {
@@ -408,9 +537,9 @@ impl OnlineHull {
                 .depth
                 .max(self.facets[t2 as usize].depth);
             insert_depth = insert_depth.max(d);
-            let id = self.push_facet(verts, visible_sign, plane, d);
-            self.facets[t1 as usize].children.push(id);
-            self.facets[t2 as usize].children.push(id);
+            let id = self.push_facet(verts, visible_sign, plane, d, true);
+            self.add_child(t1, id);
+            self.add_child(t2, id);
         }
         if chull_obs::armed() {
             crate::telemetry::engine_metrics()
@@ -452,6 +581,7 @@ impl OnlineHull {
         for p in points {
             assert_eq!(p.len(), self.dim, "point of wrong dimension");
         }
+        self.lineage.on_write();
         self.last_batch = BatchTelemetry::default();
         if points.len() < MIN_PAR_BATCH {
             return points.iter().map(|p| self.insert(p)).collect();
@@ -657,15 +787,12 @@ impl OnlineHull {
             busy_ns: run.busy_ns,
         };
         for &slot in &run.dead_seeds {
-            let id = seed_ids[slot as usize];
-            self.facets[id as usize].alive = false;
-            self.remove_from_adj(id);
+            self.kill(seed_ids[slot as usize]);
         }
         let pre_len = self.facets.len() as u32;
         let seed_count = seed_ids.len() as u32;
         let mut batch_depth = 0u32;
         for cf in run.created {
-            let id = self.facets.len() as u32;
             let resolve = |p: u32| -> u32 {
                 if p < seed_count {
                     seed_ids[p as usize]
@@ -678,30 +805,10 @@ impl OnlineHull {
                 .depth
                 .max(self.facets[t2 as usize].depth);
             batch_depth = batch_depth.max(depth);
-            self.dep_depth = self.dep_depth.max(depth);
             on_created(cf.creator);
-            self.facets.push(OFacet {
-                verts: cf.verts,
-                visible_sign: cf.visible_sign,
-                plane: cf.plane,
-                alive: !cf.dead,
-                children: Vec::new(),
-                depth,
-            });
-            if !cf.dead {
-                for omit in 0..self.dim {
-                    let r = ridge_omitting(&cf.verts, self.dim, omit);
-                    let entry = self.adj.entry(r).or_insert([NO_FACET, NO_FACET]);
-                    if entry[0] == NO_FACET {
-                        entry[0] = id;
-                    } else {
-                        debug_assert_eq!(entry[1], NO_FACET);
-                        entry[1] = id;
-                    }
-                }
-            }
-            self.facets[t1 as usize].children.push(id);
-            self.facets[t2 as usize].children.push(id);
+            let id = self.push_facet(cf.verts, cf.visible_sign, cf.plane, depth, !cf.dead);
+            self.add_child(t1, id);
+            self.add_child(t2, id);
         }
         self.kernel.merge(&run.counts);
         self.last_visited = 0;
@@ -720,6 +827,7 @@ impl OnlineHull {
     /// divide-and-conquer survivors run through a single
     /// [`crate::par::batch::run_batch`] from the simplex.
     fn install_bulk(&mut self, candidates: &[u32], threads: usize) {
+        self.lineage.on_write();
         self.last_batch = BatchTelemetry::default();
         if candidates.is_empty() {
             return;
@@ -756,8 +864,9 @@ impl OnlineHull {
     }
 
     /// [`OnlineHull::contains_counted`] with an optional packed-plane
-    /// filter block (built once per frozen snapshot via
-    /// [`OnlineHull::plane_block`]). The descent stops at the **first**
+    /// filter block over this hull's whole history (built by
+    /// [`OnlineHull::plane_block`], kept current by
+    /// [`OnlineHull::extend_plane_block`]). The descent stops at the **first**
     /// alive visible facet — one witness decides membership — and folds
     /// its visited-node count into `counts.descent_steps`. Under the
     /// `linear-scan` feature this delegates to the full-scan oracle
@@ -873,28 +982,105 @@ impl OnlineHull {
 
     /// Pack every facet plane ever created (dead ones included — the
     /// history descent walks through them) into one SoA filter block,
-    /// indexed by facet id. Built once per frozen snapshot by
-    /// `chull-service` and shared read-only across query threads; it is
-    /// only valid for the exact facet vector it was built from, so a
-    /// mutable hull must rebuild it after inserting.
+    /// indexed by facet id. Built per published snapshot by
+    /// `chull-service` and shared read-only across query threads. It is
+    /// valid for the facets it was built from; once this hull grows,
+    /// [`OnlineHull::extend_plane_block`] appends the new planes.
     pub fn plane_block(&self) -> PlaneBlock {
         PlaneBlock::from_planes(self.dim, self.facets.iter().map(|f| &f.plane))
     }
 
+    /// Bring a block built from a prefix of this hull's history (by
+    /// [`OnlineHull::plane_block`] on an earlier state or a replica of
+    /// one) up to date by appending the planes of the facets created
+    /// since: amortized O(new facets). Facet planes never change, so the
+    /// packed prefix stays valid.
+    pub fn extend_plane_block(&self, block: &mut PlaneBlock) {
+        block.extend(self.facets[block.len()..].iter().map(|f| &f.plane));
+    }
+
     /// The vertex ids on the current hull, ascending and deduplicated.
-    /// One O(facets) pass — intended to be cached per frozen snapshot so
+    /// One O(points) pass over the alive-facet incidence counts —
+    /// intended to be cached per published snapshot so
     /// [`OnlineHull::extreme_with`] answers directional queries in
     /// O(hull vertices) with no per-query set-building.
     pub fn hull_vertices(&self) -> Vec<u32> {
-        let mut verts: Vec<u32> = self
-            .facets
-            .iter()
-            .filter(|f| f.alive)
-            .flat_map(|f| f.verts[..self.dim].iter().copied())
-            .collect();
-        verts.sort_unstable();
-        verts.dedup();
-        verts
+        (0u32..)
+            .zip(&self.incidence)
+            .filter(|&(_, &n)| n > 0)
+            .map(|(v, _)| v)
+            .collect()
+    }
+
+    /// Number of facets on the current hull: the alive facets, counted
+    /// without building the facet list [`OnlineHull::output`] returns.
+    pub fn num_facets(&self) -> usize {
+        self.facets.iter().filter(|f| f.alive).count()
+    }
+
+    /// Bring `stale` — an unmodified clone of an earlier state of this
+    /// hull — up to date in place, at a cost proportional to what changed
+    /// since it was taken: the facets and points added since are copied
+    /// (the whole facet vector instead, each time this hull's own vector
+    /// has grown), the older facets that died or gained a history child since (found
+    /// by their `changed_at` stamps, one O(facets) pass over a `u32`
+    /// array) have their liveness and children re-copied, and the
+    /// adjacency map and scalar state follow. Afterwards `stale` equals a
+    /// fresh [`Clone::clone`] of `self` in every field queries,
+    /// insertions and snapshots can observe.
+    ///
+    /// Returns `false`, leaving `stale` untouched, when `stale` holds a
+    /// different history: another lineage (a separately constructed or
+    /// rebuilt hull, or a clone that was itself mutated) or a state this
+    /// hull never passed through. The caller then falls back to a clone.
+    pub fn refresh_replica(&self, stale: &mut OnlineHull) -> bool {
+        let old = stale.facets.len();
+        if stale.lineage.id != self.lineage.id
+            || old > self.facets.len()
+            || stale.pts.len() > self.pts.len()
+        {
+            return false;
+        }
+        for (id, &at) in self.changed_at[..old].iter().enumerate() {
+            if (at as usize) < old {
+                continue;
+            }
+            let src = &self.facets[id];
+            if stale.facets[id].alive && !src.alive {
+                stale.remove_from_adj(id as u32);
+            }
+            let dst = &mut stale.facets[id];
+            dst.alive = src.alive;
+            dst.children.clone_from(&src.children);
+            stale.changed_at[id] = at;
+        }
+        if stale.facets.capacity() < self.facets.len() {
+            // Growing in place would hold the old and the new buffer at
+            // once. Free the old one first and copy the whole history
+            // into this hull's capacity instead: it happens only when
+            // this hull's own vector grew, so it stays amortized O(1)
+            // per facet, and a replica never needs more than one buffer.
+            stale.facets = Vec::new();
+            stale.facets.reserve_exact(self.facets.capacity());
+            stale.facets.extend_from_slice(&self.facets);
+        } else {
+            stale.facets.extend_from_slice(&self.facets[old..]);
+        }
+        stale.changed_at.extend_from_slice(&self.changed_at[old..]);
+        for id in old..self.facets.len() {
+            if self.facets[id].alive {
+                stale.add_to_adj(id as u32);
+            }
+        }
+        for i in stale.pts.len()..self.pts.len() {
+            stale.pts.push(self.pts.point(i));
+        }
+        stale.incidence.clone_from(&self.incidence);
+        stale.last_visited = self.last_visited;
+        stale.kernel = self.kernel;
+        stale.dep_depth = self.dep_depth;
+        stale.last_batch = self.last_batch;
+        true
     }
 
     /// The hull vertex extreme in direction `dir` (maximizing `dir · p`
@@ -1468,7 +1654,7 @@ mod tests {
     fn history_of(hull: &OnlineHull) -> Vec<(FacetVerts, bool, u32, Vec<u32>)> {
         hull.facets
             .iter()
-            .map(|f| (f.verts, f.alive, f.depth, f.children.clone()))
+            .map(|f| (f.verts, f.alive, f.depth, f.children.iter().collect()))
             .collect()
     }
 
@@ -1723,6 +1909,146 @@ mod tests {
             b.hull().unwrap().output().canonical(),
             singles.hull().unwrap().output().canonical()
         );
+    }
+
+    /// Assert that `replica` (refreshed in place) equals `fresh` (a clone
+    /// of the same hull) in everything a query, insertion or snapshot can
+    /// observe.
+    fn assert_same_hull(ctx: &str, replica: &OnlineHull, fresh: &OnlineHull) {
+        assert_eq!(history_of(replica), history_of(fresh), "{ctx}: history");
+        assert_eq!(replica.changed_at, fresh.changed_at, "{ctx}: stamps");
+        assert_eq!(replica.pts.flat(), fresh.pts.flat(), "{ctx}: points");
+        assert_eq!(replica.adj, fresh.adj, "{ctx}: adjacency");
+        assert_eq!(replica.hull_vertices(), fresh.hull_vertices(), "{ctx}");
+        assert_eq!(replica.kernel, fresh.kernel, "{ctx}: kernel");
+        assert_eq!(replica.dep_depth(), fresh.dep_depth(), "{ctx}: depth");
+        assert_eq!(replica.num_facets(), fresh.output().num_facets());
+        let mut verts: Vec<u32> = fresh
+            .output()
+            .facets
+            .iter()
+            .flat_map(|f| f[..fresh.dim].to_vec())
+            .collect();
+        verts.sort_unstable();
+        verts.dedup();
+        assert_eq!(replica.hull_vertices(), verts, "{ctx}: hull vertices");
+    }
+
+    /// Feed `rows` (first `d + 1` affinely independent) to a writer hull
+    /// in uneven batches (some below [`MIN_PAR_BATCH`]) and, after every
+    /// batch, check two replicas against a fresh clone: one refreshed two
+    /// batches behind (the service's spare rotation: two replicas taking
+    /// turns), and one refreshed only every `skip` batches.
+    fn check_refresh_matches_clone(name: &str, rows: &[Vec<i64>], threads: usize, skip: usize) {
+        let dim = rows[0].len();
+        let mut writer = OnlineHull::new(dim, &rows[..=dim]);
+        let mut spares = [writer.clone(), writer.clone()];
+        let mut lagging = writer.clone();
+        let mut at = dim + 1;
+        for (bi, &size) in [70usize, 3, 41, 128, 5, 64].iter().cycle().enumerate() {
+            if at == rows.len() {
+                break;
+            }
+            let end = (at + size).min(rows.len());
+            writer.insert_batch_par(&rows[at..end], threads);
+            at = end;
+            let ctx = format!("{name} w{threads} batch {bi}");
+            let fresh = writer.clone();
+            let spare = &mut spares[bi % 2];
+            assert!(writer.refresh_replica(spare), "{ctx}: spare refused");
+            assert_same_hull(&ctx, spare, &fresh);
+            if bi % skip == skip - 1 {
+                assert!(writer.refresh_replica(&mut lagging), "{ctx}: lagging");
+                assert_same_hull(&format!("{ctx} skip {skip}"), &lagging, &fresh);
+            }
+        }
+        // A refreshed replica is a working hull: the next batch applied
+        // to it gives what the writer gives.
+        let tail: Vec<Vec<i64>> = rows[rows.len() - 40..].to_vec();
+        let mut replica = spares[0].clone();
+        assert!(writer.refresh_replica(&mut replica));
+        let mut direct = writer.clone();
+        replica.insert_batch_par(&tail, threads);
+        direct.insert_batch_par(&tail, threads);
+        assert_same_hull(&format!("{name} w{threads} after"), &replica, &direct);
+    }
+
+    #[test]
+    fn refresh_matches_clone_across_inputs_and_workers() {
+        let disk = rows_of(&prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(900, 1 << 20, 41)),
+            42,
+        ));
+        let mut dups = disk.clone();
+        dups.extend(disk[200..420].iter().cloned());
+        dups.extend(disk[..60].iter().cloned());
+        let inputs = [
+            (
+                "circle",
+                rows_of(&prepare_points(
+                    &generators::near_sphere_d(2, 900, 1 << 24, 43),
+                    44,
+                )),
+            ),
+            ("disk", disk),
+            (
+                "ball",
+                rows_of(&prepare_points(
+                    &PointSet::from_points3(&generators::ball_3d(700, 1 << 20, 45)),
+                    46,
+                )),
+            ),
+            (
+                "sphere",
+                rows_of(&prepare_points(
+                    &generators::near_sphere_d(3, 500, 1 << 20, 47),
+                    48,
+                )),
+            ),
+            (
+                "collinear",
+                rows_of(&prepare_points(
+                    &PointSet::from_points2(&generators::collinear_heavy_2d(800, 12, 49)),
+                    50,
+                )),
+            ),
+            ("duplicates", dups),
+        ];
+        for (name, rows) in &inputs {
+            for threads in [1usize, 2, 4] {
+                check_refresh_matches_clone(name, rows, threads, 3);
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_refuses_another_lineage() {
+        let rows = rows_of(&prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(300, 1 << 20, 51)),
+            52,
+        ));
+        let mut writer = OnlineHull::new(2, &rows[..3]);
+        writer.insert_batch_par(&rows[3..100], 2);
+        let replica = writer.clone();
+        // A separately built hull over the very same points.
+        let mut twin = OnlineHull::new(2, &rows[..3]);
+        twin.insert_batch_par(&rows[3..100], 2);
+        // A clone that was mutated holds a history the writer never had.
+        let mut forked = writer.clone();
+        forked.insert(&[1 << 22, 1 << 22]);
+        writer.insert_batch_par(&rows[100..200], 2);
+        for (what, stale) in [("twin", &twin), ("forked", &forked)] {
+            let mut probe = stale.clone();
+            assert!(!writer.refresh_replica(&mut probe), "{what} accepted");
+            assert_same_hull(what, &probe, stale);
+        }
+        // A replica ahead of its source is refused too.
+        let mut ahead = writer.clone();
+        assert!(!replica.refresh_replica(&mut ahead));
+        // The untouched clone of the same lineage is accepted.
+        let mut ok = replica.clone();
+        assert!(writer.refresh_replica(&mut ok));
+        assert_same_hull("same lineage", &ok, &writer.clone());
     }
 
     #[test]

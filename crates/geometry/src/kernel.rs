@@ -344,7 +344,8 @@ const BLOCK_CHUNK: usize = 64;
 /// coefficients — the batched form of [`Hyperplane::sign_point`]'s filter
 /// stage.
 ///
-/// Coefficient `j` of plane `i` lives at `coeffs[j * len + i]`, so the
+/// Coefficient `j` of plane `i` lives at `coeffs[j * cap + i]`, where the
+/// row stride `cap >= len` leaves room to append planes, so the
 /// semi-static filter over many planes against one query point is a tight
 /// coefficient-major loop (`d + 1` vectorizable passes over contiguous
 /// lanes) instead of a pointer chase through per-facet [`Hyperplane`]s.
@@ -354,14 +355,18 @@ const BLOCK_CHUNK: usize = 64;
 /// [`Hyperplane::sign_exact`], which keeps every answer bit-identical to
 /// the staged scalar kernel.
 ///
-/// The block is immutable once built — callers construct one per frozen
-/// hull snapshot and share it across query threads.
+/// A block only grows, by [`PlaneBlock::extend`]; planes already packed
+/// never change. Callers build one per hull snapshot, extend it when the
+/// snapshot is refreshed, and share it read-only across query threads.
 #[derive(Clone, Debug)]
 pub struct PlaneBlock {
     dim: usize,
     len: usize,
-    /// SoA coefficients, `(dim + 1) * len` entries (normal rows first,
-    /// the offset row last).
+    /// Row stride: planes the block holds before [`PlaneBlock::extend`]
+    /// must repack.
+    cap: usize,
+    /// SoA coefficients, `(dim + 1) * cap` entries (normal rows first,
+    /// the offset row last); lanes `len..cap` of each row are unused.
     coeffs: Vec<f64>,
     /// Filter error bound, as in [`Hyperplane`]: certify when
     /// `|v| > err_factor * Σ|terms|`. A per-dimension constant, and an
@@ -379,20 +384,46 @@ impl PlaneBlock {
         I: ExactSizeIterator<Item = &'a Hyperplane>,
     {
         assert!((2..=MAX_DIM).contains(&dim), "dimension out of range");
-        let len = planes.len();
-        let mut coeffs = vec![0.0f64; (dim + 1) * len];
-        for (i, p) in planes.enumerate() {
-            assert_eq!(p.dim(), dim, "plane of wrong dimension in block");
-            for j in 0..=dim {
-                coeffs[j * len + i] = p.approx[j];
+        let mut block = PlaneBlock {
+            dim,
+            len: 0,
+            cap: 0,
+            coeffs: Vec::new(),
+            err_factor: (4 * dim + 16) as f64 * f64::EPSILON,
+        };
+        block.extend(planes);
+        block
+    }
+
+    /// Append `planes` after the planes already packed: plane `len() + k`
+    /// of the result is the `k`-th yielded hyperplane. When the rows run
+    /// out of room the block repacks into a stride at least 1.5× larger,
+    /// so a block grown plane by plane costs amortized O(new planes). A
+    /// grown block answers every query exactly as
+    /// [`PlaneBlock::from_planes`] over all its planes would.
+    pub fn extend<'a, I>(&mut self, planes: I)
+    where
+        I: ExactSizeIterator<Item = &'a Hyperplane>,
+    {
+        let (d, len) = (self.dim, self.len);
+        let need = len + planes.len();
+        if need > self.cap {
+            let cap = need.max(self.cap + self.cap / 2);
+            let mut coeffs = vec![0.0f64; (d + 1) * cap];
+            for j in 0..=d {
+                coeffs[j * cap..j * cap + len]
+                    .copy_from_slice(&self.coeffs[j * self.cap..j * self.cap + len]);
+            }
+            self.coeffs = coeffs;
+            self.cap = cap;
+        }
+        for (i, p) in (len..).zip(planes) {
+            assert_eq!(p.dim(), d, "plane of wrong dimension in block");
+            for j in 0..=d {
+                self.coeffs[j * self.cap + i] = p.approx[j];
             }
         }
-        PlaneBlock {
-            dim,
-            len,
-            coeffs,
-            err_factor: (4 * dim + 16) as f64 * f64::EPSILON,
-        }
+        self.len = need;
     }
 
     /// Number of planes in the block.
@@ -430,8 +461,8 @@ impl PlaneBlock {
     /// decision as the scalar filter in [`Hyperplane::sign_point`].
     #[inline]
     pub fn filter_sign(&self, i: u32, qf: &[f64]) -> Option<Sign> {
-        let (d, n, i) = (self.dim, self.len, i as usize);
-        debug_assert!(i < n);
+        let (d, n, i) = (self.dim, self.cap, i as usize);
+        debug_assert!(i < self.len);
         let mut v = self.coeffs[d * n + i];
         let mut mag = v.abs();
         for (j, &qj) in qf.iter().enumerate().take(d) {
@@ -456,7 +487,7 @@ impl PlaneBlock {
     /// backs the `linear-scan` A/B oracle and the batched candidate
     /// filter.
     pub fn filter_scan<F: FnMut(u32, Option<Sign>)>(&self, q: &[i64], mut visit: F) {
-        let (d, n) = (self.dim, self.len);
+        let (d, n, cap) = (self.dim, self.len, self.cap);
         debug_assert_eq!(q.len(), d);
         let qf = Self::query_row(q);
         let mut v = [0.0f64; BLOCK_CHUNK];
@@ -464,13 +495,13 @@ impl PlaneBlock {
         let mut base = 0usize;
         while base < n {
             let m = BLOCK_CHUNK.min(n - base);
-            let off = &self.coeffs[d * n + base..d * n + base + m];
+            let off = &self.coeffs[d * cap + base..d * cap + base + m];
             for i in 0..m {
                 v[i] = off[i];
                 mag[i] = off[i].abs();
             }
             for (j, &qj) in qf.iter().enumerate().take(d) {
-                let col = &self.coeffs[j * n + base..j * n + base + m];
+                let col = &self.coeffs[j * cap + base..j * cap + base + m];
                 for i in 0..m {
                     let t = col[i] * qj;
                     v[i] += t;
@@ -703,6 +734,40 @@ mod tests {
         });
         let want: Vec<u32> = (0..150).collect();
         assert_eq!(seen, want, "scan must visit every plane in order");
+    }
+
+    #[test]
+    fn extended_block_answers_like_one_built_whole() {
+        // A prefix block grown in uneven steps crosses several stride
+        // repacks; every filter answer must match the block packed whole.
+        for dim in [2usize, 3, 5] {
+            let planes = random_planes(dim, 300, 0xD1CE + dim as u64);
+            let whole = PlaneBlock::from_planes(dim, planes.iter());
+            let mut grown = PlaneBlock::from_planes(dim, planes[..7].iter());
+            let mut at = 7;
+            for step in [1usize, 2, 13, 64, 5, 90].iter().cycle() {
+                if at == planes.len() {
+                    break;
+                }
+                let end = (at + step).min(planes.len());
+                grown.extend(planes[at..end].iter());
+                at = end;
+                assert_eq!(grown.len(), at);
+            }
+            let mut state = 0xABCD ^ dim as u64;
+            for _ in 0..20 {
+                let q: Vec<i64> = (0..dim).map(|_| next_coord(&mut state, 1 << 22)).collect();
+                let qf = PlaneBlock::query_row(&q);
+                for i in 0..planes.len() as u32 {
+                    assert_eq!(grown.filter_sign(i, &qf), whole.filter_sign(i, &qf));
+                }
+                let mut a = Vec::new();
+                let mut b = Vec::new();
+                grown.filter_scan(&q, |i, s| a.push((i, s)));
+                whole.filter_scan(&q, |i, s| b.push((i, s)));
+                assert_eq!(a, b, "dim {dim}");
+            }
+        }
     }
 
     #[test]

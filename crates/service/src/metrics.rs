@@ -142,6 +142,12 @@ pub struct ServiceMetrics {
     pub rebuild_us: Arc<Histogram>,
     /// Rebuilds triggered by the journal-growth ratio (auto-compaction).
     pub auto_compactions: Arc<Counter>,
+    /// Wall time of one snapshot publish (refresh or copy + swap), µs.
+    pub publish_us: Arc<Histogram>,
+    /// Publishes that refreshed the retired snapshot in place.
+    pub publishes_refreshed: Arc<Counter>,
+    /// Publishes that froze a fresh copy of the hull instead.
+    pub publishes_cloned: Arc<Counter>,
     /// Kernel work done applying inserts on shard workers.
     pub ingest_kernel: KernelCounters,
     /// Kernel work done serving read queries.
@@ -278,6 +284,20 @@ pub fn service_metrics() -> &'static ServiceMetrics {
             auto_compactions: r.counter(
                 "chull_shard_auto_compactions_total",
                 "Rebuilds triggered by the journal-growth ratio (auto-compaction).",
+            ),
+            publish_us: r.histogram(
+                "chull_shard_publish_us",
+                "Microseconds to publish one snapshot (in-place refresh or full copy).",
+            ),
+            publishes_refreshed: r.counter_with(
+                "chull_shard_publishes_total",
+                &[("path", "refreshed")],
+                "Snapshot publishes, by path (refreshed in place, or cloned whole).",
+            ),
+            publishes_cloned: r.counter_with(
+                "chull_shard_publishes_total",
+                &[("path", "cloned")],
+                "Snapshot publishes, by path (refreshed in place, or cloned whole).",
             ),
             ingest_kernel: KernelCounters::register("ingest"),
             query_kernel: KernelCounters::register("query"),

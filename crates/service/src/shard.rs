@@ -17,7 +17,9 @@
 //!   as one atomic unit**, applies its inserts to the private hull as a
 //!   single parallel batch insert (Algorithm 3's `ProcessRidge`
 //!   recursion via [`HullBuilder::push_batch`]), and republishes an
-//!   `Arc<HullSnapshot>` under a short write-lock;
+//!   `Arc<HullSnapshot>` under a short write-lock — by refreshing the
+//!   snapshot it retired last time in place when no reader still holds
+//!   it (see [`publish`]);
 //! * a [`LiveSet`] tracking which inserted rows are still live (deletes
 //!   and window expiry tombstone rows instead of mutating the hull);
 //! * a [`ShardStats`] block of lock-free counters.
@@ -256,20 +258,21 @@ fn load_snap(lock: &RwLock<Arc<HullSnapshot>>) -> Arc<HullSnapshot> {
     }
 }
 
-/// Swap in a new published snapshot, tolerating a poisoned lock.
-fn store_snap(lock: &RwLock<Arc<HullSnapshot>>, snap: HullSnapshot) {
+/// Swap in a new published snapshot, tolerating a poisoned lock, and
+/// return the one it replaces (released outside the lock).
+fn swap_snap(lock: &RwLock<Arc<HullSnapshot>>, snap: Arc<HullSnapshot>) -> Arc<HullSnapshot> {
     let mut g = match lock.write() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     };
-    *g = Arc::new(snap);
+    std::mem::replace(&mut *g, snap)
 }
 
-/// Freeze the builder's current state into an epoch-stamped snapshot.
-/// For a live hull this also builds the snapshot's query accelerators
-/// (packed-plane filter block + cached hull vertex list) exactly once,
-/// here — every publish site (initial spawn, recovery republish, post-
-/// batch publish, post-rebuild publish) funnels through this function.
+/// Freeze a fresh copy of the builder's current state into an
+/// epoch-stamped snapshot, building a live hull's query accelerators
+/// (packed-plane filter block + cached hull vertex list) from its whole
+/// history: O(history). Used for the shard's first snapshot and by
+/// [`publish`] when the retired snapshot cannot be refreshed.
 fn snapshot_of(core: &HullBuilder, epoch: u64) -> HullSnapshot {
     match core.hull() {
         Some(h) => HullSnapshot::freeze_live(epoch, core.applied(), h.clone()),
@@ -280,6 +283,52 @@ fn snapshot_of(core: &HullBuilder, epoch: u64) -> HullSnapshot {
             state: SnapState::Boot(core.buffered().unwrap_or(&[]).to_vec()),
             accel: None,
         },
+    }
+}
+
+/// Publish the shard's current state as epoch `st.epoch`. Every publish
+/// site (recovery, post-batch, post-rebuild, follower checkpoint and
+/// bootstrap) goes through here.
+///
+/// The history graph only grows, so two consecutive epochs differ by what
+/// the batches between them changed. The worker keeps the snapshot it
+/// swapped out last time as `st.spare`; if no reader holds it any more
+/// (`Arc::get_mut` succeeds only on the sole reference) and it holds the
+/// same hull lineage, it is refreshed in place at a cost proportional to
+/// that change and published again. Otherwise — a reader still holds it,
+/// or the hull was replaced by a rebuild, recovery or bulk bootstrap —
+/// a fresh copy is frozen ([`snapshot_of`]). Either way the outgoing
+/// snapshot becomes the new spare, so a snapshot a reader can see is
+/// never mutated.
+fn publish(ctx: &ShardCtx, st: &mut ShardState) {
+    let t0 = chull_obs::armed().then(Instant::now);
+    let mut spare = st.spare.take();
+    let refreshed = match (spare.as_mut().and_then(Arc::get_mut), st.core.hull()) {
+        (Some(snap), Some(hull)) => snap.refresh_live(st.epoch, st.core.applied(), hull),
+        _ => false,
+    };
+    let next = match spare {
+        Some(snap) if refreshed => snap,
+        stale => {
+            // Release the stale spare before copying, so the shard never
+            // holds four hulls at once.
+            drop(stale);
+            Arc::new(snapshot_of(&st.core, st.epoch))
+        }
+    };
+    st.spare = Some(swap_snap(&ctx.snap, next));
+    let m = service_metrics();
+    if refreshed {
+        ctx.stats
+            .publishes_refreshed
+            .fetch_add(1, Ordering::Relaxed);
+        m.publishes_refreshed.incr();
+    } else {
+        ctx.stats.publishes_cloned.fetch_add(1, Ordering::Relaxed);
+        m.publishes_cloned.incr();
+    }
+    if let Some(t0) = t0 {
+        m.publish_us.record(t0.elapsed().as_micros() as u64);
     }
 }
 
@@ -451,6 +500,9 @@ struct ShardState {
     /// Which inserted rows are still live — deletes and window expiry
     /// resolve against this, never against the hull directly.
     live: LiveSet,
+    /// The snapshot [`publish`] swapped out last, kept for the next
+    /// publish to refresh in place (`None` before the first publish).
+    spare: Option<Arc<HullSnapshot>>,
 }
 
 /// The shard manager; see module docs. Shared (`&self`) by every
@@ -558,6 +610,7 @@ impl HullService {
                 epoch,
                 recorded,
                 live,
+                spare: None,
             };
             let worker = std::thread::spawn(move || shard_supervisor(&ctx, state));
             shards.push(Shard {
@@ -1159,7 +1212,7 @@ fn shard_supervisor(ctx: &ShardCtx, mut st: ShardState) {
                 // same source of truth the replay used — so subscribers
                 // see exactly the units a future replay would.
                 ctx.repl.reset_from(&st.journal);
-                store_snap(&ctx.snap, snapshot_of(&st.core, st.epoch));
+                publish(ctx, &mut st);
                 let missing = st.core.applied().saturating_sub(st.recorded);
                 if missing > 0 {
                     ctx.stats.record_batch(missing);
@@ -1494,7 +1547,7 @@ fn apply_unit(
             journal_trigger && !need_rebuild && !tomb_trigger,
         );
     } else {
-        store_snap(&ctx.snap, snapshot_of(&st.core, st.epoch));
+        publish(ctx, st);
     }
     if armed {
         let m = service_metrics();
@@ -1578,7 +1631,7 @@ fn rebuild_from_survivors(ctx: &ShardCtx, st: &mut ShardState, checkpoint: bool,
     ctx.stats
         .lazy_tombstones
         .store(st.live.dead_entries() as u64, Ordering::Relaxed);
-    store_snap(&ctx.snap, snapshot_of(&st.core, st.epoch));
+    publish(ctx, st);
     if armed {
         let m = service_metrics();
         m.rebuilds.incr();
@@ -1638,7 +1691,7 @@ fn apply_checkpoint(
         .live_points
         .store(st.live.live() as u64, Ordering::Relaxed);
     ctx.stats.lazy_tombstones.store(0, Ordering::Relaxed);
-    store_snap(&ctx.snap, snapshot_of(&st.core, st.epoch));
+    publish(ctx, st);
     if chull_obs::armed() {
         let m = service_metrics();
         m.rebuilds.incr();
@@ -1722,7 +1775,7 @@ fn apply_bulk_units(
         service_metrics().repl_units_applied.incr();
     }
     st.recorded = st.core.applied();
-    store_snap(&ctx.snap, snapshot_of(&st.core, st.epoch));
+    publish(ctx, st);
     if armed {
         let m = service_metrics();
         m.batch_apply_us.record(t0.elapsed().as_micros() as u64);
@@ -2339,5 +2392,137 @@ mod tests {
         );
         svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+    /// Every answer a reader can get from `snap` for a fixed probe set
+    /// around a hull of radius `r`, plus its observable sizes.
+    fn observe(snap: &HullSnapshot, r: i64) -> (u64, Vec<[u32; 8]>, usize, usize, String) {
+        let mut k = KernelCounts::default();
+        let mut answers = String::new();
+        for (x, y) in [
+            (0, 0),
+            (r / 2, r / 3),
+            (r, r),
+            (-2 * r, 5),
+            (r / 7, -r),
+            (3, r + 9),
+        ] {
+            answers += &format!(
+                "{:?} {:?} ",
+                snap.contains(&[x, y], &mut k),
+                snap.visible_count(&[x, y], &mut k)
+            );
+            answers += &format!("{:?} ", snap.extreme(&[x, y]));
+        }
+        (
+            snap.epoch,
+            snap.output().facets,
+            snap.plane_block_len(),
+            snap.hull_vertex_count(),
+            answers,
+        )
+    }
+
+    /// A snapshot refreshed in place answers exactly like one frozen
+    /// from a fresh copy of the same hull.
+    fn assert_matches_fresh_freeze(snap: &HullSnapshot, r: i64) {
+        let SnapState::Live(h) = &snap.state else {
+            panic!("snapshot not live");
+        };
+        let fresh = HullSnapshot::freeze_live(snap.epoch, snap.applied, (**h).clone());
+        assert_eq!(observe(snap, r), observe(&fresh, r));
+        assert_eq!(snap.num_facets(), snap.output().num_facets());
+    }
+
+    #[test]
+    fn held_snapshot_never_changes_while_the_shard_publishes() {
+        let r = 1 << 20;
+        let pts = prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(900, r, 61)),
+            62,
+        );
+        let rows: Vec<Vec<i64>> = pts.iter().map(|p| p.to_vec()).collect();
+        let svc = HullService::new(cfg(2, 1)).unwrap();
+        let stats = svc.stats_for(0).unwrap();
+        let unit = |svc: &HullService, chunk: &[Vec<i64>]| {
+            mutate_all(
+                svc,
+                0,
+                chunk.iter().cloned().map(Mutation::Insert).collect(),
+            );
+            svc.flush(0).unwrap()
+        };
+        for chunk in rows[..300].chunks(60) {
+            unit(&svc, chunk);
+        }
+        let held = svc.snapshot(0).unwrap();
+        let before = observe(&held, r);
+        let cloned = stats.publishes_cloned.load(Ordering::Relaxed);
+        for chunk in rows[300..].chunks(60) {
+            unit(&svc, chunk);
+        }
+        let latest = svc.snapshot(0).unwrap();
+        assert!(latest.epoch >= held.epoch + 3, "fewer than 3 batches");
+        assert_eq!(observe(&held, r), before, "a held snapshot changed");
+        // The publish that found the held snapshot as its spare copied.
+        assert!(stats.publishes_cloned.load(Ordering::Relaxed) > cloned);
+        assert!(stats.publishes_refreshed.load(Ordering::Relaxed) > 0);
+        assert_matches_fresh_freeze(&held, r);
+        assert_matches_fresh_freeze(&latest, r);
+        assert_eq!(snap_canonical(&latest, 2), offline_canonical(&rows, 2));
+        let json = svc.stats_json(Some(0)).unwrap();
+        assert!(json.contains("\"publishes_refreshed\":"), "{json}");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn survivor_rebuild_publishes_a_fresh_copy() {
+        let r = 1 << 20;
+        let mut config = cfg(2, 1);
+        config.rebuild_ratio = 1e9;
+        config.journal_ratio = 0.0;
+        let pts = prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(600, r, 63)),
+            64,
+        );
+        let mut rows: Vec<Vec<i64>> = pts.iter().map(|p| p.to_vec()).collect();
+        let svc = HullService::new(config).unwrap();
+        let stats = svc.stats_for(0).unwrap();
+        let insert = |svc: &HullService, chunk: &[Vec<i64>]| {
+            mutate_all(
+                svc,
+                0,
+                chunk.iter().cloned().map(Mutation::Insert).collect(),
+            );
+            svc.flush(0).unwrap();
+        };
+        insert(&svc, &rows[..400]);
+        // Deleting a hull vertex forces a rebuild from survivors: a new
+        // hull lineage, so the retired snapshot cannot be refreshed.
+        let (_, vertex) = svc.snapshot(0).unwrap().extreme(&[1, 0]).unwrap();
+        let cloned = stats.publishes_cloned.load(Ordering::Relaxed);
+        mutate_all(&svc, 0, vec![Mutation::Delete(vertex.clone())]);
+        svc.flush(0).unwrap();
+        assert_eq!(stats.rebuilds.load(Ordering::Relaxed), 1);
+        assert!(stats.publishes_cloned.load(Ordering::Relaxed) > cloned);
+        let survivors: Vec<Vec<i64>> = rows[..400]
+            .iter()
+            .filter(|p| **p != vertex)
+            .cloned()
+            .collect();
+        let snap = svc.snapshot(0).unwrap();
+        assert_eq!(snap_canonical(&snap, 2), offline_canonical(&survivors, 2));
+        assert_matches_fresh_freeze(&snap, r);
+        drop(snap);
+        // Publishing continues on the rebuilt hull, refreshing again.
+        let refreshed = stats.publishes_refreshed.load(Ordering::Relaxed);
+        for chunk in rows[400..].chunks(50) {
+            insert(&svc, chunk);
+        }
+        assert!(stats.publishes_refreshed.load(Ordering::Relaxed) > refreshed);
+        rows.retain(|p| *p != vertex);
+        let snap = svc.snapshot(0).unwrap();
+        assert_eq!(snap_canonical(&snap, 2), offline_canonical(&rows, 2));
+        assert_matches_fresh_freeze(&snap, r);
+        svc.shutdown();
     }
 }

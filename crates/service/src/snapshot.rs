@@ -1,7 +1,7 @@
 //! Epoch-versioned, immutable hull snapshots — the service's read side.
 //!
 //! Each shard worker owns a mutable [`OnlineHull`]; after applying a batch
-//! it publishes a frozen copy behind an `Arc`. Readers grab the `Arc`
+//! it publishes a copy of it behind an `Arc`. Readers grab the `Arc`
 //! under a short lock and then query **without any synchronization**:
 //! every query on [`HullSnapshot`] takes `&self` and descends the frozen
 //! history (influence) graph, so the paper's expected `O(log n)` point
@@ -10,11 +10,18 @@
 //! sequence, and the support property `C(t) ⊆ C(t1) ∪ C(t2)` guarantees
 //! the descent finds every visible facet of that prefix.
 //!
-//! Publication also freezes the snapshot's **query accelerators**
-//! ([`QueryAccel`]): the SoA packed-plane filter block over every facet
-//! plane in the history, and the hull's sorted vertex list for `Extreme`.
-//! Both are built once per epoch and shared read-only by every query
-//! thread; their lifetime is exactly the snapshot's (DESIGN §S18).
+//! A snapshot carries **query accelerators** ([`QueryAccel`]): the SoA
+//! packed-plane filter block over every facet plane in the history, and
+//! the hull's sorted vertex list for `Extreme`, shared read-only by every
+//! query thread (DESIGN §S18).
+//!
+//! A published snapshot never changes while anyone can read it. The
+//! history graph is append-only, so the worker does not copy the whole
+//! hull per batch: it keeps the snapshot it last swapped out and, once
+//! no reader holds it any more (`Arc::get_mut` succeeds), brings it up
+//! to date in place ([`HullSnapshot::refresh_live`]) at a cost
+//! proportional to what the batches since changed, then publishes it
+//! again. Otherwise it freezes a fresh copy ([`HullSnapshot::freeze_live`]).
 //!
 //! A shard that has not yet seen `d + 1` affinely independent points is
 //! **bootstrapping**: it buffers arrivals and answers geometric queries
@@ -24,17 +31,18 @@ use chull_core::online::OnlineHull;
 use chull_core::HullOutput;
 use chull_geometry::{KernelCounts, PlaneBlock};
 
-/// Frozen state behind one snapshot.
+/// The hull state behind one snapshot.
 #[derive(Clone)]
 pub(crate) enum SnapState {
     /// Fewer than `d + 1` affinely independent points so far; the buffered
     /// arrivals in order.
     Boot(Vec<Vec<i64>>),
-    /// A live hull (frozen copy of the shard's online hull).
+    /// A live hull (a replica of the shard's online hull).
     Live(Box<OnlineHull>),
 }
 
-/// Per-snapshot read accelerators, built once at publication.
+/// Per-snapshot read accelerators, built at freeze and extended at
+/// refresh.
 #[derive(Clone)]
 pub(crate) struct QueryAccel {
     /// SoA f64 filter block over **every** facet plane ever created
@@ -72,7 +80,9 @@ impl HullSnapshot {
         }
     }
 
-    /// Freeze a live hull together with its query accelerators.
+    /// Freeze a live hull (a fresh copy of the shard's hull) together
+    /// with its query accelerators, built from the whole history. This is
+    /// the publish fallback when no retired snapshot can be refreshed.
     pub(crate) fn freeze_live(epoch: u64, applied: u64, hull: OnlineHull) -> HullSnapshot {
         let accel = QueryAccel {
             block: hull.plane_block(),
@@ -85,6 +95,29 @@ impl HullSnapshot {
             state: SnapState::Live(Box::new(hull)),
             accel: Some(accel),
         }
+    }
+
+    /// Bring a live snapshot that nobody else can read up to date with
+    /// `hull` as epoch `epoch`, in place: the replica takes the facets,
+    /// points and changes since it was taken
+    /// ([`OnlineHull::refresh_replica`]), the filter block appends the new
+    /// planes and the vertex list is re-derived. Afterwards the snapshot
+    /// answers exactly as [`HullSnapshot::freeze_live`] of a fresh copy
+    /// would. Returns `false`, with the snapshot untouched, when it is not
+    /// live or holds another history than `hull` (after a rebuild or a
+    /// recovery).
+    pub(crate) fn refresh_live(&mut self, epoch: u64, applied: u64, hull: &OnlineHull) -> bool {
+        let (SnapState::Live(replica), Some(accel)) = (&mut self.state, &mut self.accel) else {
+            return false;
+        };
+        if !hull.refresh_replica(replica) {
+            return false;
+        }
+        replica.extend_plane_block(&mut accel.block);
+        accel.verts = replica.hull_vertices();
+        self.epoch = epoch;
+        self.applied = applied;
+        true
     }
 
     /// The packed-plane filter block, when live.
@@ -192,7 +225,7 @@ impl HullSnapshot {
     pub fn num_facets(&self) -> usize {
         match &self.state {
             SnapState::Boot(_) => 0,
-            SnapState::Live(h) => h.output().num_facets(),
+            SnapState::Live(h) => h.num_facets(),
         }
     }
 

@@ -133,6 +133,11 @@ pub struct ShardStats {
     pub rebuild_us_last: AtomicU64,
     /// Total time spent rebuilding, in microseconds.
     pub rebuild_us_total: AtomicU64,
+    /// Snapshot publishes that refreshed the retired snapshot in place.
+    pub publishes_refreshed: AtomicU64,
+    /// Snapshot publishes that froze a fresh copy of the hull (a reader
+    /// still held the retired snapshot, or the hull was replaced).
+    pub publishes_cloned: AtomicU64,
 }
 
 impl ShardStats {
@@ -170,6 +175,7 @@ impl ShardStats {
              \"window_expirations\":{},\"live_points\":{},\"lazy_tombstones\":{},\
              \"rebuilds\":{},\"auto_compactions\":{},\
              \"rebuild_us_last\":{},\"rebuild_us_total\":{},\
+             \"publishes_refreshed\":{},\"publishes_cloned\":{},\
              \"ingest_kernel\":{},\"query_kernel\":{}}}",
             snap.epoch,
             snap.applied,
@@ -207,6 +213,8 @@ impl ShardStats {
             self.auto_compactions.load(Ordering::Relaxed),
             self.rebuild_us_last.load(Ordering::Relaxed),
             self.rebuild_us_total.load(Ordering::Relaxed),
+            self.publishes_refreshed.load(Ordering::Relaxed),
+            self.publishes_cloned.load(Ordering::Relaxed),
             kernel_json(&ingest),
             kernel_json(&self.query_kernel.load()),
         )
@@ -275,6 +283,8 @@ mod tests {
             "\"auto_compactions\":0",
             "\"rebuild_us_last\":0",
             "\"rebuild_us_total\":0",
+            "\"publishes_refreshed\":0",
+            "\"publishes_cloned\":0",
             "\"ready\":false",
             "\"dep_depth\":0",
             "\"ingest_kernel\":{\"tests\":0",
