@@ -8,17 +8,11 @@
 //! JSON file (default `BENCH_service.json`).
 //!
 //! The E20 workloads (`batch_apply_*`) A/B the parallel in-shard batch
-//! apply: the same stream goes through the pre-batching v1 serving path
-//! (single inserts, one worker), through v2 `InsertBatch` frames on one
-//! worker (coalescing alone), and through v2 frames on a 4-worker pool
-//! (Algorithm 3 on the serving path) — timed to **applied** (flush
-//! returns), not to enqueue ack.
-//!
-//! The E21 workload (`query_ab_near_circle_2d`) replays one mixed query
-//! stream twice against the same published snapshot — once through the
-//! wire-v3 `*_scan` linear-scan oracle ops, once through the default
-//! history-descent path — asserts every reply bit-identical, and records
-//! the latency A/B.
+//! apply: the same stream goes through one-point `Mutate` frames on one
+//! worker, through batched `Mutate` frames on one worker (coalescing
+//! alone), and through batched frames on a 4-worker pool (Algorithm 3
+//! on the serving path) — timed to **applied** (flush returns), not to
+//! enqueue ack.
 //!
 //! The E18 workload (`chaos_recovery_2d`) arms a deterministic
 //! failpoint that kills the shard worker exactly once, mid-stream, and
@@ -30,10 +24,9 @@
 //! The E22 workload (`service_fanin`) opens hundreds to tens of
 //! thousands of concurrent connections from a single-threaded
 //! `chull-net` poller client — one in-flight `Contains` per connection —
-//! against the thread-per-connection back end (at a scale it can hold)
-//! and the epoll event-loop back end (at 512 for the A/B and at the
-//! full `--fanin` target), recording connect time, sustained
-//! requests/sec, and per-request p50/p99.
+//! against the event-loop server (at 512 and at the full `--fanin`
+//! target), recording connect time, sustained requests/sec, and
+//! per-request p50/p99.
 //!
 //! The E23 workload (`replicated_failover_2d`) stands up a replicated
 //! cluster — a primary in a child process, an in-process follower
@@ -50,7 +43,7 @@
 //! identical canonical hull.
 //!
 //! The E25 workload (`churn_2d`, via `--churn-only`) measures windowed
-//! / deletion churn throughput vs window size over the v6 `Mutate`
+//! / deletion churn throughput vs window size over the `Mutate`
 //! envelope: an insert-only baseline, a server-side count-window arm,
 //! and an explicit-delete arm per window size, each asserting the
 //! served hull canonically identical to offline Algorithm 2 on the
@@ -603,7 +596,7 @@ fn run_replicated_failover(pts: &PointSet, clients: usize) -> String {
         .connect()
         .expect("connect primary");
     pc.flush(0).expect("flush");
-    let (_, total, _, _) = pc.repl_fetch(0, u64::MAX).expect("primary total");
+    let (_, total, _, _) = pc.repl_unit_fetch(0, u64::MAX).expect("primary total");
     let deadline = Instant::now() + Duration::from_secs(30);
     while follower.service().batch_units(0).expect("units") < total {
         assert!(Instant::now() < deadline, "replication never converged");
@@ -734,9 +727,8 @@ fn run_replicated_failover(pts: &PointSet, clients: usize) -> String {
 
 /// One E20 arm: stream `pts` into shard 0 and time until **applied**
 /// (ingest + flush), so the figure measures the apply engine, not just
-/// enqueue acks. `batch` = 0 streams per-point over the v1 op (the
-/// pre-batching serving path); otherwise points go in `batch`-sized
-/// v2 `InsertBatch` frames. Returns applied points/sec plus the shard's
+/// enqueue acks. `batch` = 0 streams one point per `Mutate` frame;
+/// otherwise points go in `batch`-sized frames. Returns applied points/sec plus the shard's
 /// drain-continuation-round count.
 fn run_applied_ingest(pts: &PointSet, clients: usize, batch: usize, workers: usize) -> (f64, u64) {
     let dim = pts.dim();
@@ -804,7 +796,7 @@ fn run_applied_ingest(pts: &PointSet, clients: usize, batch: usize, workers: usi
 }
 
 /// E20: parallel in-shard batch apply A/B. Per workload: a single-insert
-/// baseline (v1 op, 1 worker — the pre-batching serving path), batched
+/// baseline (one point per frame, 1 worker), batched
 /// frames on 1 worker (isolates coalescing from parallelism), and
 /// batched frames on a ≥4-worker pool (Algorithm 3 on the serving
 /// path). Returns pre-formatted JSON rows.
@@ -841,165 +833,14 @@ fn run_batch_apply_ab(name: &str, pts: &PointSet, clients: usize, batch: usize) 
         .collect()
 }
 
-/// E21: sublinear point location on the serving path. One server, one
-/// ingested workload; the identical query sequence then runs through the
-/// wire-v3 `*_scan` oracle ops (linear scan over alive facets) and the
-/// default ops (history-graph descent + SoA `PlaneBlock` filter, cached
-/// extreme vertices). Every reply must be bit-identical between the two
-/// paths; the A/B rows record how much the descent path wins by.
-fn run_query_ab(pts: &PointSet, clients: usize, queries_per_client: usize) -> Vec<String> {
-    let dim = pts.dim();
-    let n = pts.len();
-    let mut server = serve(ServeOptions {
-        config: ServiceConfig {
-            dim,
-            shards: 1,
-            queue_capacity: 4096,
-            max_batch: 256,
-            workers: 0,
-            wal_dir: None,
-            bulk_threshold: 0,
-            ..Default::default()
-        },
-        ..Default::default()
-    })
-    .expect("bind loopback");
-    let addr = server.local_addr();
-    let rows: Vec<Vec<i64>> = (0..n).map(|i| pts.point(i).to_vec()).collect();
-    let facets = {
-        let mut client = HullClient::builder(addr.to_string())
-            .connect()
-            .expect("connect");
-        for chunk in rows.chunks(256) {
-            let muts: Vec<Mutation> = chunk.iter().map(|p| Mutation::Insert(p.clone())).collect();
-            client.mutate(0, muts.into()).expect("insert batch");
-        }
-        client.flush(0).expect("flush");
-        client.snapshot(0).expect("snapshot").facets.len()
-    };
-
-    // Same mixed query stream as `run_workload`, replayed once per mode;
-    // replies are collected in deterministic (client, index) order so the
-    // two passes can be compared element by element.
-    let phase = |scan: bool| -> (f64, Vec<f64>, Vec<String>) {
-        let t0 = Instant::now();
-        let per_thread: Vec<(Vec<f64>, Vec<String>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let rows = &rows;
-                    s.spawn(move || {
-                        let mut client = HullClient::builder(addr.to_string())
-                            .connect()
-                            .expect("connect");
-                        let mut lat = Vec::with_capacity(queries_per_client);
-                        let mut replies = Vec::with_capacity(queries_per_client);
-                        for i in 0..queries_per_client {
-                            let row = &rows[(i * clients + c) % rows.len()];
-                            let q0 = Instant::now();
-                            let reply = match i % 4 {
-                                0 => {
-                                    let r = if scan {
-                                        client.contains_scan(0, row)
-                                    } else {
-                                        client.contains(0, row)
-                                    }
-                                    .expect("contains");
-                                    format!("{r:?}")
-                                }
-                                1 => {
-                                    let far: Vec<i64> = row.iter().map(|&x| 2 * x + 3).collect();
-                                    let r = if scan {
-                                        client.contains_scan(0, &far)
-                                    } else {
-                                        client.contains(0, &far)
-                                    }
-                                    .expect("contains");
-                                    format!("{r:?}")
-                                }
-                                2 => {
-                                    let r = if scan {
-                                        client.visible_scan(0, row)
-                                    } else {
-                                        client.visible(0, row)
-                                    }
-                                    .expect("visible");
-                                    format!("{r:?}")
-                                }
-                                _ => {
-                                    let mut d = vec![0i64; row.len()];
-                                    d[i % row.len()] = if i % 8 < 4 { 1 } else { -1 };
-                                    let r = if scan {
-                                        client.extreme_scan(0, &d)
-                                    } else {
-                                        client.extreme(0, &d)
-                                    }
-                                    .expect("extreme");
-                                    format!("{r:?}")
-                                }
-                            };
-                            lat.push(q0.elapsed().as_secs_f64() * 1e6);
-                            replies.push(reply);
-                        }
-                        (lat, replies)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let secs = t0.elapsed().as_secs_f64();
-        let mut lat = Vec::new();
-        let mut replies = Vec::new();
-        for (l, r) in per_thread {
-            lat.extend(l);
-            replies.extend(r);
-        }
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        (secs, lat, replies)
-    };
-
-    let (scan_secs, scan_lat, scan_replies) = phase(true);
-    let (fast_secs, fast_lat, fast_replies) = phase(false);
-    server.shutdown();
-    assert_eq!(
-        fast_replies, scan_replies,
-        "descent and linear-scan replies diverge"
-    );
-
-    let nq = clients * queries_per_client;
-    let speedup = percentile(&scan_lat, 0.50) / percentile(&fast_lat, 0.50).max(1e-9);
-    [
-        ("locate", fast_secs, fast_lat),
-        ("linear_scan", scan_secs, scan_lat),
-    ]
-    .iter()
-    .map(|(mode, secs, lat)| {
-        let p50 = percentile(lat, 0.50);
-        let p99 = percentile(lat, 0.99);
-        let qps = nq as f64 / secs;
-        println!(
-            "{:<28} {:>8} pts  {:>10.0} qry/s (p50 {:>7.1}us p99 {:>8.1}us)  {} facets  [{mode}, locate p50 {speedup:.1}x vs scan]",
-            "query_ab_near_circle_2d", n, qps, p50, p99, facets
-        );
-        format!(
-            "  {{\"workload\": \"query_ab_near_circle_2d\", \"dim\": {dim}, \"n_points\": {n}, \
-             \"clients\": {clients}, \"mode\": \"{mode}\", \"n_queries\": {nq}, \
-             \"queries_per_sec\": {qps:.0}, \"query_p50_us\": {p50:.1}, \
-             \"query_p99_us\": {p99:.1}, \"hull_facets\": {facets}, \
-             \"bit_identical\": true, \"locate_speedup_p50\": {speedup:.2}}}"
-        )
-    })
-    .collect()
-}
-
 /// E22: connection fan-in. `conns_wanted` concurrent connections, all
 /// driven by **one** client thread over a `chull-net` poller (one
 /// in-flight `Contains` per connection, `probes` requests each),
-/// against either serving front end. Measures connect-phase time,
+/// against the event-loop server. Measures connect-phase time,
 /// sustained requests/sec, and client-observed per-request
 /// percentiles — the figure of merit is a p99 that stays flat as
-/// `conns` grows on the event-loop back end, where the threaded back
-/// end would need one OS thread per connection.
-fn run_fanin(threaded: bool, conns_wanted: usize, probes: usize) -> String {
+/// `conns` grows.
+fn run_fanin(conns_wanted: usize, probes: usize) -> String {
     use chull_net::{poller, ByteBuf, FrameDecoder, Interest, Token};
     use chull_service::wire::{Request, Response, MAX_FRAME};
     use std::io::BufRead as _;
@@ -1021,10 +862,9 @@ fn run_fanin(threaded: bool, conns_wanted: usize, probes: usize) -> String {
         conns_wanted
     };
 
-    let backend = if threaded { "threaded" } else { "event" };
     let mut child = ChildGuard::new(
         std::process::Command::new(std::env::current_exe().expect("current_exe for fan-in server"))
-            .args(["--fanin-server", backend, &conns.to_string()])
+            .args(["--fanin-server", &conns.to_string()])
             .stdout(std::process::Stdio::piped())
             .spawn()
             .expect("spawn fan-in server child"),
@@ -1135,7 +975,7 @@ fn run_fanin(threaded: bool, conns_wanted: usize, probes: usize) -> String {
             .expect("poll wait");
         assert!(
             !events.is_empty(),
-            "fan-in stalled at {done}/{total} replies (threaded={threaded}, conns={conns})"
+            "fan-in stalled at {done}/{total} replies (conns={conns})"
         );
         for ev in &events {
             let i = ev.token.0;
@@ -1201,11 +1041,11 @@ fn run_fanin(threaded: bool, conns_wanted: usize, probes: usize) -> String {
     let p50 = percentile(&lat_us, 0.50);
     let p99 = percentile(&lat_us, 0.99);
     println!(
-        "{:<28} {:>8} conns ({backend}, poller {})  connect {:.2}s  {:>9.0} req/s (p50 {:>6.1}us p99 {:>8.1}us, {} probes/conn)",
+        "{:<28} {:>8} conns (event, poller {})  connect {:.2}s  {:>9.0} req/s (p50 {:>6.1}us p99 {:>8.1}us, {} probes/conn)",
         "service_fanin", conns, p.name(), connect_secs, rps, p50, p99, probes
     );
     format!(
-        "  {{\"workload\": \"service_fanin\", \"backend\": \"{backend}\", \"poller\": \"{}\", \
+        "  {{\"workload\": \"service_fanin\", \"backend\": \"event\", \"poller\": \"{}\", \
          \"conns\": {conns}, \"conns_wanted\": {conns_wanted}, \"probes_per_conn\": {probes}, \
          \"n_requests\": {total}, \"connect_secs\": {connect_secs:.3}, \
          \"requests_per_sec\": {rps:.0}, \"req_p50_us\": {p50:.1}, \"req_p99_us\": {p99:.1}}}",
@@ -1474,11 +1314,11 @@ fn write_json(path: &str, results: &[LoadResult], extra_rows: &[String]) -> std:
     std::fs::write(path, out)
 }
 
-/// Internal child mode (`--fanin-server BACKEND CONNS`): serve on an
+/// Internal child mode (`--fanin-server CONNS`): serve on an
 /// ephemeral loopback port in a process of our own — so the E22 fan-in
 /// gets two whole RLIMIT_NOFILE budgets — print the address banner, and
 /// run until the parent sends a wire `Shutdown`.
-fn fanin_server_main(backend: &str, conns: usize) {
+fn fanin_server_main(conns: usize) {
     use std::io::Write as _;
     chull_net::raise_nofile_limit((conns + 256) as u64);
     let handle = serve(ServeOptions {
@@ -1492,7 +1332,6 @@ fn fanin_server_main(backend: &str, conns: usize) {
             bulk_threshold: 0,
             ..Default::default()
         },
-        threaded: backend == "threaded",
         ..Default::default()
     })
     .expect("bind loopback");
@@ -1504,13 +1343,12 @@ fn fanin_server_main(backend: &str, conns: usize) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--fanin-server") {
-        let backend = args.get(1).expect("--fanin-server needs a backend");
         let conns = args
-            .get(2)
+            .get(1)
             .expect("--fanin-server needs a conns hint")
             .parse()
             .expect("bad conns hint");
-        fanin_server_main(backend, conns);
+        fanin_server_main(conns);
         return;
     }
     if args.first().map(String::as_str) == Some("--repl-primary") {
@@ -1599,14 +1437,12 @@ fn main() {
         println!("wrote {out_path}");
         return;
     }
-    // E22: A/B both back ends at a thread-per-connection-friendly scale,
-    // then push the event loop to the full fan-in target.
+    // E22: a moderate fan-in, then the full fan-in target.
     let fanin_probes = if quick { 4 } else { 20 };
     let run_fanin_rows = || -> Vec<String> {
         vec![
-            run_fanin(true, 512.min(fanin), fanin_probes),
-            run_fanin(false, 512.min(fanin), fanin_probes),
-            run_fanin(false, fanin, fanin_probes),
+            run_fanin(512.min(fanin), fanin_probes),
+            run_fanin(fanin, fanin_probes),
         ]
     };
     if fanin_only {
@@ -1651,11 +1487,6 @@ fn main() {
         &generators::cube_d(2, n2, 1_000_000, 42),
         clients,
         if quick { 64 } else { 256 },
-    ));
-    extra.extend(run_query_ab(
-        &generators::near_sphere_d(2, n2 / 2, 1_000_000, 42),
-        clients,
-        q,
     ));
     extra.push(run_chaos_recovery(
         &generators::cube_d(2, n2, 1_000_000, 77),

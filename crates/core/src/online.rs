@@ -868,10 +868,8 @@ impl OnlineHull {
     /// [`OnlineHull::plane_block`], kept current by
     /// [`OnlineHull::extend_plane_block`]). The descent stops at the **first**
     /// alive visible facet — one witness decides membership — and folds
-    /// its visited-node count into `counts.descent_steps`. Under the
-    /// `linear-scan` feature this delegates to the full-scan oracle
-    /// ([`OnlineHull::contains_scan`]) instead; answers are identical
-    /// either way.
+    /// its visited-node count into `counts.descent_steps`. Answers
+    /// match the full-scan oracle [`OnlineHull::contains_scan`].
     pub fn contains_with(
         &self,
         coords: &[i64],
@@ -879,21 +877,13 @@ impl OnlineHull {
         block: Option<&PlaneBlock>,
     ) -> bool {
         assert_eq!(coords.len(), self.dim, "point of wrong dimension");
-        #[cfg(feature = "linear-scan")]
-        {
-            let _ = block;
-            self.contains_scan(coords, counts)
-        }
-        #[cfg(not(feature = "linear-scan"))]
-        {
-            let mut outside = false;
-            let visited = self.descend(coords, block, counts, |_| {
-                outside = true;
-                true
-            });
-            counts.descent_steps += visited as u64;
-            !outside
-        }
+        let mut outside = false;
+        let visited = self.descend(coords, block, counts, |_| {
+            outside = true;
+            true
+        });
+        counts.descent_steps += visited as u64;
+        !outside
     }
 
     /// The alive facets visible from `coords` (empty iff the point is
@@ -905,9 +895,8 @@ impl OnlineHull {
 
     /// [`OnlineHull::visible_facets`] with an optional packed-plane
     /// filter block; folds the descent-step count into
-    /// `counts.descent_steps`. Under the `linear-scan` feature this
-    /// delegates to [`OnlineHull::visible_facets_scan`]; the returned
-    /// *set* of facets is identical either way (the orders differ: DFS
+    /// `counts.descent_steps`. The returned *set* of facets equals
+    /// [`OnlineHull::visible_facets_scan`]'s (the orders differ: DFS
     /// discovery vs ascending id).
     pub fn visible_facets_with(
         &self,
@@ -916,28 +905,20 @@ impl OnlineHull {
         block: Option<&PlaneBlock>,
     ) -> Vec<u32> {
         assert_eq!(coords.len(), self.dim, "point of wrong dimension");
-        #[cfg(feature = "linear-scan")]
-        {
-            let _ = block;
-            self.visible_facets_scan(coords, counts)
-        }
-        #[cfg(not(feature = "linear-scan"))]
-        {
-            let mut out = Vec::new();
-            let visited = self.descend(coords, block, counts, |id| {
-                out.push(id);
-                false
-            });
-            counts.descent_steps += visited as u64;
-            out
-        }
+        let mut out = Vec::new();
+        let visited = self.descend(coords, block, counts, |id| {
+            out.push(id);
+            false
+        });
+        counts.descent_steps += visited as u64;
+        out
     }
 
     /// Linear-scan membership oracle: test **every** alive facet with the
     /// per-facet staged kernel, in ascending facet-id order. This is the
-    /// pre-descent read path, kept as the A/B baseline and correctness
-    /// oracle (`hull query --scan`, the `linear-scan` feature, and the
-    /// wire `*Scan` ops). Never touches `descent_steps`.
+    /// pre-descent read path, kept as the correctness oracle the
+    /// property tests compare descent against. Never touches
+    /// `descent_steps`.
     pub fn contains_scan(&self, coords: &[i64], counts: &mut KernelCounts) -> bool {
         assert_eq!(coords.len(), self.dim, "point of wrong dimension");
         self.visible_facets_scan(coords, counts).is_empty()

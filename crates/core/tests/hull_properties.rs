@@ -305,9 +305,7 @@ fn query_paths_bit_identical_across_workloads() {
 
 /// E21 core-level check: on a near-circle (every point a hull vertex),
 /// the history descent touches far fewer nodes than a linear scan would —
-/// p50 descent steps ≪ alive facet count. Scan builds record no descent
-/// steps, so this only means something on the default build.
-#[cfg(not(feature = "linear-scan"))]
+/// p50 descent steps ≪ alive facet count.
 #[test]
 fn descent_steps_sublinear_on_near_circle() {
     let pts = prepare_points(

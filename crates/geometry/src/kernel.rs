@@ -483,9 +483,8 @@ impl PlaneBlock {
     /// Run the filter over **every** plane in the block against `q`, in
     /// plane order, visiting `(index, certified sign or None)` per plane.
     /// The hot loops are coefficient-major over [`BLOCK_CHUNK`]-wide
-    /// contiguous lanes — this is the vectorizable full-scan path that
-    /// backs the `linear-scan` A/B oracle and the batched candidate
-    /// filter.
+    /// contiguous lanes — the vectorizable full-scan path, benchmarked
+    /// against per-facet tests in the `predicates` bench.
     pub fn filter_scan<F: FnMut(u32, Option<Sign>)>(&self, q: &[i64], mut visit: F) {
         let (d, n, cap) = (self.dim, self.len, self.cap);
         debug_assert_eq!(q.len(), d);

@@ -4,56 +4,46 @@
 //!
 //! Hardening (matching the server's failure model):
 //!
-//! * [`HullClient::insert_retry`] absorbs `Overloaded` backpressure with
+//! * [`HullClient::mutate`] absorbs `Overloaded` backpressure with
 //!   **capped exponential backoff plus seeded jitter** under an overall
 //!   deadline ([`RetryPolicy`]) — replayable from a single seed, and the
 //!   jitter decorrelates a fleet of load-generator threads;
 //! * a broken connection (server restart, failpoint-truncated frame)
 //!   triggers one **reconnect-and-resume** per request: the client
 //!   remembers the resolved address and transparently redials. A resend
-//!   after a lost *response* can duplicate an insert; the hull is
-//!   insensitive to duplicate coordinates, so the chaos harness asserts
-//!   acked-⊆-served rather than exact multiset equality;
+//!   after a lost *response* is not harmless: it can add a second live
+//!   copy of an inserted point or evict a second copy with a delete
+//!   (the shard's live set is refcounted), so the chaos harness asserts
+//!   acked-⊆-served rather than exact multiset equality. Keying writes
+//!   so that a resend applies once is ROADMAP item 3;
 //! * `Degraded` replies are unwrapped to their inner answer and surfaced
-//!   via [`HullClient::last_degraded`]; likewise v5 `Stale` wrappers
+//!   via [`HullClient::last_degraded`]; likewise `Stale` wrappers
 //!   (follower replicas trailing their primary) are unwrapped and the
 //!   staleness bound surfaced via [`HullClient::last_stale`];
 //! * an ordered **fallback address list**
 //!   ([`HullClientBuilder::fallback`]) turns reconnect-and-resume into
 //!   failover: when redialing the current address fails, the client
-//!   walks the fallbacks, re-negotiates the protocol on the node that
-//!   accepts, and resumes there ([`HullClient::failovers`] counts the
-//!   switches). Pointing the fallbacks at follower replicas keeps reads
-//!   available across a primary crash.
+//!   walks the fallbacks, re-checks the protocol version on the node
+//!   that accepts, and resumes there ([`HullClient::failovers`] counts
+//!   the switches). Pointing the fallbacks at follower replicas keeps
+//!   reads available across a primary crash.
 //!
 //! Connections are opened through [`HullClientBuilder`]
-//! (`HullClient::builder(addr)`), which sets the connect deadline, the
-//! default retry policy, and the protocol version window: by default the
-//! client advertises [`PROTOCOL_V6`] in a `Hello` handshake and falls
-//! back to v5/v4/v3/v2/v1 when the server doesn't understand it, so the
-//! same binary talks to old and new servers.
+//! (`HullClient::builder(addr)`), which sets the connect deadline and
+//! the default retry policy, and sends a `Hello` with
+//! [`PROTOCOL_VERSION`]: a server that speaks another version refuses
+//! it, and `connect` fails with `ErrorKind::Unsupported`.
 //!
 //! **Writes go through [`HullClient::mutate`]**: a [`MutationBatch`] of
 //! inserts, deletes, and window expirations applied by the shard as one
-//! journal unit, with `Overloaded` pushback on the rejected suffix
-//! absorbed by the client's [`RetryPolicy`]. On a v6 server this is one
-//! `Mutate` frame per attempt; a pure-insert batch transparently
-//! downgrades to `InsertBatch` on v2–v5 servers and to per-point
-//! inserts on v1, while a delete-bearing batch on a pre-v6 server fails
-//! with `Unsupported`. The older entry points —
-//! [`HullClient::insert`], [`HullClient::insert_batch`],
-//! [`HullClient::insert_retry`] — remain as deprecated shims over the
-//! same machinery. The v3 `*_scan` query methods require a v3 server
-//! ([`crate::wire::CAP_SCAN_QUERIES`]); [`HullClient::pipeline`] issues
-//! many tagged requests back-to-back on a v4 server
-//! ([`crate::wire::CAP_PIPELINE`]) before reading any reply.
+//! journal unit, one `Mutate` frame per attempt. [`HullClient::pipeline`]
+//! issues many tagged requests back-to-back before reading any reply.
 
 use crate::wire::{
-    read_frame, write_frame, Mutation, ReplUnit, Request, Response, ALL_SHARDS, CAP_MUTATION,
-    CAP_PIPELINE, CAP_REPLICATION, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V4, PROTOCOL_V6,
+    read_frame, write_frame, Mutation, ReplUnit, Request, Response, ALL_SHARDS, PROTOCOL_VERSION,
 };
 use chull_geometry::rng::ChaCha8Rng;
-use std::io::{self};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -70,7 +60,7 @@ pub struct SnapshotReply {
     pub facets: Vec<Vec<u32>>,
 }
 
-/// Backoff shape for [`HullClient::insert_retry`]: delay doubles from
+/// Backoff shape for [`HullClient::mutate`]: delay doubles from
 /// `base` up to `cap`, each sleep jittered uniformly into its upper
 /// half, until `deadline` elapses overall.
 #[derive(Debug, Clone)]
@@ -97,8 +87,8 @@ impl Default for RetryPolicy {
 }
 
 /// Configures and opens a [`HullClient`] connection: address, connect
-/// deadline, backoff policy, and the protocol version window to
-/// negotiate within. Entry point: [`HullClient::builder`].
+/// deadline, backoff policy, and failover targets. Entry point:
+/// [`HullClient::builder`].
 ///
 /// ```no_run
 /// # fn main() -> std::io::Result<()> {
@@ -114,8 +104,6 @@ pub struct HullClientBuilder {
     fallbacks: Vec<String>,
     deadline: Option<Duration>,
     policy: RetryPolicy,
-    floor: u16,
-    ceiling: u16,
 }
 
 impl HullClientBuilder {
@@ -126,15 +114,13 @@ impl HullClientBuilder {
             fallbacks: Vec::new(),
             deadline: None,
             policy: RetryPolicy::default(),
-            floor: PROTOCOL_V1,
-            ceiling: PROTOCOL_V6,
         }
     }
 
     /// Append an ordered fallback address: when a redial of the current
     /// address fails mid-session, the client fails over to the first
-    /// fallback that accepts (re-running the `Hello` handshake there,
-    /// since the fallback may be a different build). Typically the
+    /// fallback that accepts (re-running the `Hello` version check
+    /// there, since the fallback may be a different build). Typically the
     /// follower replicas of the primary in `addr`.
     pub fn fallback(mut self, addr: impl Into<String>) -> HullClientBuilder {
         self.fallbacks.push(addr.into());
@@ -147,35 +133,15 @@ impl HullClientBuilder {
         self
     }
 
-    /// Backoff shape used by [`HullClient::insert_retry`] and
-    /// [`HullClient::insert_batch`] when no explicit policy is passed.
+    /// Backoff shape used by [`HullClient::mutate`].
     pub fn retry_policy(mut self, p: RetryPolicy) -> HullClientBuilder {
         self.policy = p;
         self
     }
 
-    /// Lowest acceptable protocol version; connecting to a server that
-    /// only speaks below it fails with `Unsupported`. Default
-    /// [`PROTOCOL_V1`] (interoperate with anything).
-    pub fn protocol_floor(mut self, v: u16) -> HullClientBuilder {
-        self.floor = v;
-        self
-    }
-
-    /// Highest version to advertise in the `Hello` handshake. Default
-    /// [`PROTOCOL_V6`]; a ceiling of [`PROTOCOL_V1`] skips the
-    /// handshake entirely, reproducing the legacy wire exchange
-    /// byte-for-byte, [`PROTOCOL_V4`] reproduces the pre-replication
-    /// client, and [`PROTOCOL_V5`] the pre-mutation one.
-    pub fn protocol_ceiling(mut self, v: u16) -> HullClientBuilder {
-        self.ceiling = v;
-        self
-    }
-
-    /// Resolve, connect, and (when the ceiling allows v2) negotiate the
-    /// protocol version with a `Hello` handshake. A server that answers
-    /// `Hello` with an error is a v1 server — the client downgrades,
-    /// unless that violates the floor.
+    /// Resolve, connect, and check the protocol version with a `Hello`.
+    /// A server that refuses [`PROTOCOL_VERSION`] fails the connect
+    /// with `ErrorKind::Unsupported`.
     pub fn connect(self) -> io::Result<HullClient> {
         let addr = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing")
@@ -196,33 +162,10 @@ impl HullClientBuilder {
             failovers: 0,
             calls: 0,
             policy: self.policy,
-            negotiated: PROTOCOL_V1,
-            ceiling: self.ceiling,
-            caps: 0,
         };
         client.handshake()?;
-        if client.negotiated < self.floor {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!(
-                    "server speaks protocol v{}, but the floor is v{}",
-                    client.negotiated, self.floor
-                ),
-            ));
-        }
         Ok(client)
     }
-}
-
-/// Outcome of [`HullClient::insert_batch`]: every point was queued.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchInsertReply {
-    /// Publication epoch observed when the (last slice of the) batch
-    /// was enqueued; `0` when the server only speaks v1 (single-point
-    /// inserts carry no epoch).
-    pub epoch: u64,
-    /// `Overloaded` rejections absorbed by backoff along the way.
-    pub rejections: u64,
 }
 
 /// Builder for one mutation envelope: inserts, deletes, and window
@@ -293,8 +236,7 @@ impl From<Vec<Mutation>> for MutationBatch {
 #[derive(Debug, Clone, Copy)]
 pub struct MutateReply {
     /// Publication epoch observed when the (last slice of the)
-    /// envelope was enqueued; `0` on a v1 connection (single-point
-    /// inserts carry no epoch).
+    /// envelope was enqueued; `0` for an empty envelope.
     pub epoch: u64,
     /// `Overloaded` rejections absorbed by backoff along the way.
     pub rejections: u64,
@@ -326,13 +268,6 @@ pub struct HullClient {
     calls: u64,
     /// Default backoff shape for retrying methods.
     policy: RetryPolicy,
-    /// Protocol version negotiated at connect ([`PROTOCOL_V1`] when the
-    /// handshake was skipped or refused).
-    negotiated: u16,
-    /// Ceiling advertised at connect, re-advertised after a failover.
-    ceiling: u16,
-    /// Capability bits from the server's `Hello` reply (0 on v1).
-    caps: u32,
 }
 
 fn unexpected(resp: Response) -> io::Error {
@@ -360,46 +295,9 @@ fn reconnectable(kind: io::ErrorKind) -> bool {
 }
 
 impl HullClient {
-    /// Configure a connection: deadline, retry policy, protocol window.
+    /// Configure a connection: deadline, retry policy, fallbacks.
     pub fn builder(addr: impl Into<String>) -> HullClientBuilder {
         HullClientBuilder::new(addr)
-    }
-
-    /// Connect (with `TCP_NODELAY`, request/response is latency-bound).
-    ///
-    /// Legacy v1 shim: no handshake is sent, so the connection behaves
-    /// byte-for-byte like a pre-v2 client and [`HullClient::insert_batch`]
-    /// falls back to single-point inserts.
-    #[deprecated(since = "0.6.0", note = "use HullClient::builder(addr).connect()")]
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<HullClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let addr = stream.peer_addr().ok();
-        Ok(HullClient {
-            stream,
-            addr,
-            fallbacks: Vec::new(),
-            deadline: None,
-            last_degraded: None,
-            last_stale: None,
-            reconnects: 0,
-            failovers: 0,
-            calls: 0,
-            policy: RetryPolicy::default(),
-            negotiated: PROTOCOL_V1,
-            ceiling: PROTOCOL_V1,
-            caps: 0,
-        })
-    }
-
-    /// The protocol version negotiated at connect time.
-    pub fn negotiated_version(&self) -> u16 {
-        self.negotiated
-    }
-
-    /// Capability bits from the server's `Hello` reply (0 on v1).
-    pub fn caps(&self) -> u32 {
-        self.caps
     }
 
     /// Generation of the most recent reply if it was `Degraded` (the
@@ -426,28 +324,34 @@ impl HullClient {
         self.failovers
     }
 
-    /// Renegotiate the protocol window on the current connection (used
-    /// at connect and after a failover — the new node may be a
-    /// different build). A server that answers `Hello` with an error is
-    /// a v1 server; the client downgrades.
+    /// Check the protocol version on the current connection (at
+    /// connect and after a failover — the new node may be a different
+    /// build). Any answer but `Hello` with [`PROTOCOL_VERSION`] is
+    /// `Unsupported`.
     fn handshake(&mut self) -> io::Result<()> {
-        self.negotiated = PROTOCOL_V1;
-        self.caps = 0;
-        if self.ceiling < PROTOCOL_V2 {
-            return Ok(());
-        }
-        match self.exchange(&Request::Hello {
-            max_version: self.ceiling,
-        })? {
-            Response::Hello { version, caps } => {
-                self.negotiated = version.min(self.ceiling).max(PROTOCOL_V1);
-                self.caps = caps;
+        let refused = |why: String| {
+            io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("server refused protocol v{PROTOCOL_VERSION}: {why}"),
+            )
+        };
+        let reply = match self.exchange(&Request::Hello {
+            version: PROTOCOL_VERSION,
+        }) {
+            Ok(reply) => reply,
+            // A server of another version may answer in a format this
+            // build cannot even decode.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                return Err(refused(format!("unreadable reply ({e})")))
             }
-            // A v1 server reports the unknown opcode; stay on v1.
-            Response::Error(_) => {}
-            other => return Err(unexpected(other)),
+            Err(e) => return Err(e),
+        };
+        match reply {
+            Response::Hello { version } if version == PROTOCOL_VERSION => Ok(()),
+            Response::Hello { version } => Err(refused(format!("it speaks v{version}"))),
+            Response::Error(m) => Err(refused(m)),
+            other => Err(unexpected(other)),
         }
-        Ok(())
     }
 
     /// Redial after a dropped connection: the current address first,
@@ -497,8 +401,10 @@ impl HullClient {
 
     /// Send one request and read its reply (any variant, `Degraded`
     /// included). A dropped connection is redialed once and the request
-    /// resent — note a resend after a lost response can double-apply an
-    /// `Insert` (harmless to the hull; see module docs).
+    /// resent. A resend after a lost response can apply a `Mutate`
+    /// twice — a second live copy per insert, a second eviction per
+    /// delete — which the refcounted live set does not absorb (see the
+    /// module docs; ROADMAP item 3 keys writes so a resend applies once).
     pub fn raw(&mut self, req: &Request) -> io::Result<Response> {
         self.calls += 1;
         match self.exchange(req) {
@@ -514,30 +420,19 @@ impl HullClient {
         }
     }
 
-    /// Issue `reqs` back-to-back as v4 `Tagged` frames — all writes
+    /// Issue `reqs` back-to-back as `Tagged` frames — all writes
     /// first, then all reads — and return the replies **in request
     /// order**, whatever order the server completed them in (tagged
     /// requests may execute concurrently across shards and reply out of
     /// order; the correlation id restores the pairing).
     ///
-    /// Requires a v4 server advertising [`CAP_PIPELINE`]; fails with
-    /// `Unsupported` otherwise. Replies are returned raw (a `Degraded`
-    /// wrapper is *not* unwrapped) and no reconnect-and-resume is
-    /// attempted: a connection lost mid-pipeline loses the whole
-    /// pipeline. Keep batches modest (the server parks at most 1024
+    /// Replies are returned raw (a `Degraded` wrapper is *not*
+    /// unwrapped) and no reconnect-and-resume is attempted: a
+    /// connection lost mid-pipeline loses the whole pipeline. Keep batches modest (the server parks at most 1024
     /// frames per connection and pauses reads above 1 MiB of undrained
     /// replies, so a huge write-all-then-read-all pipeline can deadlock
     /// against its own backpressure); a few hundred requests is safe.
     pub fn pipeline(&mut self, reqs: &[Request]) -> io::Result<Vec<Response>> {
-        if self.negotiated < PROTOCOL_V4 || self.caps & CAP_PIPELINE == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!(
-                    "pipelining needs protocol v4 + CAP_PIPELINE (negotiated v{}, caps {:#x})",
-                    self.negotiated, self.caps
-                ),
-            ));
-        }
         self.calls += reqs.len() as u64;
         for (id, req) in reqs.iter().enumerate() {
             let tagged = Request::Tagged {
@@ -575,7 +470,7 @@ impl HullClient {
     }
 
     /// [`raw`](HullClient::raw), then unwrap the read-status wrappers
-    /// into the inner answer — `Stale` (outer, v5 follower staleness
+    /// into the inner answer — `Stale` (outer, follower staleness
     /// bound) then `Degraded` (recovery generation) — recording each.
     fn ask(&mut self, req: &Request) -> io::Result<Response> {
         let mut resp = self.raw(req)?;
@@ -592,107 +487,14 @@ impl HullClient {
         Ok(resp)
     }
 
-    /// Queue one point; `false` means the shard is overloaded (retry).
-    #[deprecated(since = "0.7.0", note = "use HullClient::mutate(MutationBatch)")]
-    pub fn insert(&mut self, shard: u16, point: &[i64]) -> io::Result<bool> {
-        self.send_insert(shard, point)
-    }
-
-    /// The v1 single-point insert frame (kept for the v1 downgrade
-    /// path and the deprecated [`HullClient::insert`] shim).
-    fn send_insert(&mut self, shard: u16, point: &[i64]) -> io::Result<bool> {
-        match self.ask(&Request::Insert {
-            shard,
-            point: point.to_vec(),
-        })? {
-            Response::Inserted => Ok(true),
-            Response::Overloaded => Ok(false),
-            Response::Error(m) => Err(server_error(m)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Insert, absorbing `Overloaded` pushback with capped exponential
-    /// backoff and seeded jitter until `policy.deadline` elapses
-    /// (`TimedOut` past it). Returns the number of rejections absorbed.
-    #[deprecated(since = "0.7.0", note = "use HullClient::mutate(MutationBatch)")]
-    pub fn insert_retry(
-        &mut self,
-        shard: u16,
-        point: &[i64],
-        policy: &RetryPolicy,
-    ) -> io::Result<u64> {
-        self.insert_retry_inner(shard, point, policy)
-    }
-
-    fn insert_retry_inner(
-        &mut self,
-        shard: u16,
-        point: &[i64],
-        policy: &RetryPolicy,
-    ) -> io::Result<u64> {
-        let start = Instant::now();
-        let mut rng = ChaCha8Rng::seed_from_u64(policy.seed ^ self.calls);
-        let mut delay = policy.base.max(Duration::from_micros(1));
-        let mut rejections = 0u64;
-        while !self.send_insert(shard, point)? {
-            rejections += 1;
-            if start.elapsed() >= policy.deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("insert still overloaded after {rejections} retries"),
-                ));
-            }
-            // Jitter into the upper half of the window: full delays stay
-            // bounded, but concurrent clients desynchronize instead of
-            // stampeding the freshly drained queue together.
-            let us = delay.as_micros() as u64;
-            let jittered = rng.gen_range(us / 2 + 1..us + 1);
-            std::thread::sleep(Duration::from_micros(jittered));
-            delay = (delay * 2).min(policy.cap);
-        }
-        if rejections > 0 {
-            crate::metrics::service_metrics()
-                .client_rejections
-                .add(rejections);
-        }
-        Ok(rejections)
-    }
-
-    /// Queue a whole batch of points; deprecated shim over
-    /// [`HullClient::mutate`] (a pure-insert envelope), kept so old
-    /// callers and old servers keep working unchanged.
-    #[deprecated(since = "0.7.0", note = "use HullClient::mutate(MutationBatch)")]
-    pub fn insert_batch(
-        &mut self,
-        shard: u16,
-        points: &[Vec<i64>],
-    ) -> io::Result<BatchInsertReply> {
-        let batch = MutationBatch::from(
-            points
-                .iter()
-                .map(|p| Mutation::Insert(p.clone()))
-                .collect::<Vec<_>>(),
-        );
-        let r = self.mutate(shard, batch)?;
-        Ok(BatchInsertReply {
-            epoch: r.epoch,
-            rejections: r.rejections,
-        })
-    }
-
     /// Apply a [`MutationBatch`] to `shard`, absorbing `Overloaded`
     /// pushback on the rejected suffix with the client's
     /// [`RetryPolicy`] until every mutation is queued (`TimedOut` past
     /// the deadline). **The unified write entry point**: inserts,
     /// deletes, and window expirations in one frame, applied by the
-    /// shard worker as one journal unit (one epoch).
-    ///
-    /// Downgrades by negotiated protocol: v6 sends `Mutate` envelopes;
-    /// a *pure-insert* batch on v2–v5 sends `InsertBatch` frames and on
-    /// v1 degrades to per-point inserts, so insert-only callers work
-    /// against any server. A batch carrying deletes or expirations on a
-    /// pre-v6 connection fails with `Unsupported`.
+    /// shard worker as one journal unit (one epoch). One `Mutate` frame
+    /// per attempt: the rejected mutations are resent together after a
+    /// jittered backoff.
     pub fn mutate(&mut self, shard: u16, batch: MutationBatch) -> io::Result<MutateReply> {
         if batch.is_empty() {
             return Ok(MutateReply {
@@ -701,50 +503,10 @@ impl HullClient {
             });
         }
         let policy = self.policy.clone();
-        if self.negotiated >= PROTOCOL_V6 && self.caps & CAP_MUTATION != 0 {
-            return self.mutate_v6(shard, batch.muts, &policy);
-        }
-        let mut points = Vec::with_capacity(batch.muts.len());
-        for m in batch.muts {
-            match m {
-                Mutation::Insert(p) => points.push(p),
-                Mutation::Delete(_) | Mutation::Expire(_) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        format!(
-                            "deletes/expirations need protocol v6 + CAP_MUTATION \
-                             (negotiated v{}, caps {:#x})",
-                            self.negotiated, self.caps
-                        ),
-                    ));
-                }
-            }
-        }
-        if self.negotiated < PROTOCOL_V2 {
-            let mut rejections = 0u64;
-            for p in &points {
-                rejections += self.insert_retry_inner(shard, p, &policy)?;
-            }
-            return Ok(MutateReply {
-                epoch: 0,
-                rejections,
-            });
-        }
-        self.insert_batch_v2(shard, points, &policy)
-    }
-
-    /// One `Mutate` frame per attempt (v6): the rejected suffix is
-    /// resent together after a jittered backoff.
-    fn mutate_v6(
-        &mut self,
-        shard: u16,
-        muts: Vec<Mutation>,
-        policy: &RetryPolicy,
-    ) -> io::Result<MutateReply> {
         let start = Instant::now();
         let mut rng = ChaCha8Rng::seed_from_u64(policy.seed ^ self.calls);
         let mut delay = policy.base.max(Duration::from_micros(1));
-        let mut pending = muts;
+        let mut pending = batch.muts;
         let mut rejections = 0u64;
         let epoch = loop {
             let resp = self.ask(&Request::Mutate {
@@ -777,71 +539,6 @@ impl HullClient {
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             format!("{} mutations still overloaded", retry.len()),
-                        ));
-                    }
-                    let us = delay.as_micros() as u64;
-                    let jittered = rng.gen_range(us / 2 + 1..us + 1);
-                    std::thread::sleep(Duration::from_micros(jittered));
-                    delay = (delay * 2).min(policy.cap);
-                    pending = retry;
-                }
-                Response::Error(m) => return Err(server_error(m)),
-                other => return Err(unexpected(other)),
-            }
-        };
-        if rejections > 0 {
-            crate::metrics::service_metrics()
-                .client_rejections
-                .add(rejections);
-        }
-        Ok(MutateReply { epoch, rejections })
-    }
-
-    /// One `InsertBatch` frame per attempt (v2–v5 downgrade for
-    /// pure-insert envelopes): the rejected suffix is resent together
-    /// after a jittered backoff.
-    fn insert_batch_v2(
-        &mut self,
-        shard: u16,
-        points: Vec<Vec<i64>>,
-        policy: &RetryPolicy,
-    ) -> io::Result<MutateReply> {
-        let start = Instant::now();
-        let mut rng = ChaCha8Rng::seed_from_u64(policy.seed ^ self.calls);
-        let mut delay = policy.base.max(Duration::from_micros(1));
-        let mut pending = points;
-        let mut rejections = 0u64;
-        let epoch = loop {
-            let resp = self.ask(&Request::InsertBatch {
-                shard,
-                points: pending.clone(),
-            })?;
-            match resp {
-                Response::InsertedBatch { accepted, epoch } => {
-                    if accepted.len() != pending.len() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "batch reply covers {} points, sent {}",
-                                accepted.len(),
-                                pending.len()
-                            ),
-                        ));
-                    }
-                    let mut retry = Vec::new();
-                    for (p, ok) in pending.drain(..).zip(&accepted) {
-                        if !*ok {
-                            retry.push(p);
-                        }
-                    }
-                    if retry.is_empty() {
-                        break epoch;
-                    }
-                    rejections += retry.len() as u64;
-                    if start.elapsed() >= policy.deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("{} batch points still overloaded", retry.len()),
                         ));
                     }
                     let us = delay.as_micros() as u64;
@@ -901,49 +598,6 @@ impl HullClient {
         }
     }
 
-    /// Membership query forced down the linear-scan oracle path (v3,
-    /// [`crate::wire::CAP_SCAN_QUERIES`]). Same answer as [`Self::contains`], but the
-    /// server walks every alive facet instead of descending the history
-    /// graph — the A/B baseline for query benchmarks.
-    pub fn contains_scan(&mut self, shard: u16, point: &[i64]) -> io::Result<Option<bool>> {
-        match self.ask(&Request::ContainsScan {
-            shard,
-            point: point.to_vec(),
-        })? {
-            Response::Bool(b) => Ok(Some(b)),
-            Response::NotReady => Ok(None),
-            Response::Error(m) => Err(server_error(m)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Visible-facet count via the linear-scan oracle path (v3).
-    pub fn visible_scan(&mut self, shard: u16, point: &[i64]) -> io::Result<Option<u32>> {
-        match self.ask(&Request::VisibleScan {
-            shard,
-            point: point.to_vec(),
-        })? {
-            Response::VisibleCount(n) => Ok(Some(n)),
-            Response::NotReady => Ok(None),
-            Response::Error(m) => Err(server_error(m)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Extreme vertex via the linear-scan oracle path (v3): re-derives
-    /// the vertex set per query instead of using the snapshot cache.
-    pub fn extreme_scan(&mut self, shard: u16, dir: &[i64]) -> io::Result<Option<(u32, Vec<i64>)>> {
-        match self.ask(&Request::ExtremeScan {
-            shard,
-            direction: dir.to_vec(),
-        })? {
-            Response::Extreme { vertex, coords } => Ok(Some((vertex, coords))),
-            Response::NotReady => Ok(None),
-            Response::Error(m) => Err(server_error(m)),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// Service counters as JSON (`None` aggregates all shards).
     pub fn stats(&mut self, shard: Option<u16>) -> io::Result<String> {
         match self.ask(&Request::Stats {
@@ -974,7 +628,7 @@ impl HullClient {
         }
     }
 
-    /// Barrier: every insert this client enqueued before the call is
+    /// Barrier: every mutation this client enqueued before the call is
     /// applied once this returns. Returns the publication epoch.
     pub fn flush(&mut self, shard: u16) -> io::Result<u64> {
         match self.ask(&Request::Flush { shard })? {
@@ -1004,44 +658,7 @@ impl HullClient {
         }
     }
 
-    /// Pull one replication batch unit (v5, [`CAP_REPLICATION`]): the
-    /// journal unit at `from_index` as `(index, total, dim, flat
-    /// points)`. Empty `points` with `index == total` means caught up —
-    /// poll again later. A shipment dropped by the primary's
-    /// `replica.ship` failpoint surfaces as `WouldBlock`, so the
-    /// follower puller counts a resubscribe and resumes from its own
-    /// batch count.
-    pub fn repl_fetch(
-        &mut self,
-        shard: u16,
-        from_index: u64,
-    ) -> io::Result<(u64, u64, usize, Vec<i64>)> {
-        if self.negotiated >= PROTOCOL_V2 && self.caps & CAP_REPLICATION == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!(
-                    "replication needs protocol v5 + CAP_REPLICATION (negotiated v{}, caps {:#x})",
-                    self.negotiated, self.caps
-                ),
-            ));
-        }
-        match self.ask(&Request::ReplSubscribe { shard, from_index })? {
-            Response::ReplBatch {
-                index,
-                total,
-                dim,
-                points,
-            } => Ok((index, total, dim, points)),
-            Response::Overloaded => Err(io::Error::new(
-                io::ErrorKind::WouldBlock,
-                "primary dropped the replication shipment",
-            )),
-            Response::Error(m) => Err(server_error(m)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Pull one *typed* replication unit (v6, [`CAP_MUTATION`]): the
+    /// Pull one typed replication unit: the
     /// journal unit at `from_index` as `(index, total, dim, unit)`,
     /// where the unit distinguishes ordinary ops (inserts plus
     /// tombstones) from a survivor checkpoint that replaces everything
@@ -1053,15 +670,6 @@ impl HullClient {
         shard: u16,
         from_index: u64,
     ) -> io::Result<(u64, u64, usize, ReplUnit)> {
-        if self.negotiated < PROTOCOL_V6 || self.caps & CAP_MUTATION == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!(
-                    "typed replication needs protocol v6 + CAP_MUTATION (negotiated v{}, caps {:#x})",
-                    self.negotiated, self.caps
-                ),
-            ));
-        }
         match self.ask(&Request::ReplUnitFetch { shard, from_index })? {
             Response::ReplUnit {
                 index,

@@ -1,4 +1,4 @@
-//! The event-loop serving back end (DESIGN §S19): one reactor thread
+//! The event-loop server (DESIGN §S19): one reactor thread
 //! multiplexing every connection over a `chull-net` readiness poller,
 //! with a small dispatcher pool executing requests off the loop.
 //!
@@ -14,24 +14,22 @@
 //! The reactor **never executes a request**: queries are cheap but a
 //! `Flush` barrier blocks until the shard worker drains, and one
 //! blocked reactor is a blocked server. Dispatchers run
-//! [`crate::server::process_payload`] — the same decode/dispatch core
-//! as the threaded back end — and push the encoded reply to a
-//! completion list, waking the reactor to finish the write when the
+//! [`crate::server::process_payload`] — the decode/dispatch core — and
+//! push the encoded reply to a completion list, waking the reactor to finish the write when the
 //! socket is ready.
 //!
-//! Pipelining invariants (wire v4):
+//! Pipelining invariants:
 //!
 //! * untagged frames on one connection execute strictly one at a time
 //!   in arrival order, so completion order equals issue order and
-//!   v1–v3 clients keep their request/reply contract with no reorder
-//!   buffer;
+//!   request/reply clients need no reorder buffer;
 //! * `Tagged` frames dispatch as capacity allows and may complete out
 //!   of order — the correlation id, not position, pairs replies;
 //! * all frames on a connection *begin* execution in arrival order
 //!   (the parked queue is FIFO; a head that cannot dispatch blocks the
 //!   frames behind it).
 //!
-//! Robustness (the PR 3 contract, under non-blocking I/O):
+//! Robustness (under non-blocking I/O):
 //!
 //! * a started frame (first byte seen, frame incomplete) must finish
 //!   within `request_timeout` — slow-loris dribblers are reaped by the
@@ -42,7 +40,7 @@
 //!   finish within a grace period, drain and join the dispatchers;
 //! * the `server.accept` failpoint fires per accepted connection and
 //!   `wire.write_frame` truncation applies to queued replies, so chaos
-//!   schedules exercise this back end exactly like the threaded one.
+//!   schedules can stall the accept path and tear replies mid-frame.
 //!
 //! Tokens 0 and 1 are the listener and the waker; connection `key` in
 //! the slab maps to token `key + 2`, and a per-connection generation
@@ -50,7 +48,9 @@
 //! are reused).
 
 use crate::metrics::service_metrics;
-use crate::server::{process_payload, record_accept_fault, trigger_shutdown, ServeOptions, Shared};
+use crate::server::{
+    panic_message, process_payload, record_accept_fault, trigger_shutdown, ServeOptions, Shared,
+};
 use crate::wire::Response;
 use chull_concurrent::failpoint::{self, sites, FaultAction};
 use chull_net::{encode_frame_into, ByteBuf, FrameDecoder, Interest, Poller, Slab, Token};
@@ -303,14 +303,10 @@ pub(crate) fn spawn_reactor(
             match run {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => record_accept_fault(&shared, format!("reactor io error: {e}")),
-                Err(p) => {
-                    let msg = p
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    record_accept_fault(&shared, format!("reactor panicked: {msg}"));
-                }
+                Err(p) => record_accept_fault(
+                    &shared,
+                    format!("reactor panicked: {}", panic_message(p.as_ref())),
+                ),
             }
             jobs.close();
             for d in dispatchers {
@@ -436,7 +432,7 @@ impl Reactor {
                 Err(_) => break,
             };
             // Failpoint `server.accept`: a chaos schedule may stall (or
-            // kill) the accept path, same site as the threaded loop.
+            // kill) the accept path.
             let _ = failpoint::eval(sites::SERVER_ACCEPT);
             if stream.set_nonblocking(true).is_err() {
                 continue;
@@ -588,8 +584,7 @@ impl Reactor {
             }
             // Failpoint `wire.write_frame`: a chaos schedule may tear
             // the reply mid-frame — queue the prefix and drop the
-            // connection once it flushes, exactly as the threaded
-            // back end's torn blocking write behaves.
+            // connection once it flushes.
             if let FaultAction::TruncateWrite(n) = failpoint::eval(sites::WIRE_WRITE_FRAME) {
                 let mut full = Vec::with_capacity(4 + c.payload.len());
                 full.extend_from_slice(&(c.payload.len() as u32).to_le_bytes());

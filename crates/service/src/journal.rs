@@ -488,8 +488,7 @@ impl Journal {
     }
 
     /// The journaled **insert** rows in append order (tombstones
-    /// skipped) — what an insert-only consumer (bulk cold start, legacy
-    /// flat replication) sees.
+    /// skipped) — what an insert-only consumer (bulk cold start) sees.
     pub fn insert_rows(&self) -> Vec<Vec<i64>> {
         self.mem
             .iter()

@@ -14,29 +14,26 @@
 //!   ([`chull_concurrent::BoundedQueue`]) coalesces inserts into batches
 //!   applied through the staged exact kernel, with explicit backpressure
 //!   (`Overloaded` replies) instead of unbounded buffering;
-//! * [`wire`] — a length-prefixed binary protocol (`Insert`, `Contains`,
-//!   `Visible`, `Extreme`, `Stats`, `Snapshot`, `Flush`, `Shutdown`,
-//!   `Metrics`, protocol v2's `InsertBatch` + `Hello` handshake, v3's
-//!   `*Scan` oracle queries, v4's `Tagged` correlation-id frames for
-//!   pipelining, and v5's `ReplSubscribe`/`ReplAck` journal shipping +
-//!   `Stale` staleness wrapper) over std TCP; v1 clients interoperate
-//!   unchanged;
-//! * [`replica`] — follower replicas: a puller thread subscribes to a
-//!   primary's journal batch units (pull-based, resume cursor = its own
-//!   batch count, so faults reduce to reconnects), applies them through
-//!   the same parallel replay path, and self-promotes if the primary
-//!   stays unreachable; Theorem 4.2's order-independence makes this
-//!   convergent without consensus;
+//! * [`wire`] — one length-prefixed binary protocol over std TCP:
+//!   `Mutate` (the only write op: inserts, deletes and window
+//!   expirations in one envelope), the `Contains`/`Visible`/`Extreme`
+//!   queries, `Stats`, `Snapshot`, `Flush`, `Shutdown`, `Metrics`, a
+//!   `Hello` version check, `Tagged` correlation-id frames for
+//!   pipelining, `ReplUnitFetch`/`ReplAck` journal shipping, and the
+//!   `Degraded`/`Stale` status wrappers;
+//! * [`replica`] — follower replicas: a puller thread pulls a primary's
+//!   typed journal units (pull-based, resume cursor = its own unit
+//!   count, so faults reduce to reconnects), applies each as one
+//!   journal unit, and self-promotes if the primary stays unreachable;
+//!   every unit applies in the primary's order, so the follower's hull
+//!   matches the primary's without consensus;
 //! * [`router`] — a thin front end that consistent-hashes read traffic
 //!   across a primary + followers, health-checks via `Stats`, and fails
 //!   reads over (wrapped `Degraded`) when a node dies;
-//! * [`server::serve`] — two interchangeable front ends over one
-//!   dispatch core: the default **event loop** (a `chull-net` epoll
+//! * [`server::serve`] — the **event-loop** server (a `chull-net` epoll
 //!   reactor + dispatcher pool, scaling to tens of thousands of
-//!   connections with out-of-order pipelined replies) and the original
-//!   **thread-per-connection** loop ([`server::ServeOptions::threaded`])
-//!   kept as the A/B + correctness oracle; both give graceful shutdown
-//!   and per-request deadlines;
+//!   connections with out-of-order pipelined replies), with graceful
+//!   shutdown and per-request deadlines; unix-only, like `chull-net`;
 //! * [`metrics`] — `chull_obs`-backed telemetry handles: per-op request
 //!   series, shard gauges, pipeline latency histograms, and kernel
 //!   counters, exposed via the wire `Metrics` op and the optional
@@ -44,13 +41,12 @@
 //! * [`client::HullClient`] — the blocking client used by the `hull`
 //!   CLI, the integration tests, and the load generator in `chull-bench`;
 //!   opened through [`client::HullClientBuilder`] (address, connect
-//!   deadline, retry policy, protocol floor/ceiling), with
+//!   deadline, retry policy, fallbacks), with
 //!   [`client::HullClient::mutate`] streaming whole
 //!   [`client::MutationBatch`]es (inserts, deletes, window expirations)
-//!   as v6 `Mutate` envelopes and downgrading pure-insert batches to
-//!   v2 `InsertBatch` frames or v1 single inserts against old servers.
+//!   as `Mutate` envelopes.
 //!
-//! Since wire v6 shards also serve **windowed / deletable** hulls:
+//! Shards serve **windowed / deletable** hulls:
 //! `Delete` tombstones a live point, a per-shard
 //! [`chull_core::WindowPolicy`] expires the oldest live points, and when
 //! tombstones (or journal growth) pass a configurable ratio the worker
@@ -72,6 +68,7 @@ pub mod journal;
 pub mod metrics;
 pub mod replica;
 pub mod router;
+#[cfg(unix)]
 pub mod server;
 pub mod shard;
 pub mod snapshot;
@@ -80,15 +77,15 @@ pub mod wire;
 
 pub use chull_core::WindowPolicy;
 pub use client::{
-    BatchInsertReply, HullClient, HullClientBuilder, MutateReply, MutationBatch, RetryPolicy,
-    SnapshotReply,
+    HullClient, HullClientBuilder, MutateReply, MutationBatch, RetryPolicy, SnapshotReply,
 };
 pub use journal::{rewrite_wal, wal_path, Journal, JournalError, JournalOp};
 pub use metrics::{op_metrics, service_metrics, OpMetrics, ServiceMetrics, ShardGauges};
 pub use replica::{follow, FollowOptions, ReplicaHandle, ReplicaState};
 pub use router::{route, RouterHandle, RouterOptions};
+#[cfg(unix)]
 pub use server::{serve, ServeOptions, ServerHandle};
-pub use shard::{HullService, InsertOutcome, ServiceConfig, ServiceError};
+pub use shard::{HullService, ServiceConfig, ServiceError};
 pub use snapshot::HullSnapshot;
 pub use stats::{AtomicKernel, ShardStats};
 pub use wire::{Mutation, ReplUnit, WireError};

@@ -108,7 +108,7 @@ pub struct ServiceMetrics {
     pub degraded_us: Arc<Counter>,
     /// Connections accepted by the server.
     pub accepts: Arc<Counter>,
-    /// Currently open client connections (either back end).
+    /// Currently open client connections.
     pub connections_active: Arc<Gauge>,
     /// Connections accepted, cumulatively (alias of `accepts` under the
     /// connection-lifecycle name so `accepted - closed = active` holds
@@ -118,11 +118,11 @@ pub struct ServiceMetrics {
     pub connections_closed: Arc<Counter>,
     /// Reactor readiness wakeups (epoll_wait returns with ≥1 event).
     pub readiness_wakeups: Arc<Counter>,
-    /// Accept/reactor threads that died by panic and were contained.
+    /// Reactor threads that died by panic and were contained.
     pub accept_thread_panics: Arc<Counter>,
     /// Client-side transparent reconnect-and-resumes.
     pub client_reconnects: Arc<Counter>,
-    /// Client-side `Overloaded` rejections absorbed by `insert_retry`.
+    /// Client-side `Overloaded` rejections absorbed by `mutate`.
     pub client_rejections: Arc<Counter>,
     /// Journal batch units shipped to replication subscribers.
     pub repl_units_shipped: Arc<Counter>,
@@ -247,7 +247,7 @@ pub fn service_metrics() -> &'static ServiceMetrics {
             ),
             client_rejections: r.counter(
                 "chull_client_insert_rejections_total",
-                "Overloaded rejections absorbed by client insert_retry backoff.",
+                "Overloaded rejections absorbed by client mutate backoff.",
             ),
             repl_units_shipped: r.counter(
                 "chull_replica_units_shipped_total",
@@ -363,36 +363,21 @@ pub struct OpMetrics {
     pub latency_us: Arc<Histogram>,
 }
 
-const OPS: &[&str] = &[
-    "insert",
-    "insert_batch",
-    "mutate",
-    "contains",
-    "visible",
-    "extreme",
-    "contains_scan",
-    "visible_scan",
-    "extreme_scan",
-    "stats",
-    "snapshot",
-    "flush",
-    "shutdown",
-    "metrics",
-    "hello",
-    "repl_subscribe",
-    "repl_ack",
-    "repl_unit",
-    "invalid",
-];
-
-/// Handles for one wire op (`"invalid"` covers undecodable requests).
-/// Unknown names map to `"invalid"`.
+/// Handles for one wire op, one series per [`crate::wire::OP_TABLE`]
+/// name (`"invalid"` covers undecodable requests). Unknown names map to
+/// `"invalid"`.
 pub fn op_metrics(op: &str) -> &'static OpMetrics {
     static M: OnceLock<HashMap<&'static str, OpMetrics>> = OnceLock::new();
     let map = M.get_or_init(|| {
         let r = registry();
-        OPS.iter()
-            .map(|&op| {
+        crate::wire::OP_TABLE
+            .iter()
+            .map(|s| s.name)
+            // The tag wrapper is transparent: a tagged request counts
+            // under the op it wraps.
+            .filter(|&name| name != "tagged")
+            .chain(["invalid"])
+            .map(|op| {
                 (
                     op,
                     OpMetrics {

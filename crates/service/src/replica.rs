@@ -1,19 +1,19 @@
 //! Replication: journal shipping from a primary to follower replicas.
 //!
-//! Theorem 4.2's order-independence is what makes this safe without
-//! consensus: a shard's journaled **batch units** produce the identical
-//! hull no matter how their application interleaves, so a follower may
-//! fetch units late, twice, or out of order and still converge
-//! bit-identical to the primary — batch apply is deterministic per
-//! unit, and duplicate points never change a hull.
+//! No consensus is needed: the follower applies the primary's
+//! journaled **batch units** one at a time, in the primary's index
+//! order, each as exactly one journal unit of its own, and batch apply
+//! is deterministic per unit — so the follower's hull is bit-identical
+//! to the primary's at every unit boundary. A unit fetched late or
+//! twice is harmless, because the follower skips any index it already
+//! holds.
 //!
-//! The protocol is *pull-based*. A v5 primary ships flat insert
-//! batches (`ReplSubscribe`/`ReplAck`); a v6 primary ships **typed
-//! units** (`ReplUnitFetch`): either `Ops` (inserts + tombstones
-//! journaled under one marker) or a `Checkpoint` (the survivor set of
-//! a tombstone/journal-ratio rebuild, which *replaces* the follower's
+//! The protocol is *pull-based*. The primary ships **typed units**
+//! (`ReplUnitFetch`): either `Ops` (inserts + tombstones journaled
+//! under one marker) or a `Checkpoint` (the survivor set of a
+//! tombstone/journal-ratio rebuild, which *replaces* the follower's
 //! shard state and moves its cursor past the compacted history). The
-//! follower's [`ReplicaPuller`] thread asks for the unit at
+//! follower's puller thread asks for the unit at
 //! `from_index = ` its own durable batch count, applies it through the
 //! same supervised parallel path local ingest uses — exactly one
 //! journal unit, so the follower's batch indices mirror the primary's
@@ -45,7 +45,7 @@ use crate::client::HullClient;
 use crate::journal::{Journal, JournalOp};
 use crate::metrics::service_metrics;
 use crate::shard::HullService;
-use crate::wire::{ReplUnit, CAP_MUTATION, CAP_REPLICATION, PROTOCOL_V5, PROTOCOL_V6};
+use crate::wire::ReplUnit;
 use chull_concurrent::failpoint::{self, sites, FaultAction};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -65,7 +65,7 @@ struct LogInner {
 
 /// One shard's in-memory mirror of its journal batch units, shared
 /// between the shard worker (producer) and the wire layer (consumer:
-/// `ReplSubscribe`/`ReplUnitFetch`). Invariant: `total() == journal
+/// `ReplUnitFetch`). Invariant: `total() == journal
 /// batch count` — the worker pushes each unit before publishing its
 /// epoch, and the supervisor rebuilds the mirror from the journal
 /// after a crash, so a subscriber that has seen epoch `e` can always
@@ -397,27 +397,14 @@ fn puller(service: &HullService, state: &ReplicaState, opts: &FollowOptions) {
 
 /// One subscription session: connect, then pull/apply/ack round-robin
 /// across shards until an error (resubscribe) or stop. `Ok(())` only on
-/// a requested stop. The session speaks typed v6 units when the
-/// primary offers `CAP_MUTATION`, falling back to flat v5 batches
-/// otherwise (a v5 primary by definition has no tombstones to ship).
+/// a requested stop.
 fn session(service: &HullService, state: &ReplicaState, opts: &FollowOptions) -> io::Result<()> {
     let mut client = HullClient::builder(opts.primary.clone())
         .deadline(opts.connect_deadline)
         .connect()?;
-    if client.negotiated_version() < PROTOCOL_V5 || client.caps() & CAP_REPLICATION == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "primary does not ship journal batches (needs wire v5 + CAP_REPLICATION)",
-        ));
-    }
-    let v6 = client.negotiated_version() >= PROTOCOL_V6 && client.caps() & CAP_MUTATION != 0;
     let shards = service.num_shards() as u16;
     for shard in 0..shards {
-        if v6 {
-            bootstrap_bulk_v6(service, state, &mut client, shard)?;
-        } else {
-            bootstrap_bulk(service, state, &mut client, shard)?;
-        }
+        bootstrap_bulk(service, state, &mut client, shard)?;
     }
     loop {
         if state.stop.load(Ordering::SeqCst) {
@@ -425,12 +412,7 @@ fn session(service: &HullService, state: &ReplicaState, opts: &FollowOptions) ->
         }
         let mut caught_up = true;
         for shard in 0..shards {
-            let progressed = if v6 {
-                pull_unit_v6(service, state, &mut client, shard)?
-            } else {
-                pull_unit_v5(service, state, &mut client, shard)?
-            };
-            if progressed {
+            if pull_unit(service, state, &mut client, shard)? {
                 caught_up = false;
             }
         }
@@ -440,9 +422,9 @@ fn session(service: &HullService, state: &ReplicaState, opts: &FollowOptions) ->
     }
 }
 
-/// Pull and apply one typed unit for `shard` (v6 path). Returns
-/// whether the shard made (or still needs) progress.
-fn pull_unit_v6(
+/// Pull and apply one typed unit for `shard`. Returns whether the
+/// shard made (or still needs) progress.
+fn pull_unit(
     service: &HullService,
     state: &ReplicaState,
     client: &mut HullClient,
@@ -518,48 +500,7 @@ fn pull_unit_v6(
     Ok(progressed)
 }
 
-/// Pull and apply one flat insert batch for `shard` (v5 fallback).
-fn pull_unit_v5(
-    service: &HullService,
-    state: &ReplicaState,
-    client: &mut HullClient,
-    shard: u16,
-) -> io::Result<bool> {
-    let dim = service.config().dim;
-    let from = service.batch_units(shard).map_err(svc_err)?;
-    let (index, total, unit_dim, flat) = client.repl_fetch(shard, from)?;
-    state.note_total(shard, total);
-    if !flat.is_empty() && unit_dim != dim {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("primary ships dimension {unit_dim}, follower is {dim}"),
-        ));
-    }
-    let mut progressed = false;
-    // `index < from` is a duplicated/reordered shipment of a unit this
-    // follower already holds: skip it (idempotent).
-    if index == from && !flat.is_empty() {
-        progressed = true;
-        // Failpoint `replica.apply`: follower death mid-apply (panic →
-        // resubscribe-with-resume one frame up) or a dropped fetched
-        // batch (forces a duplicate re-fetch).
-        if failpoint::eval(sites::REPL_APPLY) == FaultAction::SpuriousFull {
-            state.dropped.fetch_add(1, Ordering::SeqCst);
-        } else {
-            let unit: Vec<Vec<i64>> = flat.chunks(dim).map(|c| c.to_vec()).collect();
-            service.apply_replica_unit(shard, unit).map_err(svc_err)?;
-            state.applied.fetch_add(1, Ordering::SeqCst);
-            let durable = service.batch_units(shard).map_err(svc_err)?;
-            let _ = client.repl_ack(shard, durable)?;
-        }
-    }
-    if total > service.batch_units(shard).map_err(svc_err)? {
-        progressed = true;
-    }
-    Ok(progressed)
-}
-
-/// Follower **bulk bootstrap** over typed v6 units: when a shard is
+/// Follower **bulk bootstrap**: when a shard is
 /// completely empty and the bulk threshold is armed, scan the
 /// primary's journaled prefix and — if it is pure insert history —
 /// install it through the bulk divide-and-conquer constructor
@@ -569,7 +510,7 @@ fn pull_unit_v5(
 /// Any checkpoint or tombstone-bearing unit in the prefix abandons the
 /// bootstrap (the per-unit loop resets from the checkpoint instead —
 /// that path is already one bulk build).
-fn bootstrap_bulk_v6(
+fn bootstrap_bulk(
     service: &HullService,
     state: &ReplicaState,
     client: &mut HullClient,
@@ -610,54 +551,6 @@ fn bootstrap_bulk_v6(
                     break;
                 }
             }
-        }
-    }
-    if units.is_empty() || points < threshold {
-        return Ok(());
-    }
-    let applied = units.len() as u64;
-    service.apply_replica_bulk(shard, units).map_err(svc_err)?;
-    state.applied.fetch_add(applied, Ordering::SeqCst);
-    let durable = service.batch_units(shard).map_err(svc_err)?;
-    let _ = client.repl_ack(shard, durable)?;
-    eprintln!(
-        "replica: shard {shard} bootstrapped {points} points / {applied} units via bulk build"
-    );
-    Ok(())
-}
-
-/// Follower bulk bootstrap over flat v5 batches (see
-/// [`bootstrap_bulk_v6`]); kept for primaries without `CAP_MUTATION`.
-fn bootstrap_bulk(
-    service: &HullService,
-    state: &ReplicaState,
-    client: &mut HullClient,
-    shard: u16,
-) -> io::Result<()> {
-    let threshold = service.config().bulk_threshold;
-    if threshold == 0 || service.batch_units(shard).map_err(svc_err)? != 0 {
-        return Ok(());
-    }
-    let dim = service.config().dim;
-    let mut units: Vec<Vec<Vec<i64>>> = Vec::new();
-    let mut points = 0usize;
-    loop {
-        let from = units.len() as u64;
-        let (index, total, unit_dim, flat) = client.repl_fetch(shard, from)?;
-        state.note_total(shard, total);
-        if flat.is_empty() || index != from {
-            break;
-        }
-        if unit_dim != dim {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("primary ships dimension {unit_dim}, follower is {dim}"),
-            ));
-        }
-        points += flat.len() / dim;
-        units.push(flat.chunks(dim).map(|c| c.to_vec()).collect());
-        if from + 1 >= total {
-            break;
         }
     }
     if units.is_empty() || points < threshold {

@@ -5,8 +5,7 @@
 //! node, forwarded verbatim as a request object, and the backend's
 //! reply relayed. Routing policy:
 //!
-//! * **writes** (`Insert`, `InsertBatch`, `Mutate`, `Flush`,
-//!   replication ops, `Shutdown`) go to the first *healthy* node in
+//! * **writes** (`Mutate`, `Flush`, replication ops, `Shutdown`) go to the first *healthy* node in
 //!   configuration order
 //!   — node 0 is the write primary; while it is down, writes land on
 //!   the next node, which rejects them (`read-only follower replica`)
@@ -22,10 +21,9 @@
 //!   generation, unless the reply already carries a status wrapper.
 //!
 //! The router holds no hull state and needs no consensus: any replica
-//! can answer any read (staleness is bounded in-band by the v5 `Stale`
-//! wrapper the follower itself applies), and Theorem 4.2's
-//! order-independence means a promoted follower converges to the same
-//! hull the primary had.
+//! can answer any read (staleness is bounded in-band by the `Stale`
+//! wrapper the follower itself applies), and a promoted follower holds
+//! the hull of every unit it replicated from the primary.
 
 use crate::client::HullClient;
 use crate::wire::{read_frame, write_frame, Request, Response};
@@ -247,19 +245,13 @@ pub fn route(opts: RouterOptions) -> io::Result<RouterHandle> {
 /// The shard a request addresses, for ring placement.
 fn shard_of(req: &Request) -> u16 {
     match req {
-        Request::Insert { shard, .. }
-        | Request::Contains { shard, .. }
+        Request::Contains { shard, .. }
         | Request::Visible { shard, .. }
         | Request::Extreme { shard, .. }
-        | Request::ContainsScan { shard, .. }
-        | Request::VisibleScan { shard, .. }
-        | Request::ExtremeScan { shard, .. }
         | Request::Stats { shard }
         | Request::Snapshot { shard }
         | Request::Flush { shard }
-        | Request::InsertBatch { shard, .. }
         | Request::Mutate { shard, .. }
-        | Request::ReplSubscribe { shard, .. }
         | Request::ReplUnitFetch { shard, .. }
         | Request::ReplAck { shard, .. } => *shard,
         Request::Tagged { inner, .. } => shard_of(inner),
@@ -270,12 +262,9 @@ fn shard_of(req: &Request) -> u16 {
 /// Whether the request mutates hull state (must reach the primary).
 fn is_write(req: &Request) -> bool {
     match req {
-        Request::Insert { .. }
-        | Request::InsertBatch { .. }
-        | Request::Mutate { .. }
+        Request::Mutate { .. }
         | Request::Flush { .. }
         | Request::Shutdown
-        | Request::ReplSubscribe { .. }
         | Request::ReplUnitFetch { .. }
         | Request::ReplAck { .. } => true,
         Request::Tagged { inner, .. } => is_write(inner),
@@ -285,7 +274,7 @@ fn is_write(req: &Request) -> bool {
 
 /// Whether a failover answering this request should be surfaced with
 /// the `Degraded` wrapper. Administrative exchanges — the `Hello`
-/// handshake, `Metrics`, `Shutdown` — are about the connection or the
+/// version check, `Metrics`, `Shutdown` — are about the connection or the
 /// process, not shard data; wrapping them would break clients that
 /// (correctly) expect their bare reply shapes.
 fn wrappable(req: &Request) -> bool {

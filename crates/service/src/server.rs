@@ -1,32 +1,28 @@
-//! The TCP serving layer, with two interchangeable front ends over the
-//! same dispatch core, shard workers and wire protocol:
+//! The TCP serving layer: an **event loop** (DESIGN §S19) in front of
+//! the shard workers. One reactor thread multiplexes every connection
+//! over a `chull-net` readiness poller — non-blocking sockets,
+//! per-connection byte queues, an incremental frame decoder — and a
+//! small dispatcher pool executes requests off the reactor (see
+//! `event_server`). It scales to tens of thousands of connections and
+//! serves pipelined `Tagged` frames out of order.
 //!
-//! * the **event-loop back end** (default; DESIGN §S19): one reactor
-//!   thread multiplexes every connection over a `chull-net` readiness
-//!   poller — non-blocking sockets, per-connection byte queues, an
-//!   incremental frame decoder, and a small dispatcher pool executing
-//!   requests off the reactor. Scales to tens of thousands of
-//!   connections and serves pipelined v4 `Tagged` frames out of order.
-//! * the **threaded back end** ([`ServeOptions::threaded`], `hull serve
-//!   --threaded`): the original thread-per-connection accept loop, kept
-//!   as the A/B + correctness oracle (the same pattern the query path
-//!   uses with `linear-scan`).
+//! Robustness contract: a *started* frame must complete within
+//! [`ServeOptions::request_timeout`] or the connection is dropped (a
+//! stalled or dribbling peer cannot pin a reactor slot), shutdown is
+//! graceful, reads during shard recovery are wrapped `Degraded`, and
+//! the chaos failpoint sites fire on the accept and reply paths.
 //!
-//! Both enforce the same robustness contract: a *started* frame must
-//! complete within [`ServeOptions::request_timeout`] or the connection
-//! is dropped (a stalled or dribbling peer cannot pin a thread *or* a
-//! reactor slot), shutdown is graceful, reads during shard recovery are
-//! wrapped `Degraded`, and the chaos failpoint sites fire identically.
+//! Like `chull-net`, the server is unix-only.
 
 use crate::metrics::{op_metrics, query_metrics, service_metrics};
-use crate::shard::{HullService, InsertOutcome, ServiceConfig, ServiceError};
+use crate::shard::{HullService, ServiceConfig, ServiceError};
 use crate::snapshot::HullSnapshot;
-use crate::wire::{self, Request, Response, ALL_SHARDS};
+use crate::wire::{Request, Response, ALL_SHARDS, PROTOCOL_VERSION};
 use chull_concurrent::failpoint::{self, sites};
 use chull_geometry::{KernelCounts, MAX_COORD};
 use chull_obs::MetricsHttpHandle;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -47,18 +43,14 @@ pub struct ServeOptions {
     /// picks a free port). The same text is always available in-band via
     /// the wire `Metrics` op.
     pub metrics_addr: Option<String>,
-    /// Use the legacy thread-per-connection back end instead of the
-    /// event loop (the A/B + correctness oracle; `hull serve
-    /// --threaded`). Forced on where `chull-net` has no poller.
-    pub threaded: bool,
-    /// Dispatcher threads executing requests off the reactor (event
-    /// back end only); 0 picks a small default. Queries are fast, but a
-    /// `Flush` barrier blocks its dispatcher, so at least 2 run.
+    /// Dispatcher threads executing requests off the reactor; 0 picks
+    /// a small default. Queries are fast, but a `Flush` barrier blocks
+    /// its dispatcher, so at least 2 run.
     pub dispatchers: usize,
     /// Run as a read-only **follower replica** of the primary named in
     /// [`crate::replica::FollowOptions::primary`]: wire writes are
     /// rejected, a puller thread ships the primary's journal batch
-    /// units, and reads carry the v5 `Stale` staleness bound while
+    /// units, and reads carry the `Stale` staleness bound while
     /// trailing. Incompatible with a WAL (`config.wal_dir`): followers
     /// resync from the primary, so a stale WAL could only skew the 1:1
     /// batch-index mirror.
@@ -73,24 +65,20 @@ impl Default for ServeOptions {
             oneshot: false,
             request_timeout: Duration::from_secs(10),
             metrics_addr: None,
-            threaded: false,
             dispatchers: 0,
             follow: None,
         }
     }
 }
 
-/// Poll interval for the shutdown flag while a connection is idle.
-const POLL: Duration = Duration::from_millis(50);
-
 pub(crate) struct Shared {
     pub(crate) service: Arc<HullService>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) addr: SocketAddr,
-    /// Set by the event back end: wakes its poller so shutdown is
+    /// Set by the reactor at start: wakes its poller so shutdown is
     /// noticed without waiting out the tick.
     pub(crate) waker: OnceLock<Arc<dyn Fn() + Send + Sync>>,
-    /// The panic message of a dead accept/reactor thread, surfaced via
+    /// The panic message of a dead reactor thread, surfaced via
     /// [`ServerHandle::accept_fault`] instead of propagating the panic
     /// into whoever calls `shutdown`/`join`/`Drop` (the shards keep
     /// draining normally — the server is degraded, not poisoned).
@@ -106,7 +94,7 @@ pub struct ServerHandle {
     replica: Option<crate::replica::ReplicaHandle>,
 }
 
-/// Bind `opts.addr`, start the shard workers and the accept loop, and
+/// Bind `opts.addr`, start the shard workers and the reactor, and
 /// return immediately with a handle.
 ///
 /// Serving **arms** the process-wide telemetry registry
@@ -142,24 +130,7 @@ pub fn serve(opts: ServeOptions) -> io::Result<ServerHandle> {
         }
         None => None,
     };
-    #[cfg(not(unix))]
-    let opts = ServeOptions {
-        threaded: true,
-        ..opts
-    };
-    let accept = if opts.threaded {
-        let shared = Arc::clone(&shared);
-        let oneshot = opts.oneshot;
-        let request_timeout = opts.request_timeout;
-        std::thread::spawn(move || accept_loop(&listener, &shared, oneshot, request_timeout))
-    } else {
-        #[cfg(unix)]
-        {
-            crate::event_server::spawn_reactor(listener, Arc::clone(&shared), &opts)?
-        }
-        #[cfg(not(unix))]
-        unreachable!("threaded forced on above")
-    };
+    let accept = crate::event_server::spawn_reactor(listener, Arc::clone(&shared), &opts)?;
     Ok(ServerHandle {
         shared,
         accept: Some(accept),
@@ -183,7 +154,7 @@ impl ServerHandle {
     /// Begin graceful shutdown: stop accepting, let in-flight requests
     /// finish, drain the ingest queues, join every thread.
     ///
-    /// A dead accept/reactor thread (it panicked earlier) does **not**
+    /// A dead reactor thread (it panicked earlier) does **not**
     /// propagate the panic here: the fault is recorded (see
     /// [`accept_fault`](ServerHandle::accept_fault)) and the shards
     /// still drain — every acked insert survives.
@@ -224,7 +195,7 @@ impl ServerHandle {
         self.replica.as_ref().map(|r| r.state())
     }
 
-    /// If the accept/reactor thread died by panic, its panic message.
+    /// If the reactor thread died by panic, its panic message.
     pub fn accept_fault(&self) -> Option<String> {
         match self.shared.accept_fault.lock() {
             Ok(g) => g.clone(),
@@ -232,7 +203,7 @@ impl ServerHandle {
         }
     }
 
-    /// Join the accept/reactor thread, containing (not propagating) a
+    /// Join the reactor thread, containing (not propagating) a
     /// panic: record it for [`accept_fault`](ServerHandle::accept_fault),
     /// log it, and count it.
     fn join_accept(&mut self) {
@@ -269,20 +240,14 @@ impl Drop for ServerHandle {
 
 pub(crate) fn trigger_shutdown(shared: &Shared) {
     if !shared.shutdown.swap(true, Ordering::SeqCst) {
-        match shared.waker.get() {
-            // Event back end: poke its poller.
-            Some(wake) => wake(),
-            // Threaded: wake the blocking accept with a throwaway
-            // connection.
-            None => {
-                let _ = TcpStream::connect(shared.addr);
-            }
+        if let Some(wake) = shared.waker.get() {
+            wake();
         }
     }
 }
 
 /// Best-effort text of a contained panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -292,7 +257,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Record a dead accept/reactor thread: typed state for callers, a log
+/// Record a dead reactor thread: typed state for callers, a log
 /// line for operators, a counter for dashboards.
 pub(crate) fn record_accept_fault(shared: &Shared, msg: String) {
     eprintln!(
@@ -307,147 +272,9 @@ pub(crate) fn record_accept_fault(shared: &Shared, msg: String) {
     slot.get_or_insert(msg);
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    oneshot: bool,
-    request_timeout: Duration,
-) {
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        // Failpoint `server.accept`: an armed chaos schedule may stall
-        // here, simulating accept pressure (never panics the loop).
-        let _ = failpoint::eval(sites::SERVER_ACCEPT);
-        let (stream, _) = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        service_metrics().accepts.incr();
-        if oneshot {
-            // Serve exactly one connection, inline, then exit.
-            handle_connection(stream, shared, request_timeout);
-            trigger_shutdown(shared);
-            break;
-        }
-        let sh = Arc::clone(shared);
-        conns.push(std::thread::spawn(move || {
-            handle_connection(stream, &sh, request_timeout)
-        }));
-        conns.retain(|h| !h.is_finished());
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-/// Outcome of one deadline-aware frame read.
-enum FrameRead {
-    Frame(Vec<u8>),
-    /// Clean EOF, shutdown noticed while idle, or peer timed out mid-frame.
-    Done,
-}
-
-/// Read one frame, polling the shutdown flag while idle; once the first
-/// header byte arrives the whole frame must land within `deadline`.
-fn read_frame_polled(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-    deadline: Duration,
-) -> FrameRead {
-    let mut hdr = [0u8; 4];
-    let mut got = 0usize;
-    let mut started: Option<Instant> = None;
-    macro_rules! check {
-        () => {
-            match (&started, shutdown.load(Ordering::SeqCst)) {
-                // Idle connection during shutdown: close it.
-                (None, true) => return FrameRead::Done,
-                (Some(t0), _) if t0.elapsed() > deadline => return FrameRead::Done,
-                _ => {}
-            }
-        };
-    }
-    while got < 4 {
-        match stream.read(&mut hdr[got..]) {
-            Ok(0) => return FrameRead::Done,
-            Ok(n) => {
-                got += n;
-                started.get_or_insert_with(Instant::now);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                check!()
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return FrameRead::Done,
-        }
-    }
-    let len = u32::from_le_bytes(hdr) as usize;
-    if len > wire::MAX_FRAME {
-        return FrameRead::Done;
-    }
-    let t0 = started.unwrap_or_else(Instant::now);
-    let mut payload = vec![0u8; len];
-    let mut at = 0usize;
-    while at < len {
-        match stream.read(&mut payload[at..]) {
-            Ok(0) => return FrameRead::Done,
-            Ok(n) => at += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if t0.elapsed() > deadline {
-                    return FrameRead::Done;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return FrameRead::Done,
-        }
-    }
-    FrameRead::Frame(payload)
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, request_timeout: Duration) {
-    let m = service_metrics();
-    m.connections_accepted.incr();
-    m.connections_active.add(1);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    while let FrameRead::Frame(payload) =
-        read_frame_polled(&mut stream, &shared.shutdown, request_timeout)
-    {
-        let (response, shutdown_after) = process_payload(&shared.service, &payload);
-        if wire::write_frame(&mut stream, &response.encode()).is_err() {
-            break;
-        }
-        if shutdown_after {
-            trigger_shutdown(shared);
-            break;
-        }
-    }
-    m.connections_closed.incr();
-    m.connections_active.add(-1);
-}
-
-/// Decode and execute one frame payload, with per-op metrics; shared by
-/// both back ends (the threaded loop above, the event dispatchers in
-/// `event_server`). The bool asks the caller to begin shutdown after
-/// the reply is written.
+/// Decode and execute one frame payload, with per-op metrics (run by
+/// the dispatchers in `event_server`). The bool asks the caller to
+/// begin shutdown after the reply is written.
 pub(crate) fn process_payload(service: &HullService, payload: &[u8]) -> (Response, bool) {
     let t0 = chull_obs::armed().then(Instant::now);
     let (response, shutdown_after, op) = match Request::decode(payload) {
@@ -466,30 +293,13 @@ pub(crate) fn process_payload(service: &HullService, payload: &[u8]) -> (Respons
     (response, shutdown_after)
 }
 
-/// The metric label for one request (`op_metrics` key).
+/// The metric label for one request (`op_metrics` key): its registry
+/// name. The tag wrapper is transparent to metrics — count the op the
+/// client is actually asking for.
 fn op_name(req: &Request) -> &'static str {
     match req {
-        Request::Insert { .. } => "insert",
-        Request::Contains { .. } => "contains",
-        Request::Visible { .. } => "visible",
-        Request::Extreme { .. } => "extreme",
-        Request::ContainsScan { .. } => "contains_scan",
-        Request::VisibleScan { .. } => "visible_scan",
-        Request::ExtremeScan { .. } => "extreme_scan",
-        Request::Stats { .. } => "stats",
-        Request::Snapshot { .. } => "snapshot",
-        Request::Flush { .. } => "flush",
-        Request::Shutdown => "shutdown",
-        Request::Metrics => "metrics",
-        Request::InsertBatch { .. } => "insert_batch",
-        Request::Mutate { .. } => "mutate",
-        Request::Hello { .. } => "hello",
-        Request::ReplSubscribe { .. } => "repl_subscribe",
-        Request::ReplUnitFetch { .. } => "repl_unit",
-        Request::ReplAck { .. } => "repl_ack",
-        // The tag wrapper is transparent to metrics: count the op the
-        // client is actually asking for.
         Request::Tagged { inner, .. } => op_name(inner),
+        other => other.spec().name,
     }
 }
 
@@ -522,11 +332,6 @@ fn dispatch(service: &HullService, req: Request) -> (Response, bool) {
         None
     };
     let resp = match req {
-        Request::Insert { shard, point } => match service.try_insert(shard, point) {
-            Ok(InsertOutcome::Queued) => Response::Inserted,
-            Ok(InsertOutcome::Overloaded) => Response::Overloaded,
-            Err(e) => err_response(e),
-        },
         Request::Contains { shard, point } => check_vec(&point, "point").unwrap_or_else(|| {
             query(service, shard, |snap, stats| {
                 stats.queries_contains.fetch_add(1, Ordering::Relaxed);
@@ -560,40 +365,6 @@ fn dispatch(service: &HullService, req: Request) -> (Response, bool) {
                 })
             })
         }
-        // The v3 `*Scan` ops: same stats counters and kernel folding as
-        // their fast twins, but answered through the linear-scan oracle
-        // (and never folded into the descent telemetry — a scan has no
-        // descent steps to report).
-        Request::ContainsScan { shard, point } => check_vec(&point, "point").unwrap_or_else(|| {
-            query(service, shard, |snap, stats| {
-                stats.queries_contains.fetch_add(1, Ordering::Relaxed);
-                let mut counts = KernelCounts::default();
-                let r = snap.contains_scan(&point, &mut counts).map(Response::Bool);
-                stats.query_kernel.fold(&counts);
-                service_metrics().query_kernel.fold(&counts);
-                r
-            })
-        }),
-        Request::VisibleScan { shard, point } => check_vec(&point, "point").unwrap_or_else(|| {
-            query(service, shard, |snap, stats| {
-                stats.queries_visible.fetch_add(1, Ordering::Relaxed);
-                let mut counts = KernelCounts::default();
-                let r = snap
-                    .visible_count_scan(&point, &mut counts)
-                    .map(Response::VisibleCount);
-                stats.query_kernel.fold(&counts);
-                service_metrics().query_kernel.fold(&counts);
-                r
-            })
-        }),
-        Request::ExtremeScan { shard, direction } => check_vec(&direction, "direction")
-            .unwrap_or_else(|| {
-                query(service, shard, |snap, stats| {
-                    stats.queries_extreme.fetch_add(1, Ordering::Relaxed);
-                    snap.extreme_scan(&direction)
-                        .map(|(vertex, coords)| Response::Extreme { vertex, coords })
-                })
-            }),
         Request::Stats { shard } => {
             let which = if shard == ALL_SHARDS {
                 None
@@ -634,46 +405,22 @@ fn dispatch(service: &HullService, req: Request) -> (Response, bool) {
             Err(e) => err_response(e),
         },
         Request::Shutdown => return (Response::ShuttingDown, true),
-        Request::InsertBatch { shard, points } => match service.try_insert_batch(shard, points) {
-            Ok((accepted, epoch)) => Response::InsertedBatch { accepted, epoch },
-            Err(e) => err_response(e),
-        },
-        // v6 unified ingest: inserts, deletes, and window expirations in
+        // The one write op: inserts, deletes, and window expirations in
         // one envelope, acked per item.
         Request::Mutate { shard, muts } => match service.try_mutate(shard, muts) {
             Ok((accepted, epoch)) => Response::Mutated { accepted, epoch },
             Err(e) => err_response(e),
         },
-        // Stateless: the handshake is advisory (a capability probe);
-        // the server accepts v2/v3 ops with or without it. The cap mask
-        // is derived from the op-table registry, so adding an op with a
-        // capability bit advertises it automatically.
-        Request::Hello { max_version } => Response::Hello {
-            version: wire::negotiate(max_version),
-            caps: wire::server_caps(),
-        },
-        // v5 replication: ship the journal batch unit at `from_index`
-        // (pull model — the subscriber's cursor is its own batch count,
-        // so a lost reply is just re-fetched). The `replica.ship`
-        // failpoint models a dropped/aborted shipment on the link.
-        Request::ReplSubscribe { shard, from_index } => match failpoint::eval(sites::REPL_SHIP) {
-            failpoint::FaultAction::SpuriousFull => Response::Overloaded,
-            failpoint::FaultAction::TruncateWrite(_) => {
-                Response::Error("replication shipment aborted (failpoint)".to_string())
-            }
-            failpoint::FaultAction::Proceed => match service.repl_fetch(shard, from_index) {
-                Ok((index, total, points)) => Response::ReplBatch {
-                    index,
-                    total,
-                    dim: service.config().dim,
-                    points,
-                },
-                Err(e) => err_response(e),
-            },
-        },
-        // v6 typed replication: same pull model and `replica.ship`
-        // failpoint as `ReplSubscribe`, but the unit keeps tombstones
-        // and survivor checkpoints distinct instead of flattening.
+        // Stateless and optional: one exact version check, so a peer
+        // built against another wire format fails at connect.
+        Request::Hello { version } if version == PROTOCOL_VERSION => Response::Hello { version },
+        Request::Hello { version } => Response::Error(format!(
+            "protocol version {version} unsupported; this server speaks {PROTOCOL_VERSION}"
+        )),
+        // Replication: ship the typed journal unit at `from_index` (pull
+        // model — the subscriber's cursor is its own unit count, so a
+        // lost reply is just re-fetched). The `replica.ship` failpoint
+        // models a dropped/aborted shipment on the link.
         Request::ReplUnitFetch { shard, from_index } => match failpoint::eval(sites::REPL_SHIP) {
             failpoint::FaultAction::SpuriousFull => Response::Overloaded,
             failpoint::FaultAction::TruncateWrite(_) => {
@@ -699,10 +446,9 @@ fn dispatch(service: &HullService, req: Request) -> (Response, bool) {
             service.update_scrape_gauges();
             Response::Metrics(chull_obs::registry().render())
         }
-        // v4 pipelining: execute the wrapped request and echo the
+        // Pipelining: execute the wrapped request and echo the
         // correlation id outermost. Depth is bounded — the decoder
-        // rejects nested Tagged frames — and both back ends route
-        // through here, so the oracle answers pipelined frames too.
+        // rejects nested Tagged frames.
         Request::Tagged { id, inner } => {
             let (resp, stop) = dispatch(service, *inner);
             return (
@@ -737,7 +483,7 @@ where
 /// Read-reply status wrappers, innermost first: `Degraded(generation)`
 /// while the shard's supervisor is replaying its journal, then
 /// `Stale(lag)` when this node is a follower trailing its primary by
-/// `lag` batch units (the epoch-staleness bound, v5). The wire layer
+/// `lag` batch units (the epoch-staleness bound). The wire layer
 /// enforces this order — `Stale` ⊃ `Degraded` — and the `Tagged`
 /// pipelining wrapper goes outside both. Errors pass through unwrapped.
 fn wrap_read(service: &HullService, shard: u16, resp: Response) -> Response {
@@ -806,47 +552,14 @@ mod tests {
     }
 
     #[test]
-    fn scan_ops_agree_with_fast_queries() {
-        let mut server = serve(opts(2)).unwrap();
-        let mut c = HullClient::builder(server.local_addr().to_string())
-            .connect()
-            .unwrap();
-        assert_eq!(c.contains_scan(0, &[0, 0]).unwrap(), None, "boot");
-        for p in [[0, 0], [12, 0], [0, 12], [12, 12], [6, 14]] {
-            c.mutate(0, MutationBatch::new().insert(p)).unwrap();
-        }
-        c.flush(0).unwrap();
-        for q in [[6, 6], [13, 13], [6, 13], [-1, 0], [12, 0]] {
-            assert_eq!(
-                c.contains(0, &q).unwrap(),
-                c.contains_scan(0, &q).unwrap(),
-                "contains vs scan at {q:?}"
-            );
-            assert_eq!(
-                c.visible(0, &q).unwrap(),
-                c.visible_scan(0, &q).unwrap(),
-                "visible vs scan at {q:?}"
-            );
-        }
-        for d in [[1, 1], [-1, 0], [0, 1], [3, -2]] {
-            assert_eq!(
-                c.extreme(0, &d).unwrap(),
-                c.extreme_scan(0, &d).unwrap(),
-                "extreme vs scan along {d:?}"
-            );
-        }
-        server.shutdown();
-    }
-
-    #[test]
     fn bad_requests_get_error_replies() {
         let mut server = serve(opts(2)).unwrap();
         let mut c = HullClient::builder(server.local_addr().to_string())
             .connect()
             .unwrap();
-        let r = c.raw(&Request::Insert {
+        let r = c.raw(&Request::Mutate {
             shard: 99,
-            point: vec![0, 0],
+            muts: vec![crate::wire::Mutation::Insert(vec![0, 0])],
         });
         assert!(matches!(r.unwrap(), Response::Error(_)));
         let r = c.raw(&Request::Contains {
@@ -869,7 +582,7 @@ mod tests {
         let mut c = HullClient::builder(addr.to_string()).connect().unwrap();
         c.mutate(0, MutationBatch::new().insert([1, 2])).unwrap();
         c.shutdown_server().unwrap();
-        // join() returns because the accept loop exits.
+        // join() returns because the reactor exits.
         server.join();
         assert!(
             HullClient::builder(addr.to_string()).connect().is_err() || {

@@ -168,15 +168,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Outcome of a non-blocking insert attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// Queued for the shard's next batch.
-    Queued,
-    /// Queue at capacity — the caller should retry after a pause.
-    Overloaded,
-}
-
 /// Request-level failures (distinct from backpressure).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
@@ -189,10 +180,6 @@ pub enum ServiceError {
     /// Write rejected: this node is a read-only follower replica; only
     /// its replication puller may mutate shard state.
     ReadOnly,
-    /// The requested operation cannot be served at the negotiated
-    /// protocol version (e.g. a v5 flat replication fetch against a
-    /// journal holding tombstone or checkpoint units).
-    Unsupported(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -202,7 +189,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::BadPoint(msg) => write!(f, "bad point: {msg}"),
             ServiceError::Closed => write!(f, "service shutting down"),
             ServiceError::ReadOnly => write!(f, "read-only follower replica"),
-            ServiceError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
         }
     }
 }
@@ -721,27 +707,6 @@ impl HullService {
         Ok((accepted, load_snap(&sh.snap).epoch))
     }
 
-    /// Non-blocking insert; `Overloaded` is the backpressure signal.
-    /// Thin shim over [`HullService::try_mutate`].
-    pub fn try_insert(&self, shard: u16, point: Vec<i64>) -> Result<InsertOutcome, ServiceError> {
-        let (accepted, _) = self.try_mutate(shard, vec![Mutation::Insert(point)])?;
-        Ok(if accepted[0] {
-            InsertOutcome::Queued
-        } else {
-            InsertOutcome::Overloaded
-        })
-    }
-
-    /// Non-blocking batch insert (wire `InsertBatch`, protocol v2).
-    /// Thin shim over [`HullService::try_mutate`].
-    pub fn try_insert_batch(
-        &self,
-        shard: u16,
-        points: Vec<Vec<i64>>,
-    ) -> Result<(Vec<bool>, u64), ServiceError> {
-        self.try_mutate(shard, points.into_iter().map(Mutation::Insert).collect())
-    }
-
     /// Barrier: blocks until every mutation enqueued before this call
     /// has been applied and republished; returns the publication epoch.
     ///
@@ -808,7 +773,7 @@ impl HullService {
         Ok(self.shard(shard)?.repl.total())
     }
 
-    /// Ship one **typed** journal batch unit to a v6 replication
+    /// Ship one **typed** journal batch unit to a replication
     /// subscriber: returns `(index, total, unit)` — the unit at
     /// `from_index`, or the pending checkpoint unit (whose `index` may
     /// be **ahead** of `from_index`: units the checkpoint collapsed are
@@ -835,51 +800,6 @@ impl HullService {
                     tombstones: Vec::new(),
                 },
             )),
-        }
-    }
-
-    /// Ship one journal batch unit as a **flat point list** (protocol
-    /// v5 `ReplSubscribe` compatibility): returns `(index, total, flat
-    /// points)`. Only pure-insert units can be flattened — a fetch that
-    /// lands on a tombstone-bearing or checkpoint unit fails with
-    /// [`ServiceError::Unsupported`]; such followers must speak v6.
-    /// Insert-only shards behave byte-for-byte as before.
-    pub fn repl_fetch(
-        &self,
-        shard: u16,
-        from_index: u64,
-    ) -> Result<(u64, u64, Vec<i64>), ServiceError> {
-        let sh = self.shard(shard)?;
-        let total = sh.repl.total();
-        match sh.repl.get_abs(from_index) {
-            Some((index, unit)) => {
-                if index != from_index {
-                    return Err(ServiceError::Unsupported(
-                        "journal checkpointed past the requested unit; \
-                         v5 flat replication cannot resume — use v6"
-                            .into(),
-                    ));
-                }
-                match &*unit {
-                    ReplUnit::Ops {
-                        inserts,
-                        tombstones,
-                    } if tombstones.is_empty() => {
-                        let mut flat = Vec::with_capacity(inserts.len() * self.config.dim);
-                        for p in inserts {
-                            flat.extend_from_slice(p);
-                        }
-                        service_metrics().repl_units_shipped.incr();
-                        Ok((from_index, total, flat))
-                    }
-                    _ => Err(ServiceError::Unsupported(
-                        "unit holds tombstone or checkpoint ops; \
-                         v5 flat replication cannot ship it — use v6"
-                            .into(),
-                    )),
-                }
-            }
-            None => Ok((total, total, Vec::new())),
         }
     }
 
@@ -939,13 +859,6 @@ impl HullService {
             // index mirror. The caller reconciles via `batch_units`.
             Err(_) => Ok(load_snap(&sh.snap).epoch),
         }
-    }
-
-    /// Apply one replicated pure-insert batch unit (protocol v5
-    /// follower path). Thin shim over
-    /// [`HullService::apply_replica_ops`].
-    pub fn apply_replica_unit(&self, shard: u16, unit: Vec<Vec<i64>>) -> Result<u64, ServiceError> {
-        self.apply_replica_ops(shard, unit, Vec::new())
     }
 
     /// Apply a primary's **checkpoint unit** (follower puller path,
@@ -1809,13 +1722,16 @@ mod tests {
         }
     }
 
+    /// Enqueue `pts` one at a time, in order, spinning through
+    /// backpressure.
     fn insert_all(svc: &HullService, shard: u16, pts: &chull_geometry::PointSet) {
         for p in pts.iter() {
-            loop {
-                match svc.try_insert(shard, p.to_vec()).unwrap() {
-                    InsertOutcome::Queued => break,
-                    InsertOutcome::Overloaded => std::thread::yield_now(),
-                }
+            while !svc
+                .try_mutate(shard, vec![Mutation::Insert(p.to_vec())])
+                .unwrap()
+                .0[0]
+            {
+                std::thread::yield_now();
             }
         }
     }
@@ -1897,10 +1813,12 @@ mod tests {
     fn shards_are_independent() {
         let svc = HullService::new(cfg(2, 2)).unwrap();
         for p in [[0, 0], [8, 0], [0, 8], [8, 8]] {
-            svc.try_insert(0, p.to_vec()).unwrap();
+            svc.try_mutate(0, vec![Mutation::Insert(p.to_vec())])
+                .unwrap();
         }
         for p in [[100, 100], [101, 100], [100, 101]] {
-            svc.try_insert(1, p.to_vec()).unwrap();
+            svc.try_mutate(1, vec![Mutation::Insert(p.to_vec())])
+                .unwrap();
         }
         svc.flush(0).unwrap();
         svc.flush(1).unwrap();
@@ -1918,14 +1836,16 @@ mod tests {
         let svc = HullService::new(cfg(2, 1)).unwrap();
         // Collinear prefix: stays in bootstrap.
         for p in [[0, 0], [1, 1], [2, 2], [3, 3]] {
-            svc.try_insert(0, p.to_vec()).unwrap();
+            svc.try_mutate(0, vec![Mutation::Insert(p.to_vec())])
+                .unwrap();
         }
         svc.flush(0).unwrap();
         let snap = svc.snapshot(0).unwrap();
         assert!(!snap.ready());
         assert_eq!(snap.num_points(), 4);
         // One off-line point completes the simplex; the buffer replays.
-        svc.try_insert(0, vec![5, 0]).unwrap();
+        svc.try_mutate(0, vec![Mutation::Insert(vec![5, 0])])
+            .unwrap();
         svc.flush(0).unwrap();
         let snap = svc.snapshot(0).unwrap();
         assert!(snap.ready());
@@ -1938,15 +1858,15 @@ mod tests {
     fn rejects_bad_input() {
         let svc = HullService::new(cfg(2, 1)).unwrap();
         assert!(matches!(
-            svc.try_insert(5, vec![0, 0]),
+            svc.try_mutate(5, vec![Mutation::Insert(vec![0, 0])]),
             Err(ServiceError::BadShard(5))
         ));
         assert!(matches!(
-            svc.try_insert(0, vec![0, 0, 0]),
+            svc.try_mutate(0, vec![Mutation::Insert(vec![0, 0, 0])]),
             Err(ServiceError::BadPoint(_))
         ));
         assert!(matches!(
-            svc.try_insert(0, vec![i64::MAX, 0]),
+            svc.try_mutate(0, vec![Mutation::Insert(vec![i64::MAX, 0])]),
             Err(ServiceError::BadPoint(_))
         ));
         assert!(matches!(
@@ -1992,7 +1912,8 @@ mod tests {
     fn delete_miss_is_counted_not_journaled() {
         let svc = HullService::new(cfg(2, 1)).unwrap();
         for p in [[0, 0], [9, 0], [0, 9]] {
-            svc.try_insert(0, p.to_vec()).unwrap();
+            svc.try_mutate(0, vec![Mutation::Insert(p.to_vec())])
+                .unwrap();
         }
         let e1 = svc.flush(0).unwrap();
         mutate_all(&svc, 0, vec![Mutation::Delete(vec![7, 7])]);
@@ -2051,7 +1972,8 @@ mod tests {
         assert_eq!(snap_canonical(&snap, 2), offline_canonical(&square, 2));
         // The checkpoint preserved the cumulative unit index: epochs
         // keep climbing.
-        svc.try_insert(0, vec![5, 20]).unwrap();
+        svc.try_mutate(0, vec![Mutation::Insert(vec![5, 20])])
+            .unwrap();
         let e = svc.flush(0).unwrap();
         assert!(e > snap.epoch);
         svc.shutdown();
@@ -2102,7 +2024,8 @@ mod tests {
         // Hull vertices far out; interior rows to insert-and-delete so
         // no delete ever touches the hull.
         for p in [[-50, -50], [50, -50], [-50, 50], [50, 50]] {
-            svc.try_insert(0, p.to_vec()).unwrap();
+            svc.try_mutate(0, vec![Mutation::Insert(p.to_vec())])
+                .unwrap();
         }
         svc.flush(0).unwrap();
         for i in 0..20i64 {
@@ -2310,9 +2233,11 @@ mod tests {
         {
             let svc = HullService::new(config.clone()).unwrap();
             for p in [[0, 0], [10, 0], [0, 10], [10, 10]] {
-                svc.try_insert(0, p.to_vec()).unwrap();
+                svc.try_mutate(0, vec![Mutation::Insert(p.to_vec())])
+                    .unwrap();
             }
-            svc.try_insert(1, vec![7, 7]).unwrap();
+            svc.try_mutate(1, vec![Mutation::Insert(vec![7, 7])])
+                .unwrap();
             svc.flush(0).unwrap();
             svc.flush(1).unwrap();
             svc.shutdown();
@@ -2327,7 +2252,8 @@ mod tests {
         assert_eq!(snap.contains(&[5, 5], &mut k), Some(true));
         assert_eq!(svc.snapshot(1).unwrap().num_points(), 1);
         // New inserts append to the recovered state.
-        svc.try_insert(0, vec![20, 5]).unwrap();
+        svc.try_mutate(0, vec![Mutation::Insert(vec![20, 5])])
+            .unwrap();
         svc.flush(0).unwrap();
         assert_eq!(svc.snapshot(0).unwrap().num_points(), 5);
         svc.shutdown();
@@ -2383,7 +2309,8 @@ mod tests {
             baseline
         );
         // The bulk-seeded hull keeps serving new inserts.
-        svc.try_insert(0, vec![(1 << 21) + 7, 0]).unwrap();
+        svc.try_mutate(0, vec![Mutation::Insert(vec![(1 << 21) + 7, 0])])
+            .unwrap();
         svc.flush(0).unwrap();
         let mut k = KernelCounts::default();
         assert_eq!(

@@ -133,7 +133,7 @@ impl HullSnapshot {
     /// Membership test; `None` while bootstrapping. Kernel counters go to
     /// the caller's accumulator (folded into shard atomics by the server).
     /// Descends the history graph through the snapshot's packed-plane
-    /// filter; see [`HullSnapshot::contains_scan`] for the oracle twin.
+    /// filter.
     pub fn contains(&self, point: &[i64], counts: &mut KernelCounts) -> Option<bool> {
         match &self.state {
             SnapState::Boot(_) => None,
@@ -160,35 +160,6 @@ impl HullSnapshot {
             (SnapState::Boot(_), _) => None,
             (SnapState::Live(h), Some(a)) => Some(h.extreme_with(direction, &a.verts)),
             (SnapState::Live(h), None) => Some(h.extreme(direction)),
-        }
-    }
-
-    /// Linear-scan oracle twin of [`HullSnapshot::contains`]: test every
-    /// alive facet with the per-facet staged kernel. Same answer, O(f)
-    /// cost — the runtime A/B baseline behind `hull query --scan` and the
-    /// wire `ContainsScan` op.
-    pub fn contains_scan(&self, point: &[i64], counts: &mut KernelCounts) -> Option<bool> {
-        match &self.state {
-            SnapState::Boot(_) => None,
-            SnapState::Live(h) => Some(h.contains_scan(point, counts)),
-        }
-    }
-
-    /// Linear-scan oracle twin of [`HullSnapshot::visible_count`].
-    pub fn visible_count_scan(&self, point: &[i64], counts: &mut KernelCounts) -> Option<u32> {
-        match &self.state {
-            SnapState::Boot(_) => None,
-            SnapState::Live(h) => Some(h.visible_facets_scan(point, counts).len() as u32),
-        }
-    }
-
-    /// Baseline twin of [`HullSnapshot::extreme`]: re-derives the vertex
-    /// set from the alive facets per query instead of using the cached
-    /// list. Same answer (ties break toward the smallest id either way).
-    pub fn extreme_scan(&self, direction: &[i64]) -> Option<(u32, Vec<i64>)> {
-        match &self.state {
-            SnapState::Boot(_) => None,
-            SnapState::Live(h) => Some(h.extreme(direction)),
         }
     }
 
@@ -273,9 +244,6 @@ mod tests {
         assert_eq!(s.contains(&[0, 0], &mut k), None);
         assert_eq!(s.visible_count(&[0, 0], &mut k), None);
         assert_eq!(s.extreme(&[1, 0]), None);
-        assert_eq!(s.contains_scan(&[0, 0], &mut k), None);
-        assert_eq!(s.visible_count_scan(&[0, 0], &mut k), None);
-        assert_eq!(s.extreme_scan(&[1, 0]), None);
         assert_eq!(s.num_points(), 0);
         assert_eq!(s.num_facets(), 0);
         assert_eq!(s.plane_block_len(), 0);
@@ -301,22 +269,26 @@ mod tests {
     }
 
     #[test]
-    fn scan_twins_agree_with_descent() {
+    fn accelerated_queries_agree_with_the_scan_oracle() {
         let mut h = OnlineHull::new(2, &[vec![0, 0], vec![10, 0], vec![0, 10]]);
         for p in [[10, 10], [20, 5], [5, 20], [-3, -3], [7, 7]] {
             h.insert(&p);
         }
+        let oracle = h.clone();
         let s = HullSnapshot::freeze_live(2, 8, h);
         let mut k = KernelCounts::default();
+        let mut scan = KernelCounts::default();
         for q in [[5i64, 5], [100, 100], [-50, 2], [0, 0], [21, 4]] {
-            assert_eq!(s.contains(&q, &mut k), s.contains_scan(&q, &mut k));
+            assert_eq!(
+                s.contains(&q, &mut k),
+                Some(oracle.contains_scan(&q, &mut scan))
+            );
             assert_eq!(
                 s.visible_count(&q, &mut k),
-                s.visible_count_scan(&q, &mut k)
+                Some(oracle.visible_facets_scan(&q, &mut scan).len() as u32)
             );
-            assert_eq!(s.extreme(&q), s.extreme_scan(&q));
+            assert_eq!(s.extreme(&q), Some(oracle.extreme(&q)));
         }
-        #[cfg(not(feature = "linear-scan"))]
         assert!(k.descent_steps > 0, "descent path must report its steps");
     }
 }

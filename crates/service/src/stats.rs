@@ -109,7 +109,7 @@ pub struct ShardStats {
     /// builds (never candidates, never touched the batch install).
     pub bulk_pruned: AtomicU64,
     /// Deletes and expires accepted into the ingest queue (wire
-    /// `Mutate`, protocol v6).
+    /// `Mutate`).
     pub deletes_enqueued: AtomicU64,
     /// Deletes that found no live copy (acked, nothing journaled).
     pub delete_misses: AtomicU64,

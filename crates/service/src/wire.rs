@@ -10,107 +10,75 @@
 //!
 //! | opcode | request    | Ok-response body                               |
 //! |-------:|------------|------------------------------------------------|
-//! | `0x01` | `Insert`   | empty (insert queued for the shard's batch)     |
 //! | `0x02` | `Contains` | `u8` boolean                                    |
 //! | `0x03` | `Visible`  | `u32` count of visible facets (0 = inside/on)   |
 //! | `0x04` | `Extreme`  | `u32` vertex id, point                          |
 //! | `0x05` | `Stats`    | `u32` length + JSON utf-8                       |
 //! | `0x06` | `Snapshot` | `u64` epoch, `u8` dim, points, facets           |
-//! | `0x07` | `Flush`    | `u64` epoch after all prior inserts applied     |
+//! | `0x07` | `Flush`    | `u64` epoch after all prior mutations applied   |
 //! | `0x08` | `Shutdown` | empty (server begins graceful shutdown)         |
 //! | `0x09` | `Metrics`  | `u32` length + Prometheus text exposition utf-8 |
-//! | `0x0A` | `InsertBatch` | `u32` count, per-point accepted bitmap, `u64` epoch |
-//! | `0x0B` | `Hello`    | `u16` negotiated version, `u32` capability bits |
-//! | `0x0C` | `ContainsScan` | `u8` boolean (same body as `Contains`)      |
-//! | `0x0D` | `VisibleScan`  | `u32` count (same body as `Visible`)        |
-//! | `0x0E` | `ExtremeScan`  | `u32` vertex id, point (same as `Extreme`)  |
+//! | `0x0B` | `Hello`    | `u16` protocol version                          |
 //! | `0x0F` | `Tagged`   | status `0x05` + `u64` id + complete inner reply |
-//! | `0x10` | `ReplSubscribe` | `u64` index, `u64` total, `u8` dim, packed batch |
-//! | `0x11` | `ReplAck`  | `u64` lag (total − acked batches)               |
+//! | `0x11` | `ReplAck`  | `u64` lag (total − acked units)                 |
 //! | `0x12` | `Mutate`   | `u32` count, per-mutation accepted bitmap, `u64` epoch |
 //! | `0x13` | `ReplUnitFetch` | `u64` index, `u64` total, `u8` dim, typed unit |
 //!
-//! Opcodes `0x0A`–`0x0B` are **protocol v2** ([`PROTOCOL_V2`]);
-//! `0x0C`–`0x0E` are **protocol v3** ([`PROTOCOL_V3`]): the `*Scan`
-//! query ops answer through the linear-scan oracle path (full staged
-//! scan over alive facets) instead of the history-graph descent, for
-//! live A/B comparison (`hull query --scan`). Answers are bit-identical
-//! to the fast ops; request/response bodies reuse the v1 encodings.
-//! `InsertBatch` carries `u32` count then `count` packed points, and its
-//! Ok-reply bitmap records which points were *queued* (bit clear =
-//! that point hit `Overloaded` backpressure; geometric acceptance is
-//! decided later by the shard worker), plus the shard's publication
-//! epoch at enqueue time. `Hello` is optional and stateless: a client
-//! sends its highest supported version and the server answers
-//! `min(client, server)` plus capability bits ([`CAP_INSERT_BATCH`]).
-//! A v1 client that never sends `Hello` sees byte-for-byte v1 behavior;
-//! the server accepts v2 ops with or without a preceding `Hello`.
+//! There is one protocol version, [`PROTOCOL_VERSION`]. `Hello` carries
+//! the client's version and the server answers it only when it is
+//! exactly that; any other version gets an `Error` reply, so a binary
+//! built against another wire format fails at connect instead of
+//! misreading frames later. `Hello` is stateless and optional: a peer
+//! may send requests without it. Opcodes missing from the table (among
+//! them the retired `0x01`, `0x0A`, `0x0C`–`0x0E` and `0x10`) decode to
+//! [`WireError::BadOpcode`] and get an `Error` reply; the connection
+//! stays usable.
 //!
-//! Opcode `0x0F` is **protocol v4** ([`PROTOCOL_V4`]): request
-//! **pipelining** with correlation ids. A `Tagged` request wraps any
-//! other request (never another `Tagged`) with a client-chosen `u64`
-//! id; the reply comes back as a `Tagged` response (status `0x05`)
-//! carrying the same id around the complete inner reply. Tagged frames
-//! on one connection may be answered **out of order** — the id, not
-//! arrival position, correlates replies — so a client can keep many
-//! requests in flight on one socket. Untagged frames keep the strict
-//! v1 contract: on any single connection they are executed and answered
-//! in arrival order, one at a time. `Tagged` wraps outermost on the
-//! response side: `Tagged(id, Degraded(g, inner))` is legal,
-//! `Degraded(g, Tagged(..))` is not.
+//! **Writes.** `Mutate` is the only write op. It carries a list of
+//! [`Mutation`]s — inserts, deletes, and window expirations — that the
+//! shard worker applies as *one* journal unit (one marker, one epoch).
+//! Its Ok-reply is a bitmap of which mutations entered the queue (a
+//! clear bit means that mutation hit `Overloaded` backpressure and
+//! should be resent) plus the shard's publication epoch at enqueue time.
 //!
-//! Opcodes `0x10`–`0x11` are **protocol v5** ([`PROTOCOL_V5`],
-//! [`CAP_REPLICATION`]): **journal shipping** between nodes. Replication
-//! is *pull-based* so it works unchanged through both request/reply
-//! front ends: a follower sends `ReplSubscribe { shard, from_index }`
-//! and the primary answers with the journal **batch unit** at that
-//! index (the atomic unit of S17 — one journal marker, one epoch) plus
-//! the primary's current batch total; an empty batch with
-//! `index == total` means "caught up, poll again". `ReplAck { shard,
-//! index }` tells the primary the follower has durably applied every
-//! batch below `index`; the primary answers the follower's current lag
-//! and feeds the `chull_replica_*` gauges. Order-independence
-//! (Theorem 4.2) is what makes this safe without consensus: batches may
-//! be re-fetched after a dropped or duplicated shipment and applied in
-//! any interleaving — the follower skips indices it already holds and
-//! the hull converges bit-identical regardless.
+//! **Pipelining.** A `Tagged` request wraps any other request (never
+//! another `Tagged`) with a client-chosen `u64` id; the reply comes back
+//! as a `Tagged` response (status `0x05`) carrying the same id around
+//! the complete inner reply. Tagged frames on one connection may be
+//! answered **out of order** — the id, not arrival position, correlates
+//! replies — so a client can keep many requests in flight on one
+//! socket. Untagged frames keep the strict request/reply contract: on
+//! any single connection they are executed and answered in arrival
+//! order, one at a time.
 //!
-//! Status `0x06` (`Stale`) is the v5 read-side wrapper: a follower
-//! serving a read while `lag` batch units behind its primary wraps the
-//! answer as `Stale { lag, inner }` — the epoch-staleness bound
-//! surfaced in-band, exactly as `Degraded` surfaces recovery windows.
-//! Wrapper order is fixed: `Tagged` ⊃ `Stale` ⊃ `Degraded` ⊃ plain;
-//! any other nesting is a decode error, and no wrapper nests in itself.
+//! **Replication** is *pull-based*. A follower sends `ReplUnitFetch {
+//! shard, from_index }` and the primary answers with the typed journal
+//! unit at that index plus its current unit total: a [`ReplUnit`] that
+//! is either `Ops` (inserts plus tombstones journaled under one marker)
+//! or `Checkpoint` (a survivor set that *replaces* the follower's shard
+//! state — how rebuilds from windowed or deleted shards replicate
+//! without shipping history). After a compaction the answered index may
+//! be *behind* `from_index`: the checkpoint the follower must reset to.
+//! An empty `Ops` unit with `index == total` means "caught up, poll
+//! again". `ReplAck { shard, index }` tells the primary the follower
+//! has durably applied every unit below `index`; the primary answers
+//! the follower's current lag and feeds the `chull_replica_*` gauges.
+//! The follower skips indices it already holds, so a re-fetched or
+//! duplicated shipment is harmless.
 //!
-//! Opcodes `0x12`–`0x13` are **protocol v6** ([`PROTOCOL_V6`],
-//! [`CAP_MUTATION`]): the **unified mutation envelope** and **typed
-//! journal-unit replication**. `Mutate` carries a heterogeneous list of
-//! [`Mutation`] ops — inserts, deletes, and window expirations — that
-//! the shard worker applies as *one* journal unit (one marker, one
-//! epoch); its Ok-reply mirrors `InsertedBatch`: a bitmap of which
-//! mutations entered the queue plus the enqueue-time epoch. A batch of
-//! pure inserts sent through `Mutate` is behaviorally identical to
-//! `InsertBatch` — the old op stays bit-for-bit as the v2 shim.
-//! `ReplUnitFetch` is `ReplSubscribe` generalized to typed units: the
-//! reply is a [`ReplUnit`] that is either `Ops` (inserts + tombstones,
-//! the v6 superset of the flat v5 batch) or `Checkpoint` (a survivor
-//! set that *replaces* the follower's shard state — how rebuilds from
-//! windowed/deleted shards replicate without shipping history).
-//! Tombstone- or checkpoint-bearing journals cannot ship over the flat
-//! v5 op; the primary answers those `ReplSubscribe` pulls with an
-//! error telling the follower to upgrade.
+//! **Status wrappers.** `Degraded` (`u32` recovery generation + a
+//! complete nested response): the shard's worker died and is replaying
+//! its journal, and the enclosed answer was served from the last good
+//! snapshot. `Stale` (`u64` lag + nested response): a follower serving
+//! a read while `lag` units behind its primary — the epoch-staleness
+//! bound, surfaced in-band. Wrapper order is fixed: `Tagged` ⊃ `Stale`
+//! ⊃ `Degraded` ⊃ plain; any other nesting is a decode error, and no
+//! wrapper nests in itself. The other non-Ok statuses are `Overloaded`
+//! (ingest queue full — retry), `NotReady` (shard still bootstrapping
+//! its seed simplex) and `Error` (+ utf-8 text).
 //!
-//! From v6 on, the per-op admission data — minimum version, capability
-//! bit, pipeline-wrappability, write-path flag — lives in one place:
-//! the [`OP_TABLE`] registry. The server's `Hello` capability mask is
-//! [`server_caps`] (the OR of every registered bit) rather than a
-//! hand-maintained constant.
-//!
-//! Non-Ok statuses: `Overloaded` (ingest queue full — retry), `NotReady`
-//! (shard still bootstrapping its seed simplex), `Error` (+ utf-8 text),
-//! and `Degraded` (`u32` recovery generation + a complete nested
-//! response): the shard's worker died and is replaying its journal, and
-//! the enclosed answer was served from the last good snapshot.
+//! The per-op admission data — pipeline-wrappability and the
+//! write-path flag — lives in one place, the [`OP_TABLE`] registry.
 //!
 //! **No decode path panics.** Every malformed byte sequence yields a
 //! typed [`WireError`]; the only panics left in this module are
@@ -127,44 +95,10 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// Shard id meaning "aggregate over all shards" (Stats only).
 pub const ALL_SHARDS: u16 = u16::MAX;
 
-/// The original protocol: single-point inserts, no handshake.
-pub const PROTOCOL_V1: u16 = 1;
-/// Adds the `Hello` handshake and batched inserts (`InsertBatch`).
-pub const PROTOCOL_V2: u16 = 2;
-/// Adds the linear-scan query ops (`ContainsScan`/`VisibleScan`/
-/// `ExtremeScan`) — runtime A/B oracles for the sublinear read path.
-pub const PROTOCOL_V3: u16 = 3;
-/// Adds `Tagged` correlation-id frames: pipelined, possibly
-/// out-of-order replies on one connection.
-pub const PROTOCOL_V4: u16 = 4;
-/// Adds the replication ops (`ReplSubscribe`/`ReplAck`) and the
-/// `Stale` staleness wrapper on follower reads.
-pub const PROTOCOL_V5: u16 = 5;
-/// Adds the unified `Mutate` envelope (insert/delete/expire in one
-/// frame, one journal unit) and typed-unit replication
-/// (`ReplUnitFetch` shipping ops or checkpoints).
-pub const PROTOCOL_V6: u16 = 6;
-/// Capability bit: the server accepts `InsertBatch` frames.
-pub const CAP_INSERT_BATCH: u32 = 1;
-/// Capability bit: the server accepts the `*Scan` query ops.
-pub const CAP_SCAN_QUERIES: u32 = 2;
-/// Capability bit: the server accepts `Tagged` (pipelined) frames.
-pub const CAP_PIPELINE: u32 = 4;
-/// Capability bit: the server ships journal batch units to
-/// subscribers (`ReplSubscribe`/`ReplAck`).
-pub const CAP_REPLICATION: u32 = 8;
-/// Capability bit: the server accepts `Mutate` envelopes (deletes and
-/// window expirations) and ships typed units via `ReplUnitFetch`.
-pub const CAP_MUTATION: u32 = 16;
+/// The one wire version this build speaks; `Hello` with any other
+/// version is refused.
+pub const PROTOCOL_VERSION: u16 = 7;
 
-/// The version a server answers to a client advertising `client_max`:
-/// the highest both sides speak (never below [`PROTOCOL_V1`] — a
-/// client advertising 0 is treated as v1).
-pub fn negotiate(client_max: u16) -> u16 {
-    client_max.clamp(PROTOCOL_V1, PROTOCOL_V6)
-}
-
-const OP_INSERT: u8 = 0x01;
 const OP_CONTAINS: u8 = 0x02;
 const OP_VISIBLE: u8 = 0x03;
 const OP_EXTREME: u8 = 0x04;
@@ -173,13 +107,8 @@ const OP_SNAPSHOT: u8 = 0x06;
 const OP_FLUSH: u8 = 0x07;
 const OP_SHUTDOWN: u8 = 0x08;
 const OP_METRICS: u8 = 0x09;
-const OP_INSERT_BATCH: u8 = 0x0A;
 const OP_HELLO: u8 = 0x0B;
-const OP_CONTAINS_SCAN: u8 = 0x0C;
-const OP_VISIBLE_SCAN: u8 = 0x0D;
-const OP_EXTREME_SCAN: u8 = 0x0E;
 const OP_TAGGED: u8 = 0x0F;
-const OP_REPL_SUBSCRIBE: u8 = 0x10;
 const OP_REPL_ACK: u8 = 0x11;
 const OP_MUTATE: u8 = 0x12;
 const OP_REPL_UNIT: u8 = 0x13;
@@ -193,9 +122,7 @@ const MUT_EXPIRE: u8 = 2;
 const UNIT_OPS: u8 = 0;
 const UNIT_CHECKPOINT: u8 = 1;
 
-/// One wire op's registry row: the admission data the server and
-/// router consult — which protocol version introduced the op, which
-/// capability bit advertises it, whether it may ride inside a `Tagged`
+/// One wire op's registry row: whether it may ride inside a `Tagged`
 /// pipeline wrapper, and whether it takes the journaled write path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpSpec {
@@ -203,185 +130,42 @@ pub struct OpSpec {
     pub code: u8,
     /// Stable label, used for the `op="..."` metric series.
     pub name: &'static str,
-    /// First protocol version that includes the op.
-    pub min_version: u16,
-    /// Capability bit advertising the op in `Hello` (0 = always on).
-    pub cap: u32,
     /// May the op be wrapped in a `Tagged` pipeline frame?
     pub wrappable: bool,
     /// Does the op mutate shard state (journaled write path)?
     pub write: bool,
 }
 
+const fn op(code: u8, name: &'static str, wrappable: bool, write: bool) -> OpSpec {
+    OpSpec {
+        code,
+        name,
+        wrappable,
+        write,
+    }
+}
+
 /// The op registry, in opcode order. Growing the protocol means adding
-/// a row here plus the codec arms; the server capability mask
-/// ([`server_caps`]) and per-op admission checks derive from this
-/// table instead of hand-maintained constants scattered across layers.
+/// a row here plus the codec arms.
 pub const OP_TABLE: &[OpSpec] = &[
-    OpSpec {
-        code: OP_INSERT,
-        name: "insert",
-        min_version: PROTOCOL_V1,
-        cap: 0,
-        wrappable: true,
-        write: true,
-    },
-    OpSpec {
-        code: OP_CONTAINS,
-        name: "contains",
-        min_version: PROTOCOL_V1,
-        cap: 0,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_VISIBLE,
-        name: "visible",
-        min_version: PROTOCOL_V1,
-        cap: 0,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_EXTREME,
-        name: "extreme",
-        min_version: PROTOCOL_V1,
-        cap: 0,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_STATS,
-        name: "stats",
-        min_version: PROTOCOL_V1,
-        cap: 0,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_SNAPSHOT,
-        name: "snapshot",
-        min_version: PROTOCOL_V1,
-        cap: 0,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_FLUSH,
-        name: "flush",
-        min_version: PROTOCOL_V1,
-        cap: 0,
-        wrappable: true,
-        write: true,
-    },
-    OpSpec {
-        code: OP_SHUTDOWN,
-        name: "shutdown",
-        min_version: PROTOCOL_V1,
-        cap: 0,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_METRICS,
-        name: "metrics",
-        min_version: PROTOCOL_V1,
-        cap: 0,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_INSERT_BATCH,
-        name: "insert_batch",
-        min_version: PROTOCOL_V2,
-        cap: CAP_INSERT_BATCH,
-        wrappable: true,
-        write: true,
-    },
-    OpSpec {
-        code: OP_HELLO,
-        name: "hello",
-        min_version: PROTOCOL_V2,
-        cap: 0,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_CONTAINS_SCAN,
-        name: "contains_scan",
-        min_version: PROTOCOL_V3,
-        cap: CAP_SCAN_QUERIES,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_VISIBLE_SCAN,
-        name: "visible_scan",
-        min_version: PROTOCOL_V3,
-        cap: CAP_SCAN_QUERIES,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_EXTREME_SCAN,
-        name: "extreme_scan",
-        min_version: PROTOCOL_V3,
-        cap: CAP_SCAN_QUERIES,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_TAGGED,
-        name: "tagged",
-        min_version: PROTOCOL_V4,
-        cap: CAP_PIPELINE,
-        wrappable: false,
-        write: false,
-    },
-    OpSpec {
-        code: OP_REPL_SUBSCRIBE,
-        name: "repl_subscribe",
-        min_version: PROTOCOL_V5,
-        cap: CAP_REPLICATION,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_REPL_ACK,
-        name: "repl_ack",
-        min_version: PROTOCOL_V5,
-        cap: CAP_REPLICATION,
-        wrappable: true,
-        write: false,
-    },
-    OpSpec {
-        code: OP_MUTATE,
-        name: "mutate",
-        min_version: PROTOCOL_V6,
-        cap: CAP_MUTATION,
-        wrappable: true,
-        write: true,
-    },
-    OpSpec {
-        code: OP_REPL_UNIT,
-        name: "repl_unit",
-        min_version: PROTOCOL_V6,
-        cap: CAP_MUTATION,
-        wrappable: true,
-        write: false,
-    },
+    op(OP_CONTAINS, "contains", true, false),
+    op(OP_VISIBLE, "visible", true, false),
+    op(OP_EXTREME, "extreme", true, false),
+    op(OP_STATS, "stats", true, false),
+    op(OP_SNAPSHOT, "snapshot", true, false),
+    op(OP_FLUSH, "flush", true, true),
+    op(OP_SHUTDOWN, "shutdown", true, false),
+    op(OP_METRICS, "metrics", true, false),
+    op(OP_HELLO, "hello", true, false),
+    op(OP_TAGGED, "tagged", false, false),
+    op(OP_REPL_ACK, "repl_ack", true, false),
+    op(OP_MUTATE, "mutate", true, true),
+    op(OP_REPL_UNIT, "repl_unit", true, false),
 ];
 
 /// Look up the registry row for an opcode byte.
 pub fn op_spec(code: u8) -> Option<&'static OpSpec> {
     OP_TABLE.iter().find(|s| s.code == code)
-}
-
-/// The capability mask a server advertises in `Hello`: the OR of every
-/// registered op's bit. Derived, so a new registry row is advertised
-/// automatically.
-pub fn server_caps() -> u32 {
-    OP_TABLE.iter().fold(0, |m, s| m | s.cap)
 }
 
 const ST_OK: u8 = 0x00;
@@ -460,29 +244,35 @@ impl From<WireError> for io::Error {
     }
 }
 
-/// One op inside a v6 `Mutate` envelope. A mixed list of these is
+/// One op inside a `Mutate` envelope. A mixed list of these is
 /// applied by the shard worker as one journal unit (one marker, one
 /// epoch bump), so a delete and the insert that replaces it commit or
 /// replay together.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mutation {
-    /// Insert one point (same semantics as `Insert`/`InsertBatch`).
+    /// Insert one point.
     Insert(Vec<i64>),
     /// Tombstone one live copy of the point (oldest arrival first).
     /// A miss — deleting a point that is not live — is counted and
-    /// ignored, never an error: deletes are idempotent under replay.
+    /// ignored, never an error. Deletes are idempotent under WAL replay,
+    /// which re-applies journaled tombstones exactly once. A *resend*
+    /// is not: when a client or router resends an envelope after a
+    /// lost reply, the duplicate delete can evict a second live copy
+    /// from the refcounted live set, just as a duplicate insert adds
+    /// one. Theorem 4.2 covers a set of inserts, not an insert/delete
+    /// pair arriving on tagged frames. Keying writes so a resend is
+    /// applied once is ROADMAP item 3.
     Delete(Vec<i64>),
     /// Expire the `n` oldest live points (explicit window advance; the
     /// serve-side window policy issues these implicitly).
     Expire(u32),
 }
 
-/// One typed journal unit shipped to a v6 replication subscriber.
+/// One typed journal unit shipped to a replication subscriber.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplUnit {
     /// A normal unit: the inserts and tombstones journaled together
-    /// under one marker. The flat v5 batch is the `tombstones: []`
-    /// special case.
+    /// under one marker.
     Ops {
         /// Rows inserted by the unit, journal order.
         inserts: Vec<Vec<i64>>,
@@ -505,13 +295,6 @@ pub enum ReplUnit {
 /// A decoded client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Queue one point for insertion into `shard`'s hull.
-    Insert {
-        /// Target shard.
-        shard: u16,
-        /// The point's coordinates.
-        point: Vec<i64>,
-    },
     /// Is the point inside (or on) `shard`'s current hull snapshot?
     Contains {
         /// Target shard.
@@ -552,44 +335,13 @@ pub enum Request {
     Shutdown,
     /// The telemetry registry as Prometheus text exposition.
     Metrics,
-    /// Queue a whole batch of points for `shard` in one frame (v2).
-    InsertBatch {
-        /// Target shard.
-        shard: u16,
-        /// The points, applied by the shard worker as one parallel
-        /// batch insert (one journal unit, one epoch).
-        points: Vec<Vec<i64>>,
-    },
-    /// Version/capability handshake (v2; optional and stateless).
+    /// Version check (optional and stateless): answered with `Hello`
+    /// when `version` is [`PROTOCOL_VERSION`], with `Error` otherwise.
     Hello {
-        /// Highest protocol version the client speaks.
-        max_version: u16,
+        /// The protocol version the client speaks.
+        version: u16,
     },
-    /// [`Request::Contains`] answered via the linear-scan oracle (v3):
-    /// full staged scan over alive facets, no history descent. Same
-    /// answer, used for live A/B.
-    ContainsScan {
-        /// Target shard.
-        shard: u16,
-        /// The query point.
-        point: Vec<i64>,
-    },
-    /// [`Request::Visible`] via the linear-scan oracle (v3).
-    VisibleScan {
-        /// Target shard.
-        shard: u16,
-        /// The query point.
-        point: Vec<i64>,
-    },
-    /// [`Request::Extreme`] via the per-query vertex re-derivation
-    /// baseline (v3), bypassing the snapshot's cached vertex list.
-    ExtremeScan {
-        /// Target shard.
-        shard: u16,
-        /// The direction to maximize.
-        direction: Vec<i64>,
-    },
-    /// A pipelined request (v4): the reply will be a
+    /// A pipelined request: the reply will be a
     /// [`Response::Tagged`] carrying the same `id`, possibly out of
     /// order with other tagged replies on the connection. The inner
     /// request may be anything except another `Tagged`.
@@ -599,43 +351,32 @@ pub enum Request {
         /// The request being pipelined.
         inner: Box<Request>,
     },
-    /// Pull one journal batch unit from `shard`'s replication log (v5).
-    /// The reply is the batch at `from_index` (or an empty
-    /// [`Response::ReplBatch`] with `index == total` when caught up).
-    ReplSubscribe {
-        /// Source shard on the primary.
-        shard: u16,
-        /// Index of the first batch unit the subscriber still needs —
-        /// its own applied batch count, which makes
-        /// resubscribe-with-resume a plain reconnect.
-        from_index: u64,
-    },
-    /// Tell the primary every batch unit below `index` is durably
-    /// applied on this subscriber (v5); drives the replica lag gauges.
+    /// Tell the primary every unit below `index` is durably applied on
+    /// this subscriber; drives the replica lag gauges.
     ReplAck {
         /// Source shard on the primary.
         shard: u16,
         /// One past the highest batch unit applied by the subscriber.
         index: u64,
     },
-    /// Apply a mixed mutation list to `shard` as one journal unit
-    /// (v6). Subsumes `Insert`/`InsertBatch` — a pure-insert envelope
-    /// behaves exactly like the old batch op.
+    /// Apply a mixed mutation list to `shard` as one journal unit —
+    /// the only write op.
     Mutate {
         /// Target shard.
         shard: u16,
         /// The mutations, applied in list order within one unit.
         muts: Vec<Mutation>,
     },
-    /// Pull one *typed* journal unit from `shard`'s replication log
-    /// (v6). Unlike `ReplSubscribe`, the reply can carry tombstones or
-    /// a rebuild checkpoint, and after a compaction the answered index
-    /// may be *behind* `from_index` (the checkpoint the follower must
-    /// reset to).
+    /// Pull one typed journal unit from `shard`'s replication log. The
+    /// reply can carry tombstones or a rebuild checkpoint, and after a
+    /// compaction the answered index may be *behind* `from_index` (the
+    /// checkpoint the follower must reset to).
     ReplUnitFetch {
         /// Source shard on the primary.
         shard: u16,
-        /// Index of the first unit the subscriber still needs.
+        /// Index of the first unit the subscriber still needs — its own
+        /// applied unit count, which makes resubscribe-with-resume a
+        /// plain reconnect.
         from_index: u64,
     },
 }
@@ -643,8 +384,6 @@ pub enum Request {
 /// A decoded server response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Insert accepted into the shard's ingest queue.
-    Inserted,
     /// Boolean answer (Contains).
     Bool(bool),
     /// Number of visible facets (Visible).
@@ -678,23 +417,10 @@ pub enum Response {
     ShuttingDown,
     /// Prometheus text exposition of the telemetry registry.
     Metrics(String),
-    /// Batch enqueue outcome (v2): which points were queued, and the
-    /// shard's publication epoch observed at enqueue time.
-    InsertedBatch {
-        /// `accepted[i]` iff point `i` entered the ingest queue (a
-        /// clear bit means that point was dropped by backpressure and
-        /// should be retried); geometric extremeness is decided later
-        /// by the shard worker.
-        accepted: Vec<bool>,
-        /// Snapshot epoch when the batch was enqueued.
-        epoch: u64,
-    },
-    /// Handshake answer (v2): the negotiated version and capabilities.
+    /// Version check passed: the server speaks this version.
     Hello {
-        /// `min(client max, server max)`, at least [`PROTOCOL_V1`].
+        /// Always [`PROTOCOL_VERSION`] from this build.
         version: u16,
-        /// Capability bits ([`CAP_INSERT_BATCH`], ...).
-        caps: u32,
     },
     /// Ingest queue full — backpressure; retry later.
     Overloaded,
@@ -708,7 +434,7 @@ pub enum Response {
         /// The answer, served from the last published snapshot.
         inner: Box<Response>,
     },
-    /// The reply to a [`Request::Tagged`] (v4): the request's
+    /// The reply to a [`Request::Tagged`]: the request's
     /// correlation id around the complete inner response. Always the
     /// outermost wrapper (a `Degraded` inner is legal; another
     /// `Tagged` is not).
@@ -718,30 +444,15 @@ pub enum Response {
         /// The answer to the wrapped request.
         inner: Box<Response>,
     },
-    /// One journal batch unit (v5 reply to [`Request::ReplSubscribe`]).
-    /// An empty `points` with `index == total` means the subscriber is
-    /// caught up and should poll again.
-    ReplBatch {
-        /// Index of this batch unit in the shard's journal.
-        index: u64,
-        /// The shard's total batch count at reply time — the
-        /// subscriber's staleness bound is `total - applied`.
-        total: u64,
-        /// Dimension.
-        dim: usize,
-        /// Flat coordinates, `dim` per point, journal order.
-        points: Vec<i64>,
-    },
-    /// Ack accepted (v5 reply to [`Request::ReplAck`]).
+    /// Ack accepted (reply to [`Request::ReplAck`]).
     ReplAcked {
         /// Batch units the subscriber still trails by, as seen by the
         /// primary (`total - acked index`, saturating).
         lag: u64,
     },
-    /// Mutation envelope outcome (v6): which mutations were queued,
-    /// and the shard's publication epoch at enqueue time. The bitmap
-    /// is positional over the request's mutation list, exactly as
-    /// `InsertedBatch` is over its point list.
+    /// Mutation envelope outcome: which mutations were queued, and the
+    /// shard's publication epoch at enqueue time. The bitmap is
+    /// positional over the request's mutation list.
     Mutated {
         /// `accepted[i]` iff mutation `i` entered the ingest queue (a
         /// clear bit means backpressure — retry that mutation).
@@ -749,14 +460,15 @@ pub enum Response {
         /// Snapshot epoch when the envelope was enqueued.
         epoch: u64,
     },
-    /// One typed journal unit (v6 reply to [`Request::ReplUnitFetch`]).
+    /// One typed journal unit (reply to [`Request::ReplUnitFetch`]).
     /// An empty `Ops` unit with `index == total` means caught up.
     ReplUnit {
         /// Index of this unit in the shard's (possibly checkpointed)
         /// replication log. May be below the requested `from_index`
         /// when the unit is a checkpoint the follower must reset to.
         index: u64,
-        /// The shard's total unit count at reply time.
+        /// The shard's total unit count at reply time — the
+        /// subscriber's staleness bound is `total - applied`.
         total: u64,
         /// Dimension.
         dim: usize,
@@ -764,7 +476,7 @@ pub enum Response {
         unit: ReplUnit,
     },
     /// The answer was served by a follower `lag` batch units behind
-    /// its replication source (v5): the epoch-staleness bound,
+    /// its replication source: the epoch-staleness bound,
     /// surfaced in-band. Wrapper order: `Tagged` ⊃ `Stale` ⊃
     /// `Degraded` ⊃ plain.
     Stale {
@@ -909,7 +621,6 @@ impl Request {
     /// The opcode byte this request serializes under.
     pub fn opcode(&self) -> u8 {
         match self {
-            Request::Insert { .. } => OP_INSERT,
             Request::Contains { .. } => OP_CONTAINS,
             Request::Visible { .. } => OP_VISIBLE,
             Request::Extreme { .. } => OP_EXTREME,
@@ -918,13 +629,8 @@ impl Request {
             Request::Flush { .. } => OP_FLUSH,
             Request::Shutdown => OP_SHUTDOWN,
             Request::Metrics => OP_METRICS,
-            Request::InsertBatch { .. } => OP_INSERT_BATCH,
             Request::Hello { .. } => OP_HELLO,
-            Request::ContainsScan { .. } => OP_CONTAINS_SCAN,
-            Request::VisibleScan { .. } => OP_VISIBLE_SCAN,
-            Request::ExtremeScan { .. } => OP_EXTREME_SCAN,
             Request::Tagged { .. } => OP_TAGGED,
-            Request::ReplSubscribe { .. } => OP_REPL_SUBSCRIBE,
             Request::ReplAck { .. } => OP_REPL_ACK,
             Request::Mutate { .. } => OP_MUTATE,
             Request::ReplUnitFetch { .. } => OP_REPL_UNIT,
@@ -940,11 +646,6 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
         match self {
-            Request::Insert { shard, point } => {
-                out.push(OP_INSERT);
-                put_u16(&mut out, *shard);
-                put_point(&mut out, point);
-            }
             Request::Contains { shard, point } => {
                 out.push(OP_CONTAINS);
                 put_u16(&mut out, *shard);
@@ -980,33 +681,10 @@ impl Request {
                 out.push(OP_METRICS);
                 put_u16(&mut out, 0);
             }
-            Request::InsertBatch { shard, points } => {
-                out.push(OP_INSERT_BATCH);
-                put_u16(&mut out, *shard);
-                put_u32(&mut out, points.len() as u32);
-                for p in points {
-                    put_point(&mut out, p);
-                }
-            }
-            Request::Hello { max_version } => {
+            Request::Hello { version } => {
                 out.push(OP_HELLO);
                 put_u16(&mut out, 0);
-                put_u16(&mut out, *max_version);
-            }
-            Request::ContainsScan { shard, point } => {
-                out.push(OP_CONTAINS_SCAN);
-                put_u16(&mut out, *shard);
-                put_point(&mut out, point);
-            }
-            Request::VisibleScan { shard, point } => {
-                out.push(OP_VISIBLE_SCAN);
-                put_u16(&mut out, *shard);
-                put_point(&mut out, point);
-            }
-            Request::ExtremeScan { shard, direction } => {
-                out.push(OP_EXTREME_SCAN);
-                put_u16(&mut out, *shard);
-                put_point(&mut out, direction);
+                put_u16(&mut out, *version);
             }
             Request::Tagged { id, inner } => {
                 assert!(
@@ -1017,11 +695,6 @@ impl Request {
                 put_u16(&mut out, 0);
                 put_u64(&mut out, *id);
                 out.extend_from_slice(&inner.encode());
-            }
-            Request::ReplSubscribe { shard, from_index } => {
-                out.push(OP_REPL_SUBSCRIBE);
-                put_u16(&mut out, *shard);
-                put_u64(&mut out, *from_index);
             }
             Request::ReplAck { shard, index } => {
                 out.push(OP_REPL_ACK);
@@ -1070,10 +743,6 @@ impl Request {
         let op = c.u8()?;
         let shard = c.u16()?;
         let req = match op {
-            OP_INSERT => Request::Insert {
-                shard,
-                point: c.point()?,
-            },
             OP_CONTAINS => Request::Contains {
                 shard,
                 point: c.point()?,
@@ -1091,28 +760,7 @@ impl Request {
             OP_FLUSH => Request::Flush { shard },
             OP_SHUTDOWN => Request::Shutdown,
             OP_METRICS => Request::Metrics,
-            OP_INSERT_BATCH => {
-                let declared = c.u32()? as usize;
-                // Smallest wire point: 1 dim byte + 2 × i64 coords.
-                let n = c.checked_count(declared, 17)?;
-                let points = (0..n).map(|_| c.point()).collect::<Result<Vec<_>, _>>()?;
-                Request::InsertBatch { shard, points }
-            }
-            OP_HELLO => Request::Hello {
-                max_version: c.u16()?,
-            },
-            OP_CONTAINS_SCAN => Request::ContainsScan {
-                shard,
-                point: c.point()?,
-            },
-            OP_VISIBLE_SCAN => Request::VisibleScan {
-                shard,
-                point: c.point()?,
-            },
-            OP_EXTREME_SCAN => Request::ExtremeScan {
-                shard,
-                direction: c.point()?,
-            },
+            OP_HELLO => Request::Hello { version: c.u16()? },
             OP_TAGGED => {
                 if !allow_tagged {
                     return Err(WireError::NestedTagged);
@@ -1123,10 +771,6 @@ impl Request {
                     inner: Box::new(Self::decode_at(c, false)?),
                 }
             }
-            OP_REPL_SUBSCRIBE => Request::ReplSubscribe {
-                shard,
-                from_index: c.u64()?,
-            },
             OP_REPL_ACK => Request::ReplAck {
                 shard,
                 index: c.u64()?,
@@ -1162,10 +806,6 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
         match self {
-            Response::Inserted => {
-                out.push(ST_OK);
-                out.push(OP_INSERT);
-            }
             Response::Bool(b) => {
                 out.push(ST_OK);
                 out.push(OP_CONTAINS);
@@ -1222,39 +862,16 @@ impl Response {
                 put_u32(&mut out, text.len() as u32);
                 out.extend_from_slice(text.as_bytes());
             }
-            Response::InsertedBatch { accepted, epoch } => {
-                out.push(ST_OK);
-                out.push(OP_INSERT_BATCH);
-                put_bitmap(&mut out, accepted);
-                put_u64(&mut out, *epoch);
-            }
             Response::Mutated { accepted, epoch } => {
                 out.push(ST_OK);
                 out.push(OP_MUTATE);
                 put_bitmap(&mut out, accepted);
                 put_u64(&mut out, *epoch);
             }
-            Response::Hello { version, caps } => {
+            Response::Hello { version } => {
                 out.push(ST_OK);
                 out.push(OP_HELLO);
                 put_u16(&mut out, *version);
-                put_u32(&mut out, *caps);
-            }
-            Response::ReplBatch {
-                index,
-                total,
-                dim,
-                points,
-            } => {
-                out.push(ST_OK);
-                out.push(OP_REPL_SUBSCRIBE);
-                put_u64(&mut out, *index);
-                put_u64(&mut out, *total);
-                out.push(*dim as u8);
-                put_u32(&mut out, (points.len() / dim) as u32);
-                for &c in points {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
             }
             Response::ReplAcked { lag } => {
                 out.push(ST_OK);
@@ -1399,7 +1016,6 @@ impl Response {
                 Response::Error(msg)
             }
             ST_OK => match c.u8()? {
-                OP_INSERT => Response::Inserted,
                 OP_CONTAINS => Response::Bool(c.u8()? != 0),
                 OP_VISIBLE => Response::VisibleCount(c.u32()?),
                 OP_EXTREME => {
@@ -1443,44 +1059,17 @@ impl Response {
                 }
                 OP_FLUSH => Response::Flushed { epoch: c.u64()? },
                 OP_SHUTDOWN => Response::ShuttingDown,
-                OP_INSERT_BATCH => Response::InsertedBatch {
-                    accepted: c.bitmap()?,
-                    epoch: c.u64()?,
-                },
                 OP_MUTATE => Response::Mutated {
                     accepted: c.bitmap()?,
                     epoch: c.u64()?,
                 },
-                OP_HELLO => Response::Hello {
-                    version: c.u16()?,
-                    caps: c.u32()?,
-                },
+                OP_HELLO => Response::Hello { version: c.u16()? },
                 OP_METRICS => {
                     let n = c.u32()? as usize;
                     let n = c.checked_count(n, 1)?;
                     let text = String::from_utf8(c.take(n)?.to_vec())
                         .map_err(|_| WireError::BadUtf8("metrics"))?;
                     Response::Metrics(text)
-                }
-                OP_REPL_SUBSCRIBE => {
-                    let index = c.u64()?;
-                    let total = c.u64()?;
-                    let dim = c.u8()? as usize;
-                    if !(2..=chull_core::facet::MAX_DIM).contains(&dim) {
-                        return Err(WireError::BadDim(dim));
-                    }
-                    let declared = c.u32()? as usize;
-                    let npts = c.checked_count(declared, dim * 8)?;
-                    let mut points = Vec::with_capacity(npts * dim);
-                    for _ in 0..npts * dim {
-                        points.push(c.i64()?);
-                    }
-                    Response::ReplBatch {
-                        index,
-                        total,
-                        dim,
-                        points,
-                    }
                 }
                 OP_REPL_ACK => Response::ReplAcked { lag: c.u64()? },
                 OP_REPL_UNIT => {
@@ -1589,10 +1178,6 @@ mod tests {
     #[test]
     fn request_roundtrip() {
         let reqs = [
-            Request::Insert {
-                shard: 3,
-                point: vec![1, -2],
-            },
             Request::Contains {
                 shard: 0,
                 point: vec![i64::MIN / 8, i64::MAX / 8, 0],
@@ -1610,38 +1195,13 @@ mod tests {
             Request::Flush { shard: 7 },
             Request::Shutdown,
             Request::Metrics,
-            Request::InsertBatch {
-                shard: 5,
-                points: vec![vec![1, 2], vec![-3, 4], vec![0, 0]],
-            },
-            Request::InsertBatch {
-                shard: 0,
-                points: vec![],
-            },
             Request::Hello {
-                max_version: PROTOCOL_V2,
+                version: PROTOCOL_VERSION,
             },
-            Request::Hello {
-                max_version: PROTOCOL_V3,
-            },
-            Request::ContainsScan {
-                shard: 4,
-                point: vec![3, -7],
-            },
-            Request::VisibleScan {
-                shard: 0,
-                point: vec![1, 2, 3],
-            },
-            Request::ExtremeScan {
-                shard: 6,
-                direction: vec![0, -1],
-            },
-            Request::Hello {
-                max_version: PROTOCOL_V4,
-            },
+            Request::Hello { version: 1 },
             Request::Tagged {
                 id: 0,
-                inner: Box::new(Request::Insert {
+                inner: Box::new(Request::Contains {
                     shard: 1,
                     point: vec![7, -8],
                 }),
@@ -1650,205 +1210,7 @@ mod tests {
                 id: u64::MAX,
                 inner: Box::new(Request::Flush { shard: 0 }),
             },
-            Request::Hello {
-                max_version: PROTOCOL_V5,
-            },
-            Request::ReplSubscribe {
-                shard: 3,
-                from_index: 0,
-            },
-            Request::ReplSubscribe {
-                shard: 0,
-                from_index: u64::MAX,
-            },
             Request::ReplAck { shard: 1, index: 7 },
-            Request::Tagged {
-                id: 11,
-                inner: Box::new(Request::ReplSubscribe {
-                    shard: 0,
-                    from_index: 4,
-                }),
-            },
-        ];
-        for r in reqs {
-            assert_eq!(Request::decode(&r.encode()).unwrap(), r, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn response_roundtrip() {
-        let resps = [
-            Response::Inserted,
-            Response::Bool(true),
-            Response::Bool(false),
-            Response::VisibleCount(17),
-            Response::Extreme {
-                vertex: 4,
-                coords: vec![10, -10],
-            },
-            Response::Stats("{\"requests\":1}".to_string()),
-            Response::Snapshot {
-                epoch: 12,
-                dim: 2,
-                points: vec![0, 0, 4, 0, 0, 4],
-                facets: vec![0, 1, 1, 2, 0, 2],
-            },
-            Response::Flushed { epoch: 99 },
-            Response::ShuttingDown,
-            Response::Metrics("# HELP x y\n# TYPE x counter\nx 1\n".to_string()),
-            Response::Overloaded,
-            Response::NotReady,
-            Response::Degraded {
-                generation: 3,
-                inner: Box::new(Response::Bool(true)),
-            },
-            Response::Degraded {
-                generation: 1,
-                inner: Box::new(Response::NotReady),
-            },
-            Response::Error("boom".to_string()),
-            Response::InsertedBatch {
-                accepted: vec![true; 8],
-                epoch: 3,
-            },
-            Response::InsertedBatch {
-                accepted: vec![true, false, true, false, false, true, true, false, true],
-                epoch: u64::MAX,
-            },
-            Response::InsertedBatch {
-                accepted: vec![],
-                epoch: 0,
-            },
-            Response::Hello {
-                version: PROTOCOL_V2,
-                caps: CAP_INSERT_BATCH,
-            },
-            Response::Hello {
-                version: PROTOCOL_V3,
-                caps: CAP_INSERT_BATCH | CAP_SCAN_QUERIES,
-            },
-            Response::Hello {
-                version: PROTOCOL_V4,
-                caps: CAP_INSERT_BATCH | CAP_SCAN_QUERIES | CAP_PIPELINE,
-            },
-            Response::Tagged {
-                id: 42,
-                inner: Box::new(Response::Bool(true)),
-            },
-            Response::Tagged {
-                id: u64::MAX,
-                inner: Box::new(Response::Degraded {
-                    generation: 2,
-                    inner: Box::new(Response::VisibleCount(5)),
-                }),
-            },
-            Response::Tagged {
-                id: 0,
-                inner: Box::new(Response::Error("boom".to_string())),
-            },
-            Response::Hello {
-                version: PROTOCOL_V5,
-                caps: CAP_INSERT_BATCH | CAP_SCAN_QUERIES | CAP_PIPELINE | CAP_REPLICATION,
-            },
-            Response::ReplBatch {
-                index: 4,
-                total: 9,
-                dim: 2,
-                points: vec![0, 0, 5, -5, 7, 7],
-            },
-            Response::ReplBatch {
-                index: 9,
-                total: 9,
-                dim: 3,
-                points: vec![],
-            },
-            Response::ReplAcked { lag: 0 },
-            Response::ReplAcked { lag: u64::MAX },
-            Response::Stale {
-                lag: 3,
-                inner: Box::new(Response::Bool(true)),
-            },
-            Response::Stale {
-                lag: 1,
-                inner: Box::new(Response::Degraded {
-                    generation: 2,
-                    inner: Box::new(Response::NotReady),
-                }),
-            },
-            Response::Tagged {
-                id: 8,
-                inner: Box::new(Response::Stale {
-                    lag: 5,
-                    inner: Box::new(Response::VisibleCount(2)),
-                }),
-            },
-        ];
-        for r in resps {
-            assert_eq!(Response::decode(&r.encode()).unwrap(), r, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn malformed_frames_error_not_panic() {
-        assert!(Request::decode(&[]).is_err());
-        assert!(Request::decode(&[0xEE, 0, 0]).is_err());
-        // Truncated point.
-        assert!(Request::decode(&[OP_INSERT, 0, 0, 2, 1, 2, 3]).is_err());
-        // Dimension out of range.
-        assert!(Request::decode(&[OP_CONTAINS, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
-        // Trailing garbage.
-        let mut buf = Request::Shutdown.encode();
-        buf.push(0);
-        assert_eq!(Request::decode(&buf), Err(WireError::Trailing(1)));
-        assert_eq!(Response::decode(&[0x77]), Err(WireError::BadStatus(0x77)));
-    }
-
-    #[test]
-    fn v2_batch_counts_are_checked() {
-        // A forged count far beyond the payload: rejected before any
-        // allocation sized by it.
-        let mut buf = vec![OP_INSERT_BATCH, 0, 0];
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.push(2);
-        assert!(matches!(
-            Request::decode(&buf),
-            Err(WireError::Oversized(_))
-        ));
-        // Count says 2 but only one point follows.
-        let mut buf = vec![OP_INSERT_BATCH, 0, 0];
-        buf.extend_from_slice(&2u32.to_le_bytes());
-        let mut one = Vec::new();
-        put_point(&mut one, &[1, 2]);
-        buf.extend_from_slice(&one);
-        assert!(Request::decode(&buf).is_err());
-        // Reply bitmap claiming a gigantic batch: bounds-checked.
-        let mut buf = vec![ST_OK, OP_INSERT_BATCH];
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.push(0xFF);
-        assert!(matches!(
-            Response::decode(&buf),
-            Err(WireError::Truncated { .. })
-        ));
-        // Truncated Hello.
-        assert!(Request::decode(&[OP_HELLO, 0, 0, 2]).is_err());
-        assert!(Response::decode(&[ST_OK, OP_HELLO, 2, 0]).is_err());
-    }
-
-    #[test]
-    fn negotiate_clamps_to_supported_range() {
-        assert_eq!(negotiate(0), PROTOCOL_V1);
-        assert_eq!(negotiate(PROTOCOL_V1), PROTOCOL_V1);
-        assert_eq!(negotiate(PROTOCOL_V2), PROTOCOL_V2);
-        assert_eq!(negotiate(PROTOCOL_V3), PROTOCOL_V3);
-        assert_eq!(negotiate(PROTOCOL_V4), PROTOCOL_V4);
-        assert_eq!(negotiate(PROTOCOL_V5), PROTOCOL_V5);
-        assert_eq!(negotiate(PROTOCOL_V6), PROTOCOL_V6);
-        assert_eq!(negotiate(u16::MAX), PROTOCOL_V6);
-    }
-
-    #[test]
-    fn v6_mutate_and_unit_roundtrip() {
-        let reqs = [
             Request::Mutate {
                 shard: 2,
                 muts: vec![
@@ -1881,17 +1243,95 @@ mod tests {
                     muts: vec![Mutation::Delete(vec![8, 8, 8])],
                 }),
             },
-            Request::Hello {
-                max_version: PROTOCOL_V6,
+            Request::Tagged {
+                id: 11,
+                inner: Box::new(Request::ReplUnitFetch {
+                    shard: 0,
+                    from_index: 4,
+                }),
             },
         ];
         for r in reqs {
             assert_eq!(Request::decode(&r.encode()).unwrap(), r, "{r:?}");
         }
+    }
+
+    #[test]
+    fn response_roundtrip() {
         let resps = [
+            Response::Bool(true),
+            Response::Bool(false),
+            Response::VisibleCount(17),
+            Response::Extreme {
+                vertex: 4,
+                coords: vec![10, -10],
+            },
+            Response::Stats("{\"requests\":1}".to_string()),
+            Response::Snapshot {
+                epoch: 12,
+                dim: 2,
+                points: vec![0, 0, 4, 0, 0, 4],
+                facets: vec![0, 1, 1, 2, 0, 2],
+            },
+            Response::Flushed { epoch: 99 },
+            Response::ShuttingDown,
+            Response::Metrics("# HELP x y\n# TYPE x counter\nx 1\n".to_string()),
+            Response::Overloaded,
+            Response::NotReady,
+            Response::Degraded {
+                generation: 3,
+                inner: Box::new(Response::Bool(true)),
+            },
+            Response::Degraded {
+                generation: 1,
+                inner: Box::new(Response::NotReady),
+            },
+            Response::Error("boom".to_string()),
+            Response::Hello {
+                version: PROTOCOL_VERSION,
+            },
+            Response::Tagged {
+                id: 42,
+                inner: Box::new(Response::Bool(true)),
+            },
+            Response::Tagged {
+                id: u64::MAX,
+                inner: Box::new(Response::Degraded {
+                    generation: 2,
+                    inner: Box::new(Response::VisibleCount(5)),
+                }),
+            },
+            Response::Tagged {
+                id: 0,
+                inner: Box::new(Response::Error("boom".to_string())),
+            },
+            Response::ReplAcked { lag: 0 },
+            Response::ReplAcked { lag: u64::MAX },
+            Response::Stale {
+                lag: 3,
+                inner: Box::new(Response::Bool(true)),
+            },
+            Response::Stale {
+                lag: 1,
+                inner: Box::new(Response::Degraded {
+                    generation: 2,
+                    inner: Box::new(Response::NotReady),
+                }),
+            },
+            Response::Tagged {
+                id: 8,
+                inner: Box::new(Response::Stale {
+                    lag: 5,
+                    inner: Box::new(Response::VisibleCount(2)),
+                }),
+            },
             Response::Mutated {
-                accepted: vec![true, false, true],
-                epoch: 11,
+                accepted: vec![true; 8],
+                epoch: 3,
+            },
+            Response::Mutated {
+                accepted: vec![true, false, true, false, false, true, true, false, true],
+                epoch: u64::MAX,
             },
             Response::Mutated {
                 accepted: vec![],
@@ -1924,10 +1364,6 @@ mod tests {
                     survivors: vec![vec![1, 1], vec![-1, -1], vec![9, 0]],
                 },
             },
-            Response::Hello {
-                version: PROTOCOL_V6,
-                caps: server_caps(),
-            },
             Response::Tagged {
                 id: 6,
                 inner: Box::new(Response::Mutated {
@@ -1942,7 +1378,36 @@ mod tests {
     }
 
     #[test]
-    fn v6_bodies_are_bounds_checked() {
+    fn malformed_frames_error_not_panic() {
+        assert!(Request::decode(&[]).is_err());
+        assert!(Request::decode(&[0xEE, 0, 0]).is_err());
+        // Truncated point.
+        assert!(Request::decode(&[OP_CONTAINS, 0, 0, 2, 1, 2, 3]).is_err());
+        // Dimension out of range.
+        assert!(Request::decode(&[OP_CONTAINS, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
+        // Trailing garbage.
+        let mut buf = Request::Shutdown.encode();
+        buf.push(0);
+        assert_eq!(Request::decode(&buf), Err(WireError::Trailing(1)));
+        assert_eq!(Response::decode(&[0x77]), Err(WireError::BadStatus(0x77)));
+        // Truncated Hello.
+        assert!(Request::decode(&[OP_HELLO, 0, 0, 2]).is_err());
+        assert!(Response::decode(&[ST_OK, OP_HELLO, 2]).is_err());
+    }
+
+    #[test]
+    fn retired_opcodes_are_unknown() {
+        for op in [0x01, 0x0A, 0x0C, 0x0D, 0x0E, 0x10] {
+            assert_eq!(op_spec(op), None);
+            assert_eq!(
+                Request::decode(&[op, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+                Err(WireError::BadOpcode(op))
+            );
+        }
+    }
+
+    #[test]
+    fn mutate_and_unit_bodies_are_bounds_checked() {
         // Mutate with a forged count far beyond the payload.
         let mut buf = vec![OP_MUTATE, 0, 0];
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -2013,11 +1478,6 @@ mod tests {
             }
         }
         assert_eq!(op_spec(0xEE), None);
-        // The derived capability mask carries every advertised bit.
-        assert_eq!(
-            server_caps(),
-            CAP_INSERT_BATCH | CAP_SCAN_QUERIES | CAP_PIPELINE | CAP_REPLICATION | CAP_MUTATION
-        );
         // Every Request variant maps to a registered row.
         let reqs = [
             Request::Shutdown,
@@ -2033,8 +1493,6 @@ mod tests {
         assert_eq!(reqs[0].spec().name, "shutdown");
         assert_eq!(reqs[1].spec().name, "mutate");
         assert!(reqs[1].spec().write);
-        assert_eq!(reqs[1].spec().min_version, PROTOCOL_V6);
-        assert_eq!(reqs[1].spec().cap, CAP_MUTATION);
         assert_eq!(reqs[2].spec().name, "repl_unit");
         assert!(!reqs[2].spec().write);
         // Only Tagged refuses to ride inside Tagged.
@@ -2083,27 +1541,7 @@ mod tests {
     }
 
     #[test]
-    fn v5_repl_bodies_are_bounds_checked() {
-        // ReplBatch claiming a gigantic point count: rejected before
-        // any allocation sized by it.
-        let mut buf = vec![ST_OK, OP_REPL_SUBSCRIBE];
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.push(2);
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            Response::decode(&buf),
-            Err(WireError::Oversized(_))
-        ));
-        // ReplBatch with a dimension out of range.
-        let mut buf = vec![ST_OK, OP_REPL_SUBSCRIBE];
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.push(1);
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(Response::decode(&buf), Err(WireError::BadDim(1)));
-        // Truncated ReplSubscribe (index cut short).
-        assert!(Request::decode(&[OP_REPL_SUBSCRIBE, 0, 0, 1, 2]).is_err());
+    fn repl_ack_bodies_are_checked() {
         assert!(Request::decode(&[OP_REPL_ACK, 0, 0]).is_err());
         // Trailing bytes after a complete ReplAck.
         let mut buf = Request::ReplAck { shard: 0, index: 3 }.encode();

@@ -13,7 +13,7 @@
 //! `hull metrics` scrapes a server's telemetry (Prometheus text over
 //! HTTP `/metrics` or the in-band wire `Metrics` op) and pretty-prints
 //! it. `hull serve` and `hull route` shut down gracefully on
-//! SIGTERM/SIGINT.
+//! SIGTERM/SIGINT. The serving commands are unix-only.
 //!
 //! ```text
 //! USAGE: hull [--dim D] [--algo seq|par|rounds|chain] [--seed S]
@@ -23,18 +23,15 @@
 //!                   [--window N | --window-epochs N] [--rebuild-ratio R]
 //!                   [--journal-ratio R]
 //!                   [--metrics-addr H:P] [--chaos-seed S] [--oneshot] [--stats-json]
-//!                   [--threaded] [--dispatchers N]
+//!                   [--dispatchers N]
 //!                   [--follow PRIMARY] [--promote-after N]
 //!        hull compact [--dim D] [--workers W] --wal DIR
 //!        hull route [--addr H:P] [--probe-ms MS] NODE...
-//!        hull query ADDR [--scan] OP [SHARD] [COORDS...]
+//!        hull query ADDR OP [SHARD] [COORDS...]
 //!          OP: insert|delete|expire|contains|visible|extreme|stats|snapshot|
 //!              flush|metrics|shutdown|script  (script reads one OP line per
-//!              stdin line; consecutive same-shard mutations ride one wire
-//!              v6 Mutate envelope)
-//!          --scan routes contains/visible/extreme through the server's
-//!          linear-scan oracle ops (protocol v3) instead of history-graph
-//!          point location — the A/B baseline for query benchmarks
+//!              stdin line; consecutive same-shard mutations ride one
+//!              Mutate envelope)
 //!        hull metrics [--raw] ADDR
 //! ```
 //!
@@ -87,7 +84,7 @@ fn usage() -> ! {
          \x20                 [--workers W] [--wal DIR] [--bulk-threshold N] [--metrics-addr H:P]\n\
          \x20                 [--window N | --window-epochs N] [--rebuild-ratio R] [--journal-ratio R]\n\
          \x20                 [--chaos-seed S] [--oneshot] [--stats-json]\n\
-         \x20                 [--threaded] [--dispatchers N] [--follow PRIMARY] [--promote-after N]\n\
+         \x20                 [--dispatchers N] [--follow PRIMARY] [--promote-after N]\n\
          \x20        --workers W sizes the pool each shard applies batches with (0 = auto, 1 = sequential baseline);\n\
          \x20        --wal DIR persists per-shard insert WALs under DIR (crash-safe restart);\n\
          \x20        --bulk-threshold N rebuilds journals holding >= N inserts through the bulk\n\
@@ -101,13 +98,11 @@ fn usage() -> ! {
          \x20        live row (default 4.0, 0 = off);\n\
          \x20        --metrics-addr H:P serves Prometheus text on plain HTTP GET /metrics;\n\
          \x20        --chaos-seed S arms the canned fault-injection schedule (testing only);\n\
-         \x20        --threaded uses the original thread-per-connection front end instead of the\n\
-         \x20        default epoll event loop; --dispatchers N sizes the event loop's request\n\
-         \x20        pool (0 = auto);\n\
+         \x20        --dispatchers N sizes the event loop's request pool (0 = auto);\n\
          \x20        --follow PRIMARY runs a read-only follower replica shipping PRIMARY's journal\n\
-         \x20        batch units (wire v5; incompatible with --wal — followers resync from the\n\
-         \x20        primary); --promote-after N self-promotes to writable after N consecutive\n\
-         \x20        failed resubscribes (0 = never)\n\
+         \x20        units (incompatible with --wal — followers resync from the primary);\n\
+         \x20        --promote-after N self-promotes to writable after N consecutive failed\n\
+         \x20        resubscribes (0 = never)\n\
          \x20      hull compact [--dim D] [--workers W] --wal DIR\n\
          \x20        collapse each shard-*.wal under DIR into one bulk-built checkpoint unit:\n\
          \x20        strictly-interior points are pruned, the hull served after restart is\n\
@@ -115,13 +110,11 @@ fn usage() -> ! {
          \x20      hull route [--addr H:P] [--probe-ms MS] NODE...\n\
          \x20        consistent-hash reads across NODEs (first NODE = write primary), health-check\n\
          \x20        every MS ms, and fail over with Degraded-wrapped replies when a node dies\n\
-         \x20      hull query ADDR [--scan] OP [SHARD] [COORDS...]\n\
+         \x20      hull query ADDR OP [SHARD] [COORDS...]\n\
          \x20        OP: insert|delete|contains|visible|extreme SHARD C1..CD\n\
-         \x20            expire SHARD N (tombstone the N oldest live rows; delete/expire need a\n\
-         \x20            v6 server) | stats [SHARD] | snapshot SHARD | flush SHARD | metrics |\n\
-         \x20            shutdown | script (reads one OP line per stdin line, one connection)\n\
-         \x20        --scan forces contains/visible/extreme down the linear-scan\n\
-         \x20        oracle ops (wire v3) instead of history-graph point location\n\
+         \x20            expire SHARD N (tombstone the N oldest live rows) | stats [SHARD] |\n\
+         \x20            snapshot SHARD | flush SHARD | metrics | shutdown |\n\
+         \x20            script (reads one OP line per stdin line, one connection)\n\
          \x20      hull metrics [--raw] ADDR\n\
          \x20        scrape ADDR (HTTP /metrics, falling back to the wire Metrics op) and\n\
          \x20        pretty-print a sorted table; --raw emits the exposition text verbatim\n\
@@ -474,7 +467,6 @@ fn serve_main(args: &[String]) {
                         .unwrap_or_else(|_| die("bad --promote-after value")),
                 );
             }
-            "--threaded" => opts.threaded = true,
             "--dispatchers" => {
                 opts.dispatchers = next("--dispatchers", &mut it)
                     .parse()
@@ -728,9 +720,8 @@ fn parse_coords(toks: &[String]) -> Vec<i64> {
 }
 
 /// Execute one query op (tokens: `OP [SHARD] [COORDS...]`) and render the
-/// reply as a single stdout line. With `scan`, the three hull queries go
-/// down the wire-v3 linear-scan oracle ops instead of history descent.
-fn run_query_op(client: &mut HullClient, toks: &[String], scan: bool) -> std::io::Result<String> {
+/// reply as a single stdout line.
+fn run_query_op(client: &mut HullClient, toks: &[String]) -> std::io::Result<String> {
     let op = toks.first().map(String::as_str).unwrap_or_else(|| usage());
     Ok(match op {
         "insert" => {
@@ -756,12 +747,7 @@ fn run_query_op(client: &mut HullClient, toks: &[String], scan: bool) -> std::io
         "contains" => {
             let shard = parse_shard(toks.get(1));
             let point = parse_coords(&toks[2..]);
-            let reply = if scan {
-                client.contains_scan(shard, &point)?
-            } else {
-                client.contains(shard, &point)?
-            };
-            match reply {
+            match client.contains(shard, &point)? {
                 Some(b) => b.to_string(),
                 None => "not-ready".to_string(),
             }
@@ -769,12 +755,7 @@ fn run_query_op(client: &mut HullClient, toks: &[String], scan: bool) -> std::io
         "visible" => {
             let shard = parse_shard(toks.get(1));
             let point = parse_coords(&toks[2..]);
-            let reply = if scan {
-                client.visible_scan(shard, &point)?
-            } else {
-                client.visible(shard, &point)?
-            };
-            match reply {
+            match client.visible(shard, &point)? {
                 Some(n) => format!("visible {n}"),
                 None => "not-ready".to_string(),
             }
@@ -782,12 +763,7 @@ fn run_query_op(client: &mut HullClient, toks: &[String], scan: bool) -> std::io
         "extreme" => {
             let shard = parse_shard(toks.get(1));
             let dir = parse_coords(&toks[2..]);
-            let reply = if scan {
-                client.extreme_scan(shard, &dir)?
-            } else {
-                client.extreme(shard, &dir)?
-            };
-            match reply {
+            match client.extreme(shard, &dir)? {
                 Some((v, coords)) => {
                     let c: Vec<String> = coords.iter().map(|x| x.to_string()).collect();
                     format!("extreme v={v} at {}", c.join(" "))
@@ -816,9 +792,6 @@ fn run_query_op(client: &mut HullClient, toks: &[String], scan: bool) -> std::io
 }
 
 fn query_main(args: &[String]) {
-    // `--scan` may appear anywhere before the op; strip it out first.
-    let scan = args.iter().any(|a| a == "--scan");
-    let args: Vec<String> = args.iter().filter(|a| *a != "--scan").cloned().collect();
     if args.len() < 2 {
         usage();
     }
@@ -830,10 +803,8 @@ fn query_main(args: &[String]) {
         // One connection, one op per stdin line — the shape the oneshot CI
         // smoke test needs (the server exits when this connection closes).
         // Consecutive mutations (insert/delete/expire) to the same shard
-        // coalesce into a single wire v6 `Mutate` envelope (against a
-        // pre-v6 server pure-insert runs fall back to `InsertBatch` or
-        // per-point inserts; deletes and expirations fail in-band), still
-        // printing one `queued` line per op.
+        // coalesce into a single `Mutate` envelope, still printing one
+        // `queued` line per op.
         let mut input = String::new();
         std::io::stdin()
             .read_to_string(&mut input)
@@ -882,14 +853,14 @@ fn query_main(args: &[String]) {
                 continue;
             }
             flush_pending(&mut client, &mut pending);
-            match run_query_op(&mut client, &toks, scan) {
+            match run_query_op(&mut client, &toks) {
                 Ok(reply) => println!("{reply}"),
                 Err(e) => die(&format!("{line}: {e}")),
             }
         }
         flush_pending(&mut client, &mut pending);
     } else {
-        match run_query_op(&mut client, &args[1..], scan) {
+        match run_query_op(&mut client, &args[1..]) {
             Ok(reply) => println!("{reply}"),
             Err(e) => die(&e.to_string()),
         }

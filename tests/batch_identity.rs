@@ -1,27 +1,20 @@
-//! Batched-serve identity: points streamed through the v2 `InsertBatch`
-//! wire op, coalesced by the shard queue, and applied as **parallel**
+//! Batched-serve identity: points streamed through multi-point `Mutate`
+//! frames, coalesced by the shard queue, and applied as **parallel**
 //! batch inserts (Algorithm 3's `ProcessRidge` recursion on a worker
 //! pool) must produce hulls **bit-identical** to the offline sequential
-//! Algorithm 2 — for any worker count — and identical to the original
-//! single-insert serving path. Also covered: v1 and v2 clients sharing
-//! one server, and chaos recovery replaying journaled batch units with
-//! monotone epochs.
+//! Algorithm 2 — for any worker count — and identical to one-point
+//! frames applied on one worker. Also covered: chaos recovery replaying
+//! journaled batch units with monotone epochs.
 //!
 //! The failpoint registry is process-global and an armed schedule would
 //! leak worker panics into unrelated servers in this binary, so every
 //! test takes one shared lock.
 
-// This binary's whole point is driving the pre-v6 insert entry points
-// (v1 per-point, v2 `InsertBatch`) against the unified serving path, so
-// it keeps calling the deprecated `insert*` shims on purpose.
-#![allow(deprecated)]
-
 use convex_hull_suite::concurrent::failpoint::{self, sites, FaultPlan, SiteSpec};
 use convex_hull_suite::core::seq::incremental_hull_run;
 use convex_hull_suite::geometry::{generators, PointSet};
-use convex_hull_suite::service::wire::{CAP_INSERT_BATCH, PROTOCOL_V1, PROTOCOL_V2};
 use convex_hull_suite::service::{
-    serve, HullClient, RetryPolicy, ServeOptions, ServiceConfig, SnapshotReply,
+    serve, HullClient, Mutation, MutationBatch, ServeOptions, ServiceConfig, SnapshotReply,
 };
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -85,8 +78,16 @@ fn rows_of(pts: &PointSet) -> Vec<Vec<i64>> {
     (0..pts.len()).map(|i| pts.point(i).to_vec()).collect()
 }
 
-/// Stream `rows` into shard 0 as `chunk`-sized `InsertBatch` frames from
-/// `clients` concurrent v2 connections, then snapshot.
+/// One insert-only `Mutate` envelope over `rows`.
+fn inserts(rows: &[Vec<i64>]) -> MutationBatch {
+    rows.iter()
+        .map(|r| Mutation::Insert(r.clone()))
+        .collect::<Vec<_>>()
+        .into()
+}
+
+/// Stream `rows` into shard 0 as `chunk`-sized `Mutate` frames from
+/// `clients` concurrent connections, then snapshot.
 fn serve_batched(
     dim: usize,
     rows: &[Vec<i64>],
@@ -100,13 +101,10 @@ fn serve_batched(
         for c in 0..clients {
             s.spawn(move || {
                 let mut client = HullClient::builder(addr.to_string()).connect().unwrap();
-                // Default negotiation lands on the newest version (v3 at
-                // this writing); batched frames need v2 or later.
-                assert!(client.negotiated_version() >= PROTOCOL_V2);
                 let mine: Vec<Vec<i64>> = rows.iter().skip(c).step_by(clients).cloned().collect();
                 let mut last_epoch = 0;
                 for batch in mine.chunks(chunk) {
-                    let reply = client.insert_batch(0, batch).unwrap();
+                    let reply = client.mutate(0, inserts(batch)).unwrap();
                     assert!(
                         reply.epoch >= last_epoch,
                         "epochs observed by one client must be monotone"
@@ -123,18 +121,16 @@ fn serve_batched(
     snap
 }
 
-/// The original (PR-2) serving path: per-point inserts over v1 framing.
+/// The single-insert baseline: one point per `Mutate` frame, applied
+/// on one worker.
 fn serve_single_insert(dim: usize, rows: &[Vec<i64>]) -> SnapshotReply {
     let mut server = serve(opts(dim, 1)).unwrap();
     let addr = server.local_addr();
-    let mut client = HullClient::builder(addr.to_string())
-        .protocol_ceiling(PROTOCOL_V1)
-        .connect()
-        .unwrap();
-    assert_eq!(client.negotiated_version(), PROTOCOL_V1);
-    let policy = RetryPolicy::default();
+    let mut client = HullClient::builder(addr.to_string()).connect().unwrap();
     for row in rows {
-        client.insert_retry(0, row, &policy).unwrap();
+        client
+            .mutate(0, MutationBatch::new().insert(row.clone()))
+            .unwrap();
     }
     client.flush(0).unwrap();
     let snap = client.snapshot(0).unwrap();
@@ -181,56 +177,6 @@ fn batched_serve_matches_offline_3d() {
     batched_matches_everything(3, generators::ball_d(3, 400, 1_000_000, 11));
 }
 
-/// A v1 client (no handshake, single inserts) and a v2 client (batched
-/// frames) interleaving on one server still land the exact offline hull,
-/// and the handshake reports the negotiated window faithfully.
-#[test]
-fn mixed_v1_and_v2_clients_share_a_server() {
-    let _g = test_lock();
-    let pts = generators::near_sphere_d(2, 500, 1_000_000, 29);
-    let rows = rows_of(&pts);
-    let mut server = serve(opts(2, 0)).unwrap();
-    let addr = server.local_addr();
-    std::thread::scope(|s| {
-        let v1_rows: Vec<&Vec<i64>> = rows.iter().step_by(2).collect();
-        let v2_rows: Vec<Vec<i64>> = rows.iter().skip(1).step_by(2).cloned().collect();
-        s.spawn(move || {
-            let mut c = HullClient::builder(addr.to_string())
-                .protocol_ceiling(PROTOCOL_V1)
-                .connect()
-                .unwrap();
-            assert_eq!(c.negotiated_version(), PROTOCOL_V1);
-            assert_eq!(c.caps(), 0);
-            let policy = RetryPolicy::default();
-            for row in v1_rows {
-                c.insert_retry(0, row, &policy).unwrap();
-            }
-        });
-        s.spawn(move || {
-            let mut c = HullClient::builder(addr.to_string())
-                .protocol_floor(PROTOCOL_V2)
-                .protocol_ceiling(PROTOCOL_V2)
-                .connect()
-                .unwrap();
-            assert_eq!(c.negotiated_version(), PROTOCOL_V2);
-            assert_ne!(c.caps() & CAP_INSERT_BATCH, 0);
-            for batch in v2_rows.chunks(40) {
-                c.insert_batch(0, batch).unwrap();
-            }
-        });
-    });
-    let mut client = HullClient::builder(addr.to_string()).connect().unwrap();
-    client.flush(0).unwrap();
-    let snap = client.snapshot(0).unwrap();
-    assert_eq!(snap.points.len(), rows.len());
-    assert_eq!(
-        canonical_served(&snap),
-        canonical_offline(&pts),
-        "mixed v1+v2 ingest differs from offline Algorithm 2"
-    );
-    server.shutdown();
-}
-
 /// Pull one numeric counter out of a stats JSON line.
 fn grab(json: &str, key: &str) -> u64 {
     let pat = format!("\"{key}\":");
@@ -273,7 +219,7 @@ fn chaos_kill_with_batched_ingest_recovers_bit_identical() {
         for batch in rows.chunks(24) {
             let mut attempts = 0;
             loop {
-                match client.insert_batch(0, batch) {
+                match client.mutate(0, inserts(batch)) {
                     Ok(reply) => {
                         epochs.push(reply.epoch);
                         break;

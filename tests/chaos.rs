@@ -61,13 +61,6 @@ fn opts(dim: usize, wal_dir: Option<PathBuf>) -> ServeOptions {
     }
 }
 
-fn opts_backend(dim: usize, threaded: bool) -> ServeOptions {
-    ServeOptions {
-        threaded,
-        ..opts(dim, None)
-    }
-}
-
 /// A hull as an order-free set of facets, each facet the sorted list of
 /// its vertices' coordinate rows (vertex ids differ between runs with
 /// different insertion orders; coordinates cannot).
@@ -226,28 +219,13 @@ fn seeded_kill_schedules_recover_bit_identical_3d() {
 /// once. Truncated responses can make a client resend an already-queued
 /// insert, so the points may contain duplicates — assert set equality
 /// plus exact facet agreement instead of multiset equality.
-///
-/// Runs on the default epoll event-loop front end *and* the original
-/// thread-per-connection loop: both must serve the exact offline hull
-/// under the same seeded schedule (the threaded server is the oracle
-/// for the reactor rewrite; DESIGN §S19).
 #[test]
 fn canned_chaos_schedule_serves_exact_hull() {
     let _g = chaos_lock();
-    canned_chaos_run(false);
-}
-
-#[test]
-fn canned_chaos_schedule_serves_exact_hull_threaded() {
-    let _g = chaos_lock();
-    canned_chaos_run(true);
-}
-
-fn canned_chaos_run(threaded: bool) {
     let n = 300;
     let pts = generators::ball_d(2, n, 1_000_000, 23);
     let rows: Vec<Vec<i64>> = (0..n).map(|i| pts.point(i).to_vec()).collect();
-    let mut server = serve(opts_backend(2, threaded)).unwrap();
+    let mut server = serve(opts(2, None)).unwrap();
     let addr = server.local_addr();
     failpoint::arm(FaultPlan::chaos(0xDEAD_5EED));
     insert_all(addr, &rows, 4);
@@ -350,49 +328,40 @@ fn wal_recovery_across_restart_with_torn_tail() {
 /// **contained**: `shutdown()`/`Drop` return normally instead of
 /// propagating the accept thread's panic into the caller, and the
 /// panic message is surfaced through `ServerHandle::accept_fault`.
-/// Exercises both front ends — the threaded accept loop and the epoll
-/// reactor thread.
+/// The reactor thread runs the accept path.
 #[test]
 fn accept_thread_panic_is_contained_and_surfaced() {
     let _g = chaos_lock();
-    for threaded in [true, false] {
-        let mut server = serve(opts_backend(2, threaded)).unwrap();
-        let addr = server.local_addr();
-        assert!(server.accept_fault().is_none());
-        failpoint::arm(FaultPlan::new(0xACC0).site(
-            sites::SERVER_ACCEPT,
-            SiteSpec {
-                panic_every: 1,
-                max_fires: 1,
-                ..SiteSpec::default()
-            },
-        ));
-        // The first accept trips the panic; the connect itself still
-        // completes at the OS backlog level.
+    let mut server = serve(opts(2, None)).unwrap();
+    let addr = server.local_addr();
+    assert!(server.accept_fault().is_none());
+    failpoint::arm(FaultPlan::new(0xACC0).site(
+        sites::SERVER_ACCEPT,
+        SiteSpec {
+            panic_every: 1,
+            max_fires: 1,
+            ..SiteSpec::default()
+        },
+    ));
+    // The first accept trips the panic; the connect itself still
+    // completes at the OS backlog level. The reactor records its own
+    // fault on the way out.
+    let _ = std::net::TcpStream::connect(addr);
+    let t0 = std::time::Instant::now();
+    while server.accept_fault().is_none() && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(10));
         let _ = std::net::TcpStream::connect(addr);
-        if threaded {
-            // The accept thread's fault is only recorded when it is
-            // joined; give the panic time to fire before shutting down.
-            std::thread::sleep(Duration::from_millis(300));
-        } else {
-            // The reactor records its own fault on the way out.
-            let t0 = std::time::Instant::now();
-            while server.accept_fault().is_none() && t0.elapsed() < Duration::from_secs(5) {
-                std::thread::sleep(Duration::from_millis(10));
-                let _ = std::net::TcpStream::connect(addr);
-            }
-        }
-        failpoint::disarm();
-        let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            server.shutdown();
-        }));
-        assert!(
-            contained.is_ok(),
-            "shutdown propagated the accept-thread panic (threaded={threaded})"
-        );
-        assert!(
-            server.accept_fault().is_some(),
-            "accept-path panic was swallowed, not surfaced (threaded={threaded})"
-        );
     }
+    failpoint::disarm();
+    let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        server.shutdown();
+    }));
+    assert!(
+        contained.is_ok(),
+        "shutdown propagated the accept-thread panic"
+    );
+    assert!(
+        server.accept_fault().is_some(),
+        "accept-path panic was swallowed, not surfaced"
+    );
 }

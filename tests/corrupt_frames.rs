@@ -13,28 +13,56 @@
 //!   `request_timeout`, never pinning a thread), forges an
 //!   oversized length prefix (dropped immediately), and slow-loris
 //!   dribbles a frame one byte at a time — all while a healthy client
-//!   on another connection keeps being served.
-//!
-//! Every live-server scenario runs against **both front ends**: the
-//! default epoll event loop and the original thread-per-connection
-//! loop (`ServeOptions::threaded`), which serves as the behavioral
-//! oracle for the reactor rewrite.
+//!   on another connection keeps being served;
+//! * **refusal** — well-formed frames of the retired ops (`0x01`
+//!   `Insert`, `0x0A` `InsertBatch`, `0x0C`–`0x0E` `*Scan`, `0x10`
+//!   `ReplSubscribe`) and a `Hello` with any version but
+//!   `PROTOCOL_VERSION` get `Error` replies on a connection that keeps
+//!   serving, and the client refuses a server that speaks another
+//!   version.
 
 use convex_hull_suite::geometry::rng::ChaCha8Rng;
 use convex_hull_suite::service::wire::{
-    read_frame, write_frame, Mutation, ReplUnit, Request, Response, ALL_SHARDS, MAX_FRAME,
+    read_frame, write_frame, Mutation, ReplUnit, Request, Response, WireError, ALL_SHARDS,
+    MAX_FRAME, PROTOCOL_VERSION,
 };
 use convex_hull_suite::service::{serve, HullClient, MutationBatch, ServeOptions, ServiceConfig};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
+
+/// `u16` shard 0 then a wire point (`u8` dim + `i64` LE coordinates).
+fn shard0_point(op: u8, coords: &[i64]) -> Vec<u8> {
+    let mut b = vec![op, 0, 0, coords.len() as u8];
+    for c in coords {
+        b.extend_from_slice(&c.to_le_bytes());
+    }
+    b
+}
+
+/// Well-formed frames of the retired ops, byte for byte as the last
+/// encoder that spoke them wrote them: `(opcode, payload)`.
+fn retired_frames() -> Vec<(u8, Vec<u8>)> {
+    // 0x0A InsertBatch: u32 count, then that many wire points.
+    let mut batch = vec![0x0A, 0, 0];
+    batch.extend_from_slice(&2u32.to_le_bytes());
+    batch.extend_from_slice(&shard0_point(0, &[1, 2])[3..]);
+    batch.extend_from_slice(&shard0_point(0, &[-3, 4])[3..]);
+    // 0x10 ReplSubscribe: u64 from_index.
+    let mut subscribe = vec![0x10, 0, 0];
+    subscribe.extend_from_slice(&3u64.to_le_bytes());
+    vec![
+        (0x01, shard0_point(0x01, &[3, -4])), // Insert
+        (0x0A, batch),                        // InsertBatch
+        (0x0C, shard0_point(0x0C, &[1, 1])),  // ContainsScan
+        (0x0D, shard0_point(0x0D, &[1, 1])),  // VisibleScan
+        (0x0E, shard0_point(0x0E, &[1, 0])),  // ExtremeScan
+        (0x10, subscribe),                    // ReplSubscribe
+    ]
+}
 
 fn corpus() -> Vec<Vec<u8>> {
     let reqs = [
-        Request::Insert {
-            shard: 0,
-            point: vec![3, -4],
-        },
         Request::Contains {
             shard: 1,
             point: vec![1, 2, 3],
@@ -47,20 +75,19 @@ fn corpus() -> Vec<Vec<u8>> {
         Request::Snapshot { shard: 0 },
         Request::Flush { shard: 0 },
         Request::Shutdown,
-        // v5 replication ops, bare and nested under the v4 tag wrapper.
-        Request::ReplSubscribe {
-            shard: 0,
-            from_index: 3,
+        Request::Hello {
+            version: PROTOCOL_VERSION,
         },
+        // Replication ops, bare and nested under the tag wrapper.
         Request::ReplAck { shard: 0, index: 9 },
         Request::Tagged {
             id: 77,
-            inner: Box::new(Request::ReplSubscribe {
+            inner: Box::new(Request::ReplUnitFetch {
                 shard: 1,
                 from_index: 0,
             }),
         },
-        // v6 mutation envelope (all three mutation kinds) and the typed
+        // The mutation envelope (all three mutation kinds) and the typed
         // replication fetch, bare and under the tag wrapper.
         Request::Mutate {
             shard: 0,
@@ -83,7 +110,6 @@ fn corpus() -> Vec<Vec<u8>> {
         },
     ];
     let resps = [
-        Response::Inserted,
         Response::Bool(true),
         Response::VisibleCount(7),
         Response::Extreme {
@@ -105,14 +131,11 @@ fn corpus() -> Vec<Vec<u8>> {
             inner: Box::new(Response::Bool(false)),
         },
         Response::Error("nope".to_string()),
-        // v5 replication replies and the Stale staleness wrapper, at
-        // every legal nesting depth (Tagged ⊃ Stale ⊃ Degraded).
-        Response::ReplBatch {
-            index: 2,
-            total: 5,
-            dim: 2,
-            points: vec![1, 2, 3, 4],
+        Response::Hello {
+            version: PROTOCOL_VERSION,
         },
+        // Replication replies and the Stale staleness wrapper, at every
+        // legal nesting depth (Tagged ⊃ Stale ⊃ Degraded).
         Response::ReplAcked { lag: 3 },
         Response::Stale {
             lag: 4,
@@ -132,8 +155,8 @@ fn corpus() -> Vec<Vec<u8>> {
                 inner: Box::new(Response::Bool(false)),
             }),
         },
-        // v6 replies: the per-mutation accepted bitmap and both typed
-        // replication unit shapes.
+        // The per-mutation accepted bitmap and both typed replication
+        // unit shapes.
         Response::Mutated {
             accepted: vec![true, false, true],
             epoch: 6,
@@ -159,6 +182,7 @@ fn corpus() -> Vec<Vec<u8>> {
     ];
     let mut out: Vec<Vec<u8>> = reqs.iter().map(|r| r.encode()).collect();
     out.extend(resps.iter().map(|r| r.encode()));
+    out.extend(retired_frames().into_iter().map(|(_, f)| f));
     out
 }
 
@@ -225,7 +249,7 @@ fn decode_never_panics_on_seeded_corrupt_corpus() {
     assert!(rejected > 1000, "only {rejected} mutants were rejected");
 }
 
-fn server(request_timeout: Duration, threaded: bool) -> convex_hull_suite::service::ServerHandle {
+fn server(request_timeout: Duration) -> convex_hull_suite::service::ServerHandle {
     serve(ServeOptions {
         config: ServiceConfig {
             dim: 2,
@@ -238,17 +262,9 @@ fn server(request_timeout: Duration, threaded: bool) -> convex_hull_suite::servi
             ..Default::default()
         },
         request_timeout,
-        threaded,
         ..Default::default()
     })
     .unwrap()
-}
-
-/// Run `scenario` against both serving front ends.
-fn on_both_backends(scenario: impl Fn(bool)) {
-    for threaded in [false, true] {
-        scenario(threaded);
-    }
 }
 
 /// Assert the healthy path still works end to end on a fresh connection.
@@ -289,11 +305,7 @@ fn wait_for_close(s: &mut TcpStream) -> Duration {
 
 #[test]
 fn garbage_payload_gets_error_reply_and_connection_survives() {
-    on_both_backends(garbage_payload_scenario);
-}
-
-fn garbage_payload_scenario(threaded: bool) {
-    let mut server = server(Duration::from_secs(2), threaded);
+    let mut server = server(Duration::from_secs(2));
     let addr = server.local_addr();
     let mut s = TcpStream::connect(addr).unwrap();
     // Complete frames whose payloads are protocol nonsense: the server
@@ -301,7 +313,7 @@ fn garbage_payload_scenario(threaded: bool) {
     for garbage in [
         &[0xEEu8, 0xFF, 0x00, 0x13, 0x37][..],
         &[],
-        &[0x01, 0x00],                   // Insert opcode, truncated before the point
+        &[0x03, 0x00],                   // Visible opcode, truncated before the point
         &[0x02, 0x00, 0x00, 0x01, 0xAA], // Contains with dim 1
     ] {
         write_frame(&mut s, garbage).unwrap();
@@ -322,12 +334,8 @@ fn garbage_payload_scenario(threaded: bool) {
 
 #[test]
 fn partial_header_dropped_within_request_timeout() {
-    on_both_backends(partial_header_scenario);
-}
-
-fn partial_header_scenario(threaded: bool) {
     let timeout = Duration::from_millis(300);
-    let mut server = server(timeout, threaded);
+    let mut server = server(timeout);
     let addr = server.local_addr();
     let mut s = TcpStream::connect(addr).unwrap();
     // Two of four header bytes, then silence: a started frame must
@@ -344,11 +352,7 @@ fn partial_header_scenario(threaded: bool) {
 
 #[test]
 fn mid_frame_eof_drops_connection_cleanly() {
-    on_both_backends(mid_frame_eof_scenario);
-}
-
-fn mid_frame_eof_scenario(threaded: bool) {
-    let mut server = server(Duration::from_secs(2), threaded);
+    let mut server = server(Duration::from_secs(2));
     let addr = server.local_addr();
     let mut s = TcpStream::connect(addr).unwrap();
     // Header promises 100 payload bytes; deliver 10, then half-close.
@@ -366,11 +370,7 @@ fn mid_frame_eof_scenario(threaded: bool) {
 
 #[test]
 fn oversized_length_prefix_drops_connection() {
-    on_both_backends(oversized_prefix_scenario);
-}
-
-fn oversized_prefix_scenario(threaded: bool) {
-    let mut server = server(Duration::from_secs(2), threaded);
+    let mut server = server(Duration::from_secs(2));
     let addr = server.local_addr();
     let mut s = TcpStream::connect(addr).unwrap();
     s.write_all(&((MAX_FRAME as u32) + 1).to_le_bytes())
@@ -384,19 +384,15 @@ fn oversized_prefix_scenario(threaded: bool) {
     server.shutdown();
 }
 
-#[test]
-fn slow_loris_dribbler_reaped_without_stalling_healthy_clients() {
-    on_both_backends(slow_loris_scenario);
-}
-
 /// Slow-loris: a peer dribbles a *valid* frame one byte at a time, too
 /// slowly to ever finish within `request_timeout`. The server must reap
 /// the dribbler once its partial frame overstays the deadline, and a
 /// healthy client hammering the same server concurrently must never
 /// notice (no stalled accept loop, no pinned dispatcher).
-fn slow_loris_scenario(threaded: bool) {
+#[test]
+fn slow_loris_dribbler_reaped_without_stalling_healthy_clients() {
     let timeout = Duration::from_millis(300);
-    let mut server = server(timeout, threaded);
+    let mut server = server(timeout);
     let addr = server.local_addr();
 
     // Healthy traffic on its own thread for the duration of the attack.
@@ -461,7 +457,7 @@ fn slow_loris_scenario(threaded: bool) {
     let reaped = reaped.unwrap_or_else(|| wait_for_close(&mut s));
     assert!(
         reaped < Duration::from_secs(10),
-        "slow-loris peer survived {reaped:?} (threaded={threaded})"
+        "slow-loris peer survived {reaped:?}"
     );
 
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -469,24 +465,20 @@ fn slow_loris_scenario(threaded: bool) {
     assert!(calls > 0, "healthy client made no progress");
     assert!(
         slowest < Duration::from_secs(5),
-        "healthy client stalled for {slowest:?} behind the dribbler (threaded={threaded})"
+        "healthy client stalled for {slowest:?} behind the dribbler"
     );
     assert_healthy(addr);
     server.shutdown();
 }
 
-#[test]
-fn repl_garbage_and_stale_acks_never_stall_replication() {
-    on_both_backends(repl_garbage_scenario);
-}
-
-/// v5 replication ops under attack: malformed `ReplSubscribe`/`ReplAck`
+/// Replication ops under attack: malformed `ReplUnitFetch`/`ReplAck`
 /// payloads get typed `Error` replies (no panic, connection kept), a
 /// stale ack absurdly past the journal is clamped rather than trusted,
 /// and a healthy subscriber on another connection keeps shipping units
 /// throughout.
-fn repl_garbage_scenario(threaded: bool) {
-    let mut server = server(Duration::from_secs(2), threaded);
+#[test]
+fn repl_garbage_and_stale_acks_never_stall_replication() {
+    let mut server = server(Duration::from_secs(2));
     let addr = server.local_addr();
     // Seed one journal batch unit so there is something to ship.
     let mut c = HullClient::builder(addr.to_string()).connect().unwrap();
@@ -497,12 +489,12 @@ fn repl_garbage_scenario(threaded: bool) {
 
     let mut s = TcpStream::connect(addr).unwrap();
     for garbage in [
-        &[0x10u8][..],             // ReplSubscribe, no body
-        &[0x10, 0x00, 0x00, 0x01], // truncated from_index
+        &[0x13u8][..],             // ReplUnitFetch, no body
+        &[0x13, 0x00, 0x00, 0x01], // truncated from_index
         &[0x11, 0xFF, 0xFF],       // ReplAck, index missing
-        // Well-formed ReplSubscribe body plus trailing junk.
+        // Well-formed ReplUnitFetch body plus trailing junk.
         &[
-            0x10, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x77,
+            0x13, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x77,
         ],
     ] {
         write_frame(&mut s, garbage).unwrap();
@@ -529,30 +521,36 @@ fn repl_garbage_scenario(threaded: bool) {
 
     // Healthy subscriber on a fresh connection: units still ship, and
     // asking from the end reads as caught-up, not an error.
-    let (index, total, dim, flat) = c.repl_fetch(0, 0).unwrap();
+    let (index, total, dim, unit) = c.repl_unit_fetch(0, 0).unwrap();
     assert_eq!(index, 0);
     assert!(total >= 1, "no units shipped (total {total})");
     assert_eq!(dim, 2);
-    assert!(!flat.is_empty(), "first unit empty");
-    let (i2, t2, _, flat2) = c.repl_fetch(0, total).unwrap();
+    assert!(
+        matches!(&unit, ReplUnit::Ops { inserts, .. } if !inserts.is_empty()),
+        "first unit empty: {unit:?}"
+    );
+    let (i2, t2, _, unit2) = c.repl_unit_fetch(0, total).unwrap();
     assert_eq!((i2, t2), (total, total));
-    assert!(flat2.is_empty(), "caught-up fetch returned points");
+    assert_eq!(
+        unit2,
+        ReplUnit::Ops {
+            inserts: vec![],
+            tombstones: vec![],
+        },
+        "caught-up fetch returned rows"
+    );
     assert_healthy(addr);
     server.shutdown();
 }
 
-#[test]
-fn mutate_garbage_and_bad_envelopes_never_stall_ingest() {
-    on_both_backends(mutate_garbage_scenario);
-}
-
-/// v6 ingest ops under attack: malformed `Mutate`/`ReplUnitFetch`
+/// Ingest ops under attack: malformed `Mutate`/`ReplUnitFetch`
 /// payloads — truncated envelopes, absurd mutation counts, unknown
 /// mutation tags, wrong-dimension rows — get typed `Error` replies (no
-/// panic, connection kept), and a healthy v6 client on another
+/// panic, connection kept), and a healthy client on another
 /// connection keeps mutating and pulling typed units throughout.
-fn mutate_garbage_scenario(threaded: bool) {
-    let mut server = server(Duration::from_secs(2), threaded);
+#[test]
+fn mutate_garbage_and_bad_envelopes_never_stall_ingest() {
+    let mut server = server(Duration::from_secs(2));
     let addr = server.local_addr();
     // Seed one unit with a tombstone so the typed fetch ships both vecs.
     let mut c = HullClient::builder(addr.to_string()).connect().unwrap();
@@ -590,7 +588,7 @@ fn mutate_garbage_scenario(threaded: bool) {
         assert!(matches!(resp, Response::Error(_)), "{resp:?}");
     }
 
-    // Healthy v6 traffic on a fresh connection: the envelope still
+    // Healthy traffic on a fresh connection: the envelope still
     // lands, and the typed fetch ships the seeded tombstone unit.
     let mut h = HullClient::builder(addr.to_string()).connect().unwrap();
     h.mutate(0, MutationBatch::new().insert([9, 9])).unwrap();
@@ -619,4 +617,135 @@ fn mutate_garbage_scenario(threaded: bool) {
     assert_eq!(all_tombstones, vec![vec![4, 4]], "tombstone not shipped");
     assert_healthy(addr);
     server.shutdown();
+}
+
+/// Send one raw payload and decode the one reply frame.
+fn exchange(s: &mut TcpStream, payload: &[u8]) -> Response {
+    write_frame(s, payload).unwrap();
+    let reply = read_frame(s).unwrap().expect("reply frame");
+    Response::decode(&reply).unwrap()
+}
+
+/// Each retired op (0x01, 0x0A, 0x0C–0x0E, 0x10), sent well-formed,
+/// decodes to `BadOpcode` and is answered `Error`; the very next
+/// `Mutate` and `Contains` on the *same* connection still succeed.
+#[test]
+fn retired_ops_get_error_replies_and_the_connection_keeps_serving() {
+    let mut server = server(Duration::from_secs(2));
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    let seed = Request::Mutate {
+        shard: 0,
+        muts: [[0, 0], [10, 0], [0, 10], [10, 10]]
+            .map(|p| Mutation::Insert(p.to_vec()))
+            .to_vec(),
+    };
+    assert!(matches!(
+        exchange(&mut s, &seed.encode()),
+        Response::Mutated { .. }
+    ));
+    assert!(matches!(
+        exchange(&mut s, &Request::Flush { shard: 0 }.encode()),
+        Response::Flushed { .. }
+    ));
+    for (i, (op, frame)) in retired_frames().into_iter().enumerate() {
+        assert_eq!(Request::decode(&frame), Err(WireError::BadOpcode(op)));
+        let resp = exchange(&mut s, &frame);
+        assert!(
+            matches!(resp, Response::Error(_)),
+            "retired op {op:#04x} answered {resp:?}"
+        );
+        let insert = Request::Mutate {
+            shard: 0,
+            muts: vec![Mutation::Insert(vec![5, 1 + i as i64])],
+        };
+        match exchange(&mut s, &insert.encode()) {
+            Response::Mutated { accepted, .. } => assert_eq!(accepted, vec![true]),
+            other => panic!("Mutate after retired op {op:#04x}: {other:?}"),
+        }
+        let contains = Request::Contains {
+            shard: 0,
+            point: vec![5, 5],
+        };
+        assert_eq!(
+            exchange(&mut s, &contains.encode()),
+            Response::Bool(true),
+            "Contains after retired op {op:#04x}"
+        );
+    }
+    server.shutdown();
+}
+
+/// `Hello` is one exact version check: versions 1 and 6 (and any other
+/// but `PROTOCOL_VERSION`) get `Error`, and the connection stays usable.
+#[test]
+fn hello_with_another_version_is_refused() {
+    let mut server = server(Duration::from_secs(2));
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    for version in [1u16, 6, PROTOCOL_VERSION + 1, 0] {
+        let resp = exchange(&mut s, &Request::Hello { version }.encode());
+        assert!(
+            matches!(resp, Response::Error(_)),
+            "Hello v{version} answered {resp:?}"
+        );
+    }
+    assert_eq!(
+        exchange(
+            &mut s,
+            &Request::Hello {
+                version: PROTOCOL_VERSION
+            }
+            .encode()
+        ),
+        Response::Hello {
+            version: PROTOCOL_VERSION
+        }
+    );
+    server.shutdown();
+}
+
+/// A one-connection stub server that reads the client's `Hello` and
+/// answers it with `reply`.
+fn hello_stub(reply: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<Request>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stub = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let hello = read_frame(&mut conn).unwrap().expect("client hello");
+        write_frame(&mut conn, &reply).unwrap();
+        Request::decode(&hello).unwrap()
+    });
+    (addr, stub)
+}
+
+/// `HullClientBuilder::connect` refuses a server that answers `Hello`
+/// with another version — in this build's reply format or in the
+/// pre-collapse one (`u16` version then `u32` capability bits) — with
+/// `ErrorKind::Unsupported`.
+#[test]
+fn client_connect_refuses_a_server_of_another_version() {
+    let mut old_format = vec![0x00, 0x0B];
+    old_format.extend_from_slice(&6u16.to_le_bytes());
+    old_format.extend_from_slice(&31u32.to_le_bytes());
+    for reply in [
+        Response::Hello { version: 6 }.encode(),
+        Response::Error("protocol version 7 unsupported".to_string()).encode(),
+        old_format,
+    ] {
+        let (addr, stub) = hello_stub(reply.clone());
+        let err = match HullClient::builder(addr.to_string()).connect() {
+            Ok(_) => panic!("connect accepted a server answering {reply:02x?}"),
+            Err(e) => e,
+        };
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::Unsupported,
+            "{reply:02x?}: {err}"
+        );
+        assert_eq!(
+            stub.join().unwrap(),
+            Request::Hello {
+                version: PROTOCOL_VERSION
+            }
+        );
+    }
 }

@@ -10,7 +10,9 @@
 //! depth stays logarithmic, so the histogram max is far below n).
 
 use convex_hull_suite::geometry::{generators, PointSet};
-use convex_hull_suite::service::{serve, HullClient, MutationBatch, ServeOptions, ServiceConfig};
+use convex_hull_suite::service::{
+    serve, HullClient, MutationBatch, ReplUnit, ServeOptions, ServiceConfig,
+};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -98,11 +100,14 @@ fn wire_and_http_scrapes_agree_and_cover_every_layer() {
     assert_eq!(c.contains(0, &[0, 0]).unwrap(), Some(true));
     assert!(c.visible(1, &[1 << 19, 0]).unwrap().is_some());
 
-    // Exercise the v5 replication surface so its op series and gauges
+    // Exercise the replication surface so its op series and gauges
     // carry real values: ship shard 0's first unit, ack it applied.
-    let (index, total, dim, flat) = c.repl_fetch(0, 0).unwrap();
+    let (index, total, dim, unit) = c.repl_unit_fetch(0, 0).unwrap();
     assert_eq!((index, dim), (0, 2));
-    assert!(total >= 1 && !flat.is_empty(), "nothing shipped");
+    assert!(
+        total >= 1 && matches!(&unit, ReplUnit::Ops { inserts, .. } if !inserts.is_empty()),
+        "nothing shipped"
+    );
     let lag = c.repl_ack(0, 1).unwrap();
     assert_eq!(lag, total - 1, "ack through unit 0 leaves total-1 lag");
 
@@ -182,13 +187,13 @@ fn wire_and_http_scrapes_agree_and_cover_every_layer() {
 
     // Per-op request accounting covered the ops this test issued.
     for op in [
-        "insert",
+        "mutate",
         "flush",
         "contains",
         "visible",
         "stats",
         "metrics",
-        "repl_subscribe",
+        "repl_unit",
         "repl_ack",
     ] {
         let needle = format!("chull_server_requests_total{{op=\"{op}\"}}");

@@ -1,4 +1,4 @@
-//! Protocol v4 pipelining: many tagged requests in flight on one
+//! Pipelining: many tagged requests in flight on one
 //! connection, replies correlated by id (possibly out of order), and
 //! the served hull bit-identical to the same workload issued
 //! sequentially.
@@ -10,33 +10,25 @@
 //!   of its request, and the restored pairing must answer exactly like
 //!   the same requests issued one at a time against the same state
 //!   (byte-identical reply encodings for read-only ops);
-//! * **ordering freedom without hull divergence** — tagged inserts may
-//!   be applied in any order across the dispatcher pool, so the hull is
-//!   compared as a canonical facet-coordinate set against a sequential
-//!   twin server (order-independence is Theorem 4.2 of the paper, the
-//!   same property the chaos harness leans on);
+//! * **ordering freedom without hull divergence** — tagged insert-only
+//!   `Mutate` frames may be applied in any order across the dispatcher
+//!   pool, so the hull is compared as a canonical facet-coordinate set
+//!   against a sequential twin server (order-independence of a set of
+//!   inserts is Theorem 4.2 of the paper, the same property the chaos
+//!   harness leans on);
 //! * **depth beyond the in-flight cap** — a pipeline much deeper than
 //!   the server's per-connection tagged concurrency limit (64) parks
-//!   frames and still answers every one exactly once;
-//! * **version coexistence** — v1 (no handshake), v2, v3, and v4
-//!   clients share one event-loop server; pipelining on a connection
-//!   that did not negotiate v4+`CAP_PIPELINE` is refused client-side.
-//!
-//! Everything runs against both front ends (epoll event loop and the
-//! threaded oracle) except the mixed-version test, which targets the
-//! event loop — the back end that actually multiplexes.
+//!   frames and still answers every one exactly once.
 
 use convex_hull_suite::core::seq::incremental_hull_run;
 use convex_hull_suite::geometry::{generators, PointSet};
-use convex_hull_suite::service::wire::{
-    Request, Response, CAP_PIPELINE, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_V4,
-};
+use convex_hull_suite::service::wire::{Request, Response};
 use convex_hull_suite::service::{
-    serve, HullClient, MutationBatch, ServeOptions, ServerHandle, ServiceConfig,
+    serve, HullClient, Mutation, MutationBatch, ServeOptions, ServerHandle, ServiceConfig,
 };
 use std::collections::BTreeSet;
 
-fn server(threaded: bool) -> ServerHandle {
+fn server() -> ServerHandle {
     serve(ServeOptions {
         config: ServiceConfig {
             dim: 2,
@@ -48,7 +40,6 @@ fn server(threaded: bool) -> ServerHandle {
             bulk_threshold: 0,
             ..Default::default()
         },
-        threaded,
         ..Default::default()
     })
     .unwrap()
@@ -92,34 +83,26 @@ fn canonical_offline(pts: &PointSet) -> BTreeSet<Vec<Vec<i64>>> {
 
 #[test]
 fn pipelined_inserts_and_queries_match_sequential_twin() {
-    for threaded in [false, true] {
-        pipelined_vs_sequential(threaded);
-    }
-}
-
-fn pipelined_vs_sequential(threaded: bool) {
     let n = 200;
     let pts = generators::ball_d(2, n, 1_000_000, 7);
     let rows: Vec<Vec<i64>> = (0..n).map(|i| pts.point(i).to_vec()).collect();
 
-    // Pipelined server: interleaved Insert frames across both shards,
-    // 100 tagged requests per burst.
-    let mut piped = server(threaded);
+    // Pipelined server: interleaved one-insert Mutate frames across
+    // both shards, 100 tagged requests per burst.
+    let mut piped = server();
     let mut pc = client(piped.local_addr());
-    assert!(pc.negotiated_version() >= PROTOCOL_V4);
-    assert_ne!(pc.caps() & CAP_PIPELINE, 0);
     for chunk in rows.chunks(100) {
         let reqs: Vec<Request> = chunk
             .iter()
             .enumerate()
-            .map(|(i, p)| Request::Insert {
+            .map(|(i, p)| Request::Mutate {
                 shard: (i % 2) as u16,
-                point: p.clone(),
+                muts: vec![Mutation::Insert(p.clone())],
             })
             .collect();
         for resp in pc.pipeline(&reqs).unwrap() {
             assert!(
-                matches!(resp, Response::Inserted),
+                matches!(&resp, Response::Mutated { accepted, .. } if accepted == &[true]),
                 "pipelined insert: {resp:?}"
             );
         }
@@ -133,7 +116,7 @@ fn pipelined_vs_sequential(threaded: bool) {
 
     // Sequential twin: identical rows, identical shard split, one
     // request at a time.
-    let mut seq = server(threaded);
+    let mut seq = server();
     let mut sc = client(seq.local_addr());
     for chunk in rows.chunks(100) {
         for (i, p) in chunk.iter().enumerate() {
@@ -153,7 +136,7 @@ fn pipelined_vs_sequential(threaded: bool) {
         assert_eq!(
             canonical_facets(&a),
             canonical_facets(&b),
-            "shard {shard}: pipelined hull != sequential hull (threaded={threaded})"
+            "shard {shard}: pipelined hull != sequential hull"
         );
         let shard_rows: Vec<Vec<i64>> = rows
             .chunks(100)
@@ -171,7 +154,7 @@ fn pipelined_vs_sequential(threaded: bool) {
         assert_eq!(
             canonical_facets(&a),
             canonical_offline(&sub),
-            "shard {shard}: served hull != offline Algorithm 2 (threaded={threaded})"
+            "shard {shard}: served hull != offline Algorithm 2"
         );
     }
 
@@ -199,7 +182,7 @@ fn pipelined_vs_sequential(threaded: bool) {
         assert_eq!(
             piped_reply.encode(),
             seq_reply.encode(),
-            "reply divergence for {req:?} (threaded={threaded})"
+            "reply divergence for {req:?}"
         );
     }
 
@@ -212,103 +195,28 @@ fn pipelined_vs_sequential(threaded: bool) {
 /// exactly once, and correlation holds at depth.
 #[test]
 fn pipeline_deeper_than_inflight_cap_answers_every_request() {
-    for threaded in [false, true] {
-        let mut srv = server(threaded);
-        let mut c = client(srv.local_addr());
-        for p in [[0, 0], [40, 0], [0, 40], [40, 40]] {
-            c.mutate(0, MutationBatch::new().insert(p)).unwrap();
-        }
-        c.flush(0).unwrap();
-        let depth = 512;
-        let reqs: Vec<Request> = (0..depth)
-            .map(|i| Request::Contains {
-                shard: 0,
-                point: vec![(i % 80) as i64 - 20, (i / 8) as i64 % 60],
-            })
-            .collect();
-        let replies = c.pipeline(&reqs).unwrap();
-        assert_eq!(replies.len(), depth);
-        for (req, reply) in reqs.iter().zip(&replies) {
-            let expect = c.raw(req).unwrap();
-            assert_eq!(
-                reply.encode(),
-                expect.encode(),
-                "depth-{depth} pipeline diverged on {req:?} (threaded={threaded})"
-            );
-        }
-        srv.shutdown();
+    let mut srv = server();
+    let mut c = client(srv.local_addr());
+    for p in [[0, 0], [40, 0], [0, 40], [40, 40]] {
+        c.mutate(0, MutationBatch::new().insert(p)).unwrap();
     }
-}
-
-/// One event-loop server, four protocol generations at once. Each
-/// client speaks its own dialect; answers agree; pipelining is refused
-/// on connections that did not negotiate it.
-#[test]
-// Deliberately drives the deprecated pre-v6 insert shims: each pinned
-// client must keep speaking its own dialect through them.
-#[allow(deprecated)]
-fn mixed_version_clients_share_one_event_loop_server() {
-    let mut srv = server(false);
-    let addr = srv.local_addr().to_string();
-    let mut v1 = HullClient::builder(&addr)
-        .protocol_ceiling(PROTOCOL_V1)
-        .connect()
-        .unwrap();
-    let mut v2 = HullClient::builder(&addr)
-        .protocol_ceiling(PROTOCOL_V2)
-        .connect()
-        .unwrap();
-    let mut v3 = HullClient::builder(&addr)
-        .protocol_ceiling(PROTOCOL_V3)
-        .connect()
-        .unwrap();
-    let mut v4 = HullClient::builder(&addr)
-        .protocol_ceiling(PROTOCOL_V4)
-        .connect()
-        .unwrap();
-    assert_eq!(v1.negotiated_version(), PROTOCOL_V1);
-    assert_eq!(v2.negotiated_version(), PROTOCOL_V2);
-    assert_eq!(v3.negotiated_version(), PROTOCOL_V3);
-    assert_eq!(v4.negotiated_version(), PROTOCOL_V4);
-
-    // Ingest through every dialect: v1 per-point, v2 batch frame, v3
-    // per-point, v4 pipelined.
-    v1.insert(0, &[0, 0]).unwrap();
-    v2.insert_batch(0, &[vec![30, 0], vec![0, 30]]).unwrap();
-    v3.insert(0, &[30, 30]).unwrap();
-    for resp in v4
-        .pipeline(&[
-            Request::Insert {
-                shard: 0,
-                point: vec![15, 35],
-            },
-            Request::Flush { shard: 0 },
-        ])
-        .unwrap()
-    {
-        assert!(
-            !matches!(resp, Response::Error(_)),
-            "v4 pipeline failed: {resp:?}"
+    c.flush(0).unwrap();
+    let depth = 512;
+    let reqs: Vec<Request> = (0..depth)
+        .map(|i| Request::Contains {
+            shard: 0,
+            point: vec![(i % 80) as i64 - 20, (i / 8) as i64 % 60],
+        })
+        .collect();
+    let replies = c.pipeline(&reqs).unwrap();
+    assert_eq!(replies.len(), depth);
+    for (req, reply) in reqs.iter().zip(&replies) {
+        let expect = c.raw(req).unwrap();
+        assert_eq!(
+            reply.encode(),
+            expect.encode(),
+            "depth-{depth} pipeline diverged on {req:?}"
         );
     }
-    v4.flush(0).unwrap();
-
-    // All four observe the same hull.
-    for q in [[5, 5], [29, 29], [40, 40], [15, 34]] {
-        let expect = v4.contains(0, &q).unwrap();
-        assert_eq!(v1.contains(0, &q).unwrap(), expect, "v1 at {q:?}");
-        assert_eq!(v2.contains(0, &q).unwrap(), expect, "v2 at {q:?}");
-        assert_eq!(v3.contains(0, &q).unwrap(), expect, "v3 at {q:?}");
-        // v3 can also cross-check via the scan oracle.
-        assert_eq!(v3.contains_scan(0, &q).unwrap(), expect, "v3 scan at {q:?}");
-    }
-
-    // Pipelining needs the v4 handshake: the v3 connection refuses
-    // client-side without putting garbage on the wire.
-    let err = v3
-        .pipeline(&[Request::Flush { shard: 0 }])
-        .expect_err("v3 connection must not pipeline");
-    assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
-
     srv.shutdown();
 }

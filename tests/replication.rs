@@ -3,15 +3,15 @@
 //! `hull route` front end, follower self-promotion, and a kill-a-node
 //! chaos run against real `hull serve` processes.
 //!
-//! The invariant under test everywhere (DESIGN §S20): because journal
-//! batch units are order-independent (Theorem 4.2) and duplicate points
-//! never change a hull, a follower may fetch units late, twice, or not
-//! at all for a while — dropped shipments, dropped applies, link loss,
-//! puller death — and still converge **bit-identical** (as a set of
-//! facet coordinate tuples) to the offline sequential Algorithm 2 on
+//! The invariant under test everywhere (DESIGN §S20): because a
+//! follower applies the primary's journal units in index order and
+//! skips any index it already holds, it may fetch units late, twice, or
+//! not at all for a while — dropped shipments, dropped applies, link
+//! loss, puller death — and still converge **bit-identical** (as a set
+//! of facet coordinate tuples) to the offline sequential Algorithm 2 on
 //! the primary's point multiset. Staleness meanwhile is bounded
 //! in-band: reads served while the follower trails are wrapped in the
-//! wire v5 `Stale { lag }` status.
+//! wire `Stale { lag }` status.
 //!
 //! The failpoint registry is process-global, so every test here takes a
 //! shared mutex before touching a server (armed or not — a concurrent
@@ -525,14 +525,14 @@ fn sigkill_primary_promoted_follower_serves_identical_hull() {
 
     let mut pc = connect(paddr);
     insert_all(&mut pc, &rows);
-    let (_, total, _, _) = pc.repl_fetch(0, u64::MAX).unwrap();
+    let (_, total, _, _) = pc.repl_unit_fetch(0, u64::MAX).unwrap();
     assert!(total >= 1);
 
-    // The follower serves the v5 replication surface too — its own
-    // batch-unit total is the catch-up cursor, observable externally.
+    // The follower serves the replication surface too — its own unit
+    // total is the catch-up cursor, observable externally.
     let mut fc = connect(faddr);
     wait_until("follower process to catch up", || {
-        fc.repl_fetch(0, u64::MAX).map(|(_, t, _, _)| t).ok() == Some(total)
+        fc.repl_unit_fetch(0, u64::MAX).map(|(_, t, _, _)| t).ok() == Some(total)
     });
 
     // Kill -9: no drain, no goodbye. The degraded window starts here.
@@ -561,7 +561,7 @@ fn sigkill_primary_promoted_follower_serves_identical_hull() {
     fc.shutdown_server().unwrap();
 }
 
-/// Tentpole: deletes replicate. Tombstone units ship typed (wire v6
+/// Deletes replicate. Tombstone units ship typed (wire
 /// `ReplUnitFetch`), a tombstone-ratio or hull-invalidating rebuild on
 /// the primary ships a **checkpoint** unit that collapses the dead
 /// history, and the follower — bootstrapping *after* all of it — must

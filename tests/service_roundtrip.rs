@@ -120,7 +120,7 @@ fn concurrent_clients_match_offline_3d() {
 #[test]
 fn backpressure_preserves_exactly_once() {
     // A 2-slot queue with 1-item batches forces Overloaded replies under 4
-    // hammering clients; insert_retry absorbs them, and the hull must still
+    // hammering clients; `mutate` absorbs them, and the hull must still
     // match the offline run exactly (no loss, no duplication).
     let rejections = roundtrip(generators::cube_d(2, 240, 1_000_000, 13), 2, 1);
     // Not asserted > 0: rejection count depends on scheduling. The exact-
