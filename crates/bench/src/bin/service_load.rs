@@ -36,12 +36,6 @@
 //! time until the self-promoted follower accepts writes again, and
 //! verifies the promoted hull bit-identical to offline Algorithm 2.
 //!
-//! The E24 workload (`recovery_bulk`, via `--recovery-only`) writes an
-//! n-insert WAL and A/Bs cold-start restart over it: incremental batch
-//! replay (`--bulk-threshold 0`) vs the bulk divide-and-conquer
-//! constructor (DESIGN §S21), asserting both restarts serve the
-//! identical canonical hull.
-//!
 //! The E25 workload (`churn_2d`, via `--churn-only`) measures windowed
 //! / deletion churn throughput vs window size over the `Mutate`
 //! envelope: an insert-only baseline, a server-side count-window arm,
@@ -51,15 +45,13 @@
 //!
 //! ```text
 //! USAGE: service_load [--out FILE] [--clients C] [--quick]
-//!                     [--fanin N] [--fanin-only] [--repl-only] [--recovery-only]
-//!                     [--churn-only]
+//!                     [--fanin N] [--fanin-only] [--repl-only] [--churn-only]
 //! ```
 //!
 //! `--quick` shrinks the workloads for CI smoke runs; `--fanin-only`
 //! runs just the E22 rows (the CI 10k-connection smoke); `--repl-only`
-//! runs just the E23 kill-a-node drill; `--recovery-only` runs just the
-//! E24 restart A/B (50k/200k/1M journals; 50k with `--quick`);
-//! `--churn-only` runs just the E25 window-churn sweep.
+//! runs just the E23 kill-a-node drill; `--churn-only` runs just the
+//! E25 window-churn sweep.
 //! Latencies are
 //! *round-trip* (request written to reply decoded) over loopback TCP, so
 //! they include wire encode/decode and the socket — the serving cost a
@@ -134,7 +126,6 @@ fn run_workload(
             max_batch: 256,
             workers: 0,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()
@@ -302,7 +293,6 @@ fn run_chaos_recovery(pts: &PointSet, clients: usize) -> String {
             max_batch: 256,
             workers: 0,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()
@@ -494,7 +484,6 @@ fn repl_primary_main() {
             max_batch: 256,
             workers: 0,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()
@@ -551,7 +540,6 @@ fn run_replicated_failover(pts: &PointSet, clients: usize) -> String {
             max_batch: 256,
             workers: 0,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         follow: Some(FollowOptions {
@@ -741,7 +729,6 @@ fn run_applied_ingest(pts: &PointSet, clients: usize, batch: usize, workers: usi
             max_batch: 256,
             workers,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()
@@ -1053,99 +1040,6 @@ fn run_fanin(conns_wanted: usize, probes: usize) -> String {
     )
 }
 
-/// E24: cold-start recovery A/B. Writes an `n`-insert WAL directly
-/// through the journal layer (256-insert batch units — the shape a
-/// real ingest run leaves behind), then times [`HullService::new`] over
-/// it twice: once with incremental batch replay (`bulk_threshold: 0`,
-/// the bit-identical baseline) and once through the bulk
-/// divide-and-conquer constructor (DESIGN §S21). Asserts the two
-/// restarts serve the identical canonical hull and returns one
-/// pre-formatted JSON row per arm.
-fn run_recovery_ab(n: usize) -> Vec<String> {
-    use chull_service::{HullService, Journal};
-    let dim = 2;
-    let pts = generators::cube_d(dim, n, 1_000_000, 99);
-    let dir = std::env::temp_dir().join(format!("chull-recovery-ab-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir wal");
-    {
-        let mut journal = Journal::with_wal(dim, &dir, 0).expect("open wal");
-        for i in 0..n {
-            journal.append(pts.point(i)).expect("append");
-            if (i + 1) % 256 == 0 || i + 1 == n {
-                journal.mark_batch().expect("mark");
-            }
-        }
-        journal.sync().expect("sync");
-    }
-
-    let restart = |bulk_threshold: usize| {
-        let t0 = Instant::now();
-        let svc = HullService::new(ServiceConfig {
-            dim,
-            shards: 1,
-            queue_capacity: 4096,
-            max_batch: 256,
-            workers: 0,
-            wal_dir: Some(dir.clone()),
-            bulk_threshold,
-            ..Default::default()
-        })
-        .expect("restart over wal");
-        let secs = t0.elapsed().as_secs_f64();
-        let snap = svc.snapshot(0).expect("snapshot");
-        assert!(snap.ready());
-        assert_eq!(snap.num_points(), n, "restart lost journaled inserts");
-        let stats = svc.stats_for(0).expect("stats");
-        let bulk_builds = stats.bulk_builds.load(Ordering::Relaxed);
-        let pruned = stats.bulk_pruned.load(Ordering::Relaxed);
-        // Canonical facet set by coordinates: bulk and incremental
-        // replay may number internal ids differently.
-        let flat = snap.flat_points();
-        let canonical: std::collections::BTreeSet<Vec<Vec<i64>>> = snap
-            .output()
-            .facets
-            .iter()
-            .map(|f| {
-                let mut verts: Vec<Vec<i64>> = f[..dim]
-                    .iter()
-                    .map(|&v| flat[v as usize * dim..(v as usize + 1) * dim].to_vec())
-                    .collect();
-                verts.sort();
-                verts
-            })
-            .collect();
-        svc.shutdown();
-        (secs, bulk_builds, pruned, canonical)
-    };
-
-    let (inc_secs, inc_bulk, _, inc_hull) = restart(0);
-    assert_eq!(inc_bulk, 0, "baseline arm took the bulk path");
-    let (bulk_secs, bulk_builds, pruned, bulk_hull) = restart(1);
-    assert_eq!(bulk_builds, 1, "bulk arm did not take the bulk path");
-    assert_eq!(bulk_hull, inc_hull, "bulk restart serves a different hull");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let speedup = inc_secs / bulk_secs.max(1e-9);
-    [
-        ("incremental", inc_secs, 0u64),
-        ("bulk", bulk_secs, pruned),
-    ]
-    .iter()
-    .map(|(mode, secs, pruned)| {
-        println!(
-            "{:<28} {:>8} pts  restart {:>8.3}s  ({mode}, {pruned} pruned, bulk speedup {speedup:.2}x)",
-            "recovery_bulk", n, secs
-        );
-        format!(
-            "  {{\"workload\": \"recovery_bulk\", \"dim\": {dim}, \"n_points\": {n}, \
-             \"mode\": \"{mode}\", \"recovery_secs\": {secs:.4}, \"points_pruned\": {pruned}, \
-             \"canonical_identical\": true, \"bulk_speedup\": {speedup:.2}}}"
-        )
-    })
-    .collect()
-}
-
 /// E25 (`churn_2d`): sliding-window / deletion churn throughput vs
 /// window size. One ingest client streams `pts` in 64-mutation v6
 /// `Mutate` envelopes; the live set is bounded at `window` points
@@ -1169,7 +1063,6 @@ fn run_churn(pts: &PointSet, mode: &str, window: usize) -> String {
             max_batch: 256,
             workers: 0,
             wal_dir: None,
-            bulk_threshold: 0,
             window: if mode == "window" && window > 0 {
                 WindowPolicy::Count(window)
             } else {
@@ -1329,7 +1222,6 @@ fn fanin_server_main(conns: usize) {
             max_batch: 256,
             workers: 0,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()
@@ -1361,7 +1253,6 @@ fn main() {
     let mut fanin = 10_000usize;
     let mut fanin_only = false;
     let mut repl_only = false;
-    let mut recovery_only = false;
     let mut churn_only = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -1384,28 +1275,15 @@ fn main() {
             }
             "--fanin-only" => fanin_only = true,
             "--repl-only" => repl_only = true,
-            "--recovery-only" => recovery_only = true,
             "--churn-only" => churn_only = true,
             other => {
                 eprintln!(
                     "USAGE: service_load [--out FILE] [--clients C] [--quick] \
-                     [--fanin N] [--fanin-only] [--repl-only] [--recovery-only] \
-                     [--churn-only]"
+                     [--fanin N] [--fanin-only] [--repl-only] [--churn-only]"
                 );
                 panic!("unknown flag '{other}'");
             }
         }
-    }
-    if recovery_only {
-        let sizes: &[usize] = if quick {
-            &[50_000]
-        } else {
-            &[50_000, 200_000, 1_000_000]
-        };
-        let rows: Vec<String> = sizes.iter().flat_map(|&n| run_recovery_ab(n)).collect();
-        write_json(&out_path, &[], &rows).expect("writing results");
-        println!("wrote {out_path}");
-        return;
     }
     if repl_only {
         let n = if quick { 2_000 } else { 25_000 };

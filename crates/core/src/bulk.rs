@@ -1,82 +1,54 @@
-//! Parallel divide-and-conquer **bulk construction** — the recovery-path
-//! constructor for cold start, WAL replay, and snapshot compaction.
+//! The **prefilter** of the one build-from-known-rows constructor,
+//! [`HullBuilder::seed_from_bulk`](crate::online::HullBuilder::seed_from_bulk),
+//! used by cold start, WAL replay, follower bootstrap, survivor rebuilds
+//! and snapshot compaction.
 //!
-//! Incremental insertion is the right tool when points arrive one at a
-//! time; when the *entire* input is already known (a journal to replay, a
-//! snapshot to compact), a sorting-based divide-and-conquer pass is far
-//! cheaper: recursively partition the points by a pivot hyperplane
-//! (axis-aligned through the median of the widest-spread axis), build each
-//! leaf's sub-hull independently on the worker pool, and merge sibling
-//! results pairwise — the shape of *Cache-Oblivious Parallel Convex Hull
-//! in the Binary Forking Model* and of ParGeo's `parallelQuickHull`
-//! (PAPERS.md; SNIPPETS.md Snippet 3). Every sign test inside the leaf
-//! and merge hulls runs on the same staged exact kernel
+//! When the *entire* input is already known, a quickhull-style opening
+//! (ParGeo's `parallelQuickHull`; SNIPPETS.md Snippet 3) discards most of
+//! a fat point cloud with a few sign tests per point: build the hull of
+//! a handful of directional extremes, then drop every point *strictly
+//! inside* it. The survivors go through one Algorithm 3 install, which
+//! locates each of them output-sensitively, so no further pruning pays
+//! for itself. Every sign test runs on the same staged exact kernel
 //! ([`chull_geometry::kernel`]) as the incremental algorithms, so the
-//! sweep is exact, deterministic, and counts like everything else.
+//! filter is exact and deterministic.
 //!
-//! The sweep's output is not a hull but a **candidate set**: the ids of
-//! every point that might be a vertex of the full hull. Only points
-//! *strictly interior* to some sub-hull are pruned. Crucially, points
-//! lying exactly **on** a sub-hull's boundary are kept even when they are
-//! not vertices of that sub-hull: a globally weakly-extreme point (e.g.
-//! the middle of three collinear boundary points) is weakly-extreme in
-//! every subset containing it, so it survives every pruning level, and
-//! Algorithm 2 gets to make the same keep-or-drop decision for it — in
-//! the same ascending-id order — that an incremental replay would have
-//! made. That is what makes the bulk-seeded hull *canonically identical*
-//! to Algorithm 2 even on degenerate (collinear / duplicate-heavy)
-//! inputs; see `HullBuilder::seed_from_bulk` and DESIGN §S21.
-//!
-//! Determinism: partitioning, leaf ordering, merge pairing, and every
-//! sub-hull build depend only on point ids and coordinates — never on
-//! scheduling — so the candidate set (and therefore the seeded hull) is
-//! identical for every worker count.
+//! Points lying exactly **on** an extreme-hull facet are kept. A
+//! globally weakly-extreme point (e.g. the middle of three collinear
+//! boundary points) is never strictly inside the hull of any subset, so
+//! Algorithm 2 still gets to make the same keep-or-drop decision for it,
+//! in the same ascending-id order, that an incremental replay would
+//! have made. That is what makes the bulk-seeded hull *canonically
+//! identical* to Algorithm 2 even on degenerate (collinear /
+//! duplicate-heavy) inputs; see DESIGN §S21.
 
 use crate::seq::incremental_hull_run;
-use chull_concurrent::pool;
 use chull_geometry::{KernelCounts, PointSet, Sign};
 
-/// Leaf grain: subsets at or below this size stop partitioning and build
-/// their sub-hull directly. Chosen so a leaf build stays cache-resident
-/// while still amortizing the basis search; the value only affects speed,
-/// never the candidate set's correctness.
-pub const BULK_GRAIN: usize = 384;
-
-/// Telemetry of one bulk sweep (shape of the divide-and-conquer run).
+/// Telemetry of one bulk build.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BulkReport {
-    /// Points the sweep started from.
+    /// Points the build started from.
     pub input: usize,
-    /// Points the extreme-simplex pre-filter discarded before the
-    /// divide-and-conquer phases ever saw them.
-    pub prefiltered: usize,
-    /// Leaves the partition phase produced.
-    pub leaves: usize,
-    /// Pairwise merge rounds run after the leaf builds.
-    pub merge_rounds: usize,
-    /// Candidate vertices surviving the final merge.
+    /// Points surviving the prefilter (installed by Algorithm 3).
     pub candidates: usize,
     /// The caller fell back to plain incremental replay (degenerate
     /// input with no `d + 1` affinely independent prefix).
     pub fallback: bool,
 }
 
-/// Quickhull-style **pre-filter**: build the hull of a handful of
-/// directional extremes (per-axis min/max plus, in low dimension, the
-/// diagonal directions), then drop every point *strictly inside* it —
-/// each rejection costs a few staged-kernel sign tests instead of a
-/// leaf hull build. This is where the bulk of a fat point cloud
-/// disappears (ParGeo's `parallelQuickHull` opens the same way), and it
-/// is exactly safe: the extreme hull is spanned by input points, so its
-/// strict interior is inside the full hull's strict interior — points
-/// there can never be weakly extreme. Points **on** an extreme-hull
-/// facet are kept (conservative, see the weak-boundary rule above).
-/// Returns `None` — filter nothing — when the extremes are affinely
-/// degenerate (flat input).
-fn prefilter(pts: &PointSet, ids: Vec<u32>) -> Option<Vec<u32>> {
+/// Ascending ids of every point of `pts` not strictly inside the hull
+/// of its directional extremes (per-axis min/max plus, in low
+/// dimension, the diagonal directions). The extreme hull is spanned by
+/// input points, so its strict interior is inside the full hull's
+/// strict interior: points there can never be weakly extreme. Points
+/// on an extreme-hull facet are kept (see the module docs). Returns
+/// every id when the extremes are affinely degenerate (flat input).
+pub fn prefilter(pts: &PointSet) -> Vec<u32> {
     let dim = pts.dim();
-    if ids.len() <= BULK_GRAIN {
-        return None;
+    let n = pts.len() as u32;
+    if n == 0 {
+        return Vec::new();
     }
     // Probe directions: ±axis for every axis, plus every ± sign pattern
     // of the all-ones diagonal in low dimension (2^d stays tiny for
@@ -106,9 +78,9 @@ fn prefilter(pts: &PointSet, ids: Vec<u32>) -> Option<Vec<u32>> {
         .iter()
         .map(|w| {
             let dot = |id: u32| -> i64 { pts.pt(id).iter().zip(w).map(|(c, k)| c * k).sum() };
-            let mut best = ids[0];
+            let mut best = 0;
             let mut best_dot = dot(best);
-            for &id in &ids[1..] {
+            for id in 1..n {
                 let d = dot(id);
                 if d > best_dot {
                     best = id;
@@ -121,7 +93,7 @@ fn prefilter(pts: &PointSet, ids: Vec<u32>) -> Option<Vec<u32>> {
     extremes.sort_unstable();
     extremes.dedup();
     // Full-rank check, greedy in ascending id order; degenerate extremes
-    // mean a flat input — nothing is safe to pre-filter.
+    // mean a flat input — nothing is safe to filter.
     let mut basis: Vec<u32> = Vec::with_capacity(dim + 1);
     for &id in &extremes {
         let mut rows: Vec<&[i64]> = basis.iter().map(|&b| pts.pt(b)).collect();
@@ -134,7 +106,7 @@ fn prefilter(pts: &PointSet, ids: Vec<u32>) -> Option<Vec<u32>> {
         }
     }
     if basis.len() < dim + 1 {
-        return None;
+        return (0..n).collect();
     }
     let mut order = basis.clone();
     order.extend(extremes.iter().copied().filter(|id| !basis.contains(id)));
@@ -150,9 +122,6 @@ fn prefilter(pts: &PointSet, ids: Vec<u32>) -> Option<Vec<u32>> {
         .filter(|(_, &a)| a)
         .map(|(f, _)| f)
         .collect();
-    if alive.is_empty() {
-        return None;
-    }
     let mut is_extreme = vec![false; pts.len()];
     for &id in &extremes {
         is_extreme[id as usize] = true;
@@ -161,8 +130,7 @@ fn prefilter(pts: &PointSet, ids: Vec<u32>) -> Option<Vec<u32>> {
     // facet (each facet carries its own `visible_sign` orientation);
     // `Zero` (on a facet) or visible (outside) both keep the point.
     let mut counts = KernelCounts::default();
-    let keep: Vec<u32> = ids
-        .into_iter()
+    (0..n)
         .filter(|&id| {
             is_extreme[id as usize]
                 || alive.iter().any(|f| {
@@ -170,228 +138,7 @@ fn prefilter(pts: &PointSet, ids: Vec<u32>) -> Option<Vec<u32>> {
                     s == Sign::Zero || s == f.visible_sign
                 })
         })
-        .collect();
-    Some(keep)
-}
-
-/// Split `ids` by an axis-aligned pivot hyperplane: the median coordinate
-/// of the widest-spread axis. Returns `None` when every point is
-/// identical (nothing to split spatially). Ties collapsing one side onto
-/// the pivot plane fall back to an id-order halving so the recursion
-/// always makes progress.
-fn split(pts: &PointSet, ids: &[u32]) -> Option<(Vec<u32>, Vec<u32>)> {
-    let dim = pts.dim();
-    let mut best_axis = 0usize;
-    let mut best_spread = -1i64;
-    for axis in 0..dim {
-        let mut lo = i64::MAX;
-        let mut hi = i64::MIN;
-        for &id in ids {
-            let c = pts.pt(id)[axis];
-            lo = lo.min(c);
-            hi = hi.max(c);
-        }
-        if hi - lo > best_spread {
-            best_spread = hi - lo;
-            best_axis = axis;
-        }
-    }
-    if best_spread <= 0 {
-        return None;
-    }
-    let mut coords: Vec<i64> = ids.iter().map(|&id| pts.pt(id)[best_axis]).collect();
-    let mid = coords.len() / 2;
-    let (_, &mut pivot, _) = coords.select_nth_unstable(mid);
-    // Stable partition so each side stays in ascending id order.
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for &id in ids {
-        if pts.pt(id)[best_axis] < pivot {
-            left.push(id);
-        } else {
-            right.push(id);
-        }
-    }
-    if left.is_empty() || right.is_empty() {
-        let half = ids.len() / 2;
-        left = ids[..half].to_vec();
-        right = ids[half..].to_vec();
-    }
-    Some((left, right))
-}
-
-/// The **weak hull points** of subset `ids` (ascending): its hull
-/// vertices plus every non-vertex lying exactly on an alive facet's
-/// hyperplane. Equivalently: `ids` minus the points strictly interior to
-/// the subset's hull — the only points that are provably interior to
-/// every superset's hull and therefore safe to prune. Affinely
-/// degenerate subsets (rank < d + 1) are returned whole: a flat subset
-/// has no interior to prune from.
-fn weak_hull_points(pts: &PointSet, ids: &[u32]) -> Vec<u32> {
-    let dim = pts.dim();
-    if ids.len() <= dim + 1 {
-        return ids.to_vec();
-    }
-    // Greedy basis in ascending id order — the same selection rule the
-    // online builder's bootstrap uses, so leaf insertion order matches
-    // what a replay of just this subset would have done.
-    let mut basis: Vec<u32> = Vec::with_capacity(dim + 1);
-    for &id in ids {
-        let mut rows: Vec<&[i64]> = basis.iter().map(|&b| pts.pt(b)).collect();
-        rows.push(pts.pt(id));
-        if chull_geometry::exact::affine_rank(&rows) == rows.len() {
-            basis.push(id);
-            if basis.len() == dim + 1 {
-                break;
-            }
-        }
-    }
-    if basis.len() < dim + 1 {
-        return ids.to_vec();
-    }
-    // Sub point set in basis-first order: the seed simplex leads, exactly
-    // as `HullBuilder` would promote it, then the rest ascending.
-    let mut order: Vec<u32> = basis.clone();
-    order.extend(ids.iter().copied().filter(|id| !basis.contains(id)));
-    let mut sub = PointSet::new(dim);
-    for &id in &order {
-        sub.push(pts.pt(id));
-    }
-    let run = incremental_hull_run(&sub);
-    let mut keep = vec![false; order.len()];
-    for &v in &run.output.vertices() {
-        keep[v as usize] = true;
-    }
-    // Non-vertices exactly on an alive facet's hyperplane are on the
-    // subset hull's boundary — weakly extreme, must survive (see module
-    // docs). Strictly interior points (no Zero sign anywhere) are pruned.
-    let alive: Vec<&crate::facet::Facet> = run
-        .facets
-        .iter()
-        .zip(&run.alive)
-        .filter(|(_, &a)| a)
-        .map(|(f, _)| f)
-        .collect();
-    let mut counts = KernelCounts::default();
-    for (i, slot) in keep.iter_mut().enumerate() {
-        if *slot {
-            continue;
-        }
-        let q = sub.point(i);
-        if alive
-            .iter()
-            .any(|f| f.plane.sign_point(q, &mut counts) == Sign::Zero)
-        {
-            *slot = true;
-        }
-    }
-    let mut out: Vec<u32> = order
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(&id, _)| id)
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-/// Merge two ascending id lists (no duplicates possible: the lists
-/// partition disjoint subsets).
-fn merge_ids(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// The full divide-and-conquer sweep over every point of `pts`: partition
-/// to leaves, build leaf sub-hulls in parallel on `threads` pool workers
-/// (`0` = auto), then merge sibling candidate sets pairwise — each merge
-/// is itself a sub-hull build over the union — until one candidate set
-/// remains. Returns the ascending candidate ids and fills `report`.
-pub fn bulk_candidates(pts: &PointSet, threads: usize, report: &mut BulkReport) -> Vec<u32> {
-    let threads = if threads == 0 {
-        pool::default_threads()
-    } else {
-        threads
-    };
-    let n = pts.len();
-    report.input = n;
-    // Phase 0: extreme-simplex pre-filter — a few sign tests per point
-    // discard the strict interior of a fat cloud before any hull build.
-    let all: Vec<u32> = (0..n as u32).collect();
-    let initial = match prefilter(pts, all) {
-        Some(keep) => {
-            report.prefiltered = n - keep.len();
-            keep
-        }
-        None => (0..n as u32).collect(),
-    };
-    // Phase 1: partition. Depth-first, left side first, so the leaf order
-    // is a deterministic left-to-right sweep of the partition tree.
-    let mut stack: Vec<Vec<u32>> = vec![initial];
-    let mut leaves: Vec<Vec<u32>> = Vec::new();
-    while let Some(ids) = stack.pop() {
-        if ids.len() <= BULK_GRAIN {
-            leaves.push(ids);
-            continue;
-        }
-        match split(pts, &ids) {
-            Some((l, r)) => {
-                stack.push(r);
-                stack.push(l);
-            }
-            None => leaves.push(ids),
-        }
-    }
-    report.leaves = leaves.len();
-    // Phase 2: leaf sub-hulls in parallel.
-    let mut slots: Vec<Option<Vec<u32>>> = vec![None; leaves.len()];
-    pool::scope_with_threads(threads, |s| {
-        for (leaf, slot) in leaves.iter().zip(slots.iter_mut()) {
-            s.spawn(move |_| {
-                *slot = Some(weak_hull_points(pts, leaf));
-            });
-        }
-    });
-    let mut sets: Vec<Vec<u32>> = slots
-        .into_iter()
-        .map(|x| x.expect("leaf task ran"))
-        .collect();
-    // Phase 3: pairwise merge rounds — adjacent siblings of the partition
-    // sweep, so each merge unions spatially neighboring regions.
-    while sets.len() > 1 {
-        report.merge_rounds += 1;
-        let mut merged: Vec<Option<Vec<u32>>> = vec![None; sets.len().div_ceil(2)];
-        pool::scope_with_threads(threads, |s| {
-            for (pair, slot) in sets.chunks(2).zip(merged.iter_mut()) {
-                s.spawn(move |_| {
-                    *slot = Some(match pair {
-                        [lone] => lone.clone(),
-                        [a, b] => weak_hull_points(pts, &merge_ids(a, b)),
-                        _ => unreachable!("chunks(2)"),
-                    });
-                });
-            }
-        });
-        sets = merged
-            .into_iter()
-            .map(|x| x.expect("merge task ran"))
-            .collect();
-    }
-    let out = sets.pop().unwrap_or_default();
-    report.candidates = out.len();
-    out
+        .collect()
 }
 
 #[cfg(test)]
@@ -401,28 +148,21 @@ mod tests {
     use chull_geometry::generators;
 
     #[test]
-    fn candidates_superset_of_hull_vertices() {
+    fn survivors_superset_of_hull_vertices() {
         let pts = prepare_points(
             &PointSet::from_points2(&generators::disk_2d(1500, 1 << 20, 3)),
             4,
         );
         let run = incremental_hull_run(&pts);
-        let mut report = BulkReport::default();
-        let cands = bulk_candidates(&pts, 2, &mut report);
-        assert!(
-            report.prefiltered * 2 > pts.len(),
-            "uniform disk interior must mostly fall to the pre-filter, got {}",
-            report.prefiltered
-        );
-        assert!(report.leaves >= 1);
-        assert_eq!(report.candidates, cands.len());
+        let cands = prefilter(&pts);
+        assert!(cands.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
         let cand_set: std::collections::HashSet<u32> = cands.iter().copied().collect();
         for v in run.output.vertices() {
             assert!(cand_set.contains(&v), "hull vertex {v} pruned");
         }
         // The whole point: most of a uniform disk is pruned.
         assert!(
-            cands.len() * 4 < pts.len(),
+            cands.len() * 2 < pts.len(),
             "only pruned to {} of {}",
             cands.len(),
             pts.len()
@@ -430,45 +170,21 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_worker_counts() {
-        let pts = prepare_points(
-            &PointSet::from_points3(&generators::ball_3d(900, 1 << 20, 5)),
-            6,
-        );
-        let mut r1 = BulkReport::default();
-        let base = bulk_candidates(&pts, 1, &mut r1);
-        for threads in [2usize, 4] {
-            let mut r = BulkReport::default();
-            assert_eq!(
-                bulk_candidates(&pts, threads, &mut r),
-                base,
-                "candidates differ at {threads} threads"
-            );
-            assert_eq!(r.leaves, r1.leaves);
-            assert_eq!(r.merge_rounds, r1.merge_rounds);
-        }
-    }
-
-    #[test]
-    fn degenerate_and_tiny_subsets_survive() {
-        // All collinear: nothing can be pruned (rank-deficient everywhere).
+    fn degenerate_and_tiny_inputs_survive() {
+        // All collinear: nothing can be pruned (rank-deficient extremes).
         let rows: Vec<Vec<i64>> = (0..600i64).map(|i| vec![i, 2 * i]).collect();
         let pts = PointSet::from_rows(2, &rows);
-        let mut report = BulkReport::default();
-        let cands = bulk_candidates(&pts, 2, &mut report);
-        assert_eq!(cands.len(), 600, "flat input must not be pruned");
-        // Tiny input: single leaf, identity.
+        assert_eq!(prefilter(&pts).len(), 600, "flat input must not be pruned");
         let pts = PointSet::from_rows(2, &[vec![0, 0], vec![5, 0]]);
-        let mut report = BulkReport::default();
-        assert_eq!(bulk_candidates(&pts, 1, &mut report), vec![0, 1]);
-        assert_eq!(report.leaves, 1);
+        assert_eq!(prefilter(&pts), vec![0, 1]);
+        assert!(prefilter(&PointSet::new(3)).is_empty());
     }
 
     #[test]
     fn weak_boundary_points_are_kept() {
-        // b sits exactly on the hull edge between a and c: not a vertex of
-        // this subset's hull, but it must survive pruning (a superset's
-        // replay may have made it a weak vertex).
+        // The extremes are a, d and c. b sits exactly on the extreme-hull
+        // edge a-c: it must survive (a replay may make it a weak vertex),
+        // while strictly interior points drop.
         let pts = PointSet::from_rows(
             2,
             &[
@@ -481,10 +197,6 @@ mod tests {
                 vec![1, 1],  // strictly interior
             ],
         );
-        let cands = weak_hull_points(&pts, &[0, 1, 2, 3, 4, 5, 6]);
-        assert!(cands.contains(&3), "collinear boundary point pruned");
-        assert!(!cands.contains(&4), "interior point kept");
-        assert!(!cands.contains(&5), "interior point kept");
-        assert!(!cands.contains(&6), "interior point kept");
+        assert_eq!(prefilter(&pts), vec![0, 1, 2, 3]);
     }
 }

@@ -824,7 +824,7 @@ impl OnlineHull {
     /// one parallel batch step. This is the bulk-recovery install:
     /// [`HullBuilder::seed_from_bulk`] appends all journaled points first
     /// so pruned interior points keep their vertex ids, then the
-    /// divide-and-conquer survivors run through a single
+    /// prefilter survivors run through a single
     /// [`crate::par::batch::run_batch`] from the simplex.
     fn install_bulk(&mut self, candidates: &[u32], threads: usize) {
         self.lineage.on_write();
@@ -1262,30 +1262,13 @@ impl HullBuilder {
         accepted
     }
 
-    /// Rebuild a builder by replaying journaled **batch units** through the
-    /// same parallel path the live shard used. Because
-    /// [`OnlineHull::insert_batch_par`] is deterministic in everything —
-    /// facet ids, adjacency, depths, counters — for any worker count, the
-    /// rebuilt hull is bit-identical to the lost one, not merely
-    /// canonically equal.
-    pub fn replay_batches<'a, I>(dim: usize, batches: I, threads: usize) -> HullBuilder
-    where
-        I: IntoIterator<Item = &'a [Vec<i64>]>,
-    {
-        let mut b = HullBuilder::new(dim);
-        for batch in batches {
-            b.push_batch(batch, threads);
-        }
-        b
-    }
-
     /// Seed a builder from a **fully known** point sequence in one bulk
-    /// step instead of incremental replay — the recovery-path fast lane
-    /// (DESIGN §S21). Runs the divide-and-conquer candidate sweep
-    /// ([`crate::bulk::bulk_candidates`]) over all rows, then installs the
-    /// surviving candidates with a single parallel batch from the seed
-    /// simplex. The facet set is canonically identical to Algorithm 2 on
-    /// the same rows (debug builds cross-check against
+    /// step — the one build-from-known-rows constructor behind every
+    /// restart surface (DESIGN §S21). Runs the quickhull-style
+    /// [`crate::bulk::prefilter`] over all rows, then installs the
+    /// survivors with a single parallel batch from the seed simplex. The
+    /// facet set is canonically identical to Algorithm 2 on the same
+    /// rows (debug builds cross-check against
     /// [`crate::seq::incremental_hull_run`]) and to what
     /// [`HullBuilder::replay`] would build, for every worker count; facet
     /// ids, history depths, and kernel counters follow the bulk counting
@@ -1307,7 +1290,10 @@ impl HullBuilder {
         } else {
             threads
         };
-        let mut report = crate::bulk::BulkReport::default();
+        let mut report = crate::bulk::BulkReport {
+            input: rows.len(),
+            ..Default::default()
+        };
         // Greedy basis over arrival order — the same selection rule
         // `HullBuilder::push` applies while bootstrapping.
         let mut basis: Vec<usize> = Vec::with_capacity(dim + 1);
@@ -1324,7 +1310,6 @@ impl HullBuilder {
         }
         if basis.len() < dim + 1 {
             report.fallback = true;
-            report.input = rows.len();
             let b = HullBuilder::replay(dim, rows.iter().map(|r| r.as_slice()));
             return (b, report);
         }
@@ -1336,7 +1321,9 @@ impl HullBuilder {
                 hull.pts.push(p);
             }
         }
-        let candidates: Vec<u32> = crate::bulk::bulk_candidates(&hull.pts, threads, &mut report)
+        let survivors = crate::bulk::prefilter(&hull.pts);
+        report.candidates = survivors.len();
+        let candidates: Vec<u32> = survivors
             .into_iter()
             // The seed simplex ids `0..=dim` are already installed.
             .filter(|&c| c > dim as u32)
@@ -1834,14 +1821,14 @@ mod tests {
     }
 
     #[test]
-    fn replay_batches_is_bit_identical() {
+    fn push_batch_units_are_bit_identical_across_workers() {
         let pts = prepare_points(
             &PointSet::from_points3(&generators::ball_3d(260, 1 << 20, 33)),
             34,
         );
         let rows: Vec<Vec<i64>> = (0..pts.len()).map(|i| pts.point(i).to_vec()).collect();
         // Uneven batch units, including sub-MIN_PAR_BATCH ones, like a
-        // recovering shard would find in its journal.
+        // live shard coalesces from its ingest queue.
         let sizes = [3usize, 5, 40, 7, 90, 2, 64];
         let mut batches: Vec<&[Vec<i64>]> = Vec::new();
         let mut at = 0;
@@ -1853,13 +1840,16 @@ mod tests {
             batches.push(&rows[at..end]);
             at = end;
         }
-        let a = HullBuilder::replay_batches(3, batches.iter().copied(), 4);
-        let b = HullBuilder::replay_batches(3, batches.iter().copied(), 1);
+        let (mut a, mut b) = (HullBuilder::new(3), HullBuilder::new(3));
+        for batch in &batches {
+            a.push_batch(batch, 4);
+            b.push_batch(batch, 1);
+        }
         let (ha, hb) = (a.hull().unwrap(), b.hull().unwrap());
         assert_eq!(
             ha.output().facets,
             hb.output().facets,
-            "replay not bit-identical"
+            "batch apply not bit-identical across worker counts"
         );
         assert_eq!(ha.kernel, hb.kernel);
         assert_eq!(a.applied(), b.applied());

@@ -4,10 +4,11 @@
 //! here **before** it is applied to the hull; the journal append is the
 //! commit point. A worker that panics mid-batch is therefore fully
 //! described by (journal prefix, remaining queue): the supervisor
-//! rebuilds the hull by replaying the journal through
-//! [`chull_core::online::HullBuilder::replay`] and resumes draining the
-//! queue — no acked mutation is lost and none is applied twice
-//! (exactly-once through the journal).
+//! rebuilds the hull from the journal's insert rows with one bulk build
+//! ([`chull_core::online::HullBuilder::seed_from_bulk`]) and resumes
+//! draining the queue — no acked mutation is lost and none is applied
+//! twice (exactly-once through the journal). WAL cold start, follower
+//! bootstrap and compaction use the same constructor.
 //!
 //! Since the windowed-serving redesign the journal records **typed
 //! ops** ([`JournalOp`]): inserts and tombstones (explicit deletes and
@@ -28,12 +29,14 @@
 //!   per shard of length-prefixed, crc32-checked records, enough to
 //!   survive process crashes. Reopening tolerates a truncated or
 //!   corrupt tail (the classic torn-write case): the file is truncated
-//!   back to its last intact record and appending resumes there.
+//!   back to its last intact record and appending resumes there. Every
+//!   file creation or replacement is made durable by fsyncing the WAL
+//!   directory as well ([`durable_rename`]).
 //!
-//! Replay cost is one incremental construction over the journal —
-//! Devillers' randomized `O(n log* n)` line (and this repo's measured
-//! expected `O(log n)` per insert) is what keeps "recovery = re-run the
-//! algorithm" cheap enough to be the *whole* recovery story.
+//! Replay cost is one bulk build over the journal: a quickhull-style
+//! prefilter drops the strict interior in a few sign tests per point,
+//! and one Algorithm 3 batch installs the rest — cheap enough that
+//! "recovery = re-run the algorithm" is the *whole* recovery story.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -364,12 +367,16 @@ impl Journal {
     pub fn with_wal(dim: usize, dir: &Path, shard: u16) -> io::Result<Journal> {
         std::fs::create_dir_all(dir)?;
         let path = wal_path(dir, shard);
+        let created = !path.exists();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
+        if created {
+            sync_dir(dir)?;
+        }
         let scan = scan_wal(&mut file, dim)?;
         if scan.tail_damaged {
             file.set_len(scan.good_len)?;
@@ -646,18 +653,36 @@ fn rewrite_wal_checkpoint(
         w.flush()?;
         w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     }
-    std::fs::rename(&tmp_path, &final_path)?;
+    durable_rename(&tmp_path, &final_path)?;
     Ok(written)
+}
+
+/// Rename `from` over `to`, then fsync the parent directory so the
+/// rename itself survives a power loss, not just the file contents.
+fn durable_rename(from: &Path, to: &Path) -> io::Result<()> {
+    std::fs::rename(from, to)?;
+    sync_dir(to.parent().unwrap_or(Path::new(".")))
+}
+
+/// Fsync a directory (`""` is the current one), making the entries
+/// created or renamed in it durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// Snapshot compaction (offline; `hull compact`): atomically rewrite the
 /// shard's WAL as **one checkpoint unit** — `rows` in order, closed by a
-/// single batch marker. The caller passes the bulk sweep's candidate
-/// rows, so a long incremental history collapses into one unit holding
-/// only the points that can still matter to the hull. Collapsing batch
-/// history resets the epoch/unit count to 1: replication cursors into
-/// this WAL are invalidated, and any follower must re-bootstrap
-/// (documented in DESIGN §S21). The live auto-compaction path
+/// single batch marker. The caller passes the live rows not strictly
+/// inside the hull, so a long incremental history collapses into one
+/// unit holding only the points that can still matter to the hull.
+/// Collapsing batch history resets the epoch/unit count to 1:
+/// replication cursors into this WAL are invalidated, and any follower
+/// must re-bootstrap (documented in DESIGN §S21). The live auto-compaction path
 /// ([`Journal::reset_checkpoint`]) instead preserves the unit index via
 /// a checkpoint header.
 pub fn rewrite_wal(dim: usize, dir: &Path, shard: u16, rows: &[Vec<i64>]) -> io::Result<u64> {
@@ -1056,6 +1081,44 @@ mod tests {
         let j = Journal::with_wal(2, &dir, 0).unwrap();
         assert_eq!(j.recovered(), 0);
         assert!(j.tail_damaged());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Checkpoint rewrites go through `durable_rename`. The directory
+    /// fsync itself is not observable from a test (only a power loss
+    /// would show it); what is checked is that the rename leaves no
+    /// temp file behind and the replaced WAL reads back intact.
+    #[test]
+    fn durable_rename_leaves_no_temp_and_intact_contents() {
+        let dir = tmpdir("durable");
+        let mut j = Journal::with_wal(2, &dir, 3).unwrap();
+        for i in 0..5i64 {
+            j.append(&[i, -i]).unwrap();
+            j.mark_batch().unwrap();
+        }
+        j.sync().unwrap();
+        let survivors = vec![vec![0i64, 0], vec![4, -4]];
+        j.reset_checkpoint(&survivors).unwrap();
+        j.append(&[7, 7]).unwrap();
+        j.mark_batch().unwrap();
+        j.sync().unwrap();
+        drop(j);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            names,
+            vec!["shard-3.wal".to_string()],
+            "temp file left behind"
+        );
+        let j = Journal::with_wal(2, &dir, 3).unwrap();
+        assert!(!j.tail_damaged());
+        assert_eq!(j.batch_count(), 7, "checkpoint keeps the unit index");
+        assert_eq!(
+            insert_entries(&j),
+            vec![vec![0i64, 0], vec![4, -4], vec![7, 7]]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -98,9 +98,9 @@ pub struct ServiceMetrics {
     pub recoveries: Arc<Counter>,
     /// Journal replay time per recovery (µs).
     pub recovery_us: Arc<Histogram>,
-    /// Recoveries that took the bulk divide-and-conquer build path.
+    /// Journal rebuilds done by one bulk build.
     pub bulk_builds: Arc<Counter>,
-    /// Wall time of one bulk build (sweep + batch install), µs.
+    /// Wall time of one bulk build (prefilter + batch install), µs.
     pub bulk_build_us: Arc<Histogram>,
     /// Torn journal tails detected at replay sealing (should stay 0).
     pub torn_tails: Arc<Counter>,
@@ -203,11 +203,11 @@ pub fn service_metrics() -> &'static ServiceMetrics {
             ),
             bulk_builds: r.counter(
                 "chull_shard_bulk_builds_total",
-                "Recoveries rebuilt by the bulk divide-and-conquer constructor.",
+                "Journal rebuilds done by the bulk constructor.",
             ),
             bulk_build_us: r.histogram(
                 "chull_shard_bulk_build_us",
-                "Microseconds of one bulk build (candidate sweep + batch install).",
+                "Microseconds of one bulk build (prefilter + batch install).",
             ),
             torn_tails: r.counter(
                 "chull_journal_torn_tails_total",

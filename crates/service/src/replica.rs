@@ -2,11 +2,13 @@
 //!
 //! No consensus is needed: the follower applies the primary's
 //! journaled **batch units** one at a time, in the primary's index
-//! order, each as exactly one journal unit of its own, and batch apply
-//! is deterministic per unit — so the follower's hull is bit-identical
-//! to the primary's at every unit boundary. A unit fetched late or
-//! twice is harmless, because the follower skips any index it already
-//! holds.
+//! order, each as exactly one journal unit of its own, and every hull
+//! build is canonically identical to Algorithm 2 on the same rows — so
+//! the follower serves the primary's hull at every unit boundary. An
+//! empty follower shard bootstraps the primary's whole journaled prefix
+//! with one bulk build (still one journal unit per primary unit). A
+//! unit fetched late or twice is harmless, because the follower skips
+//! any index it already holds.
 //!
 //! The protocol is *pull-based*. The primary ships **typed units**
 //! (`ReplUnitFetch`): either `Ops` (inserts + tombstones journaled
@@ -500,24 +502,22 @@ fn pull_unit(
     Ok(progressed)
 }
 
-/// Follower **bulk bootstrap**: when a shard is
-/// completely empty and the bulk threshold is armed, scan the
-/// primary's journaled prefix and — if it is pure insert history —
-/// install it through the bulk divide-and-conquer constructor
-/// ([`HullService::apply_replica_bulk`], DESIGN §S21): one hull build
-/// instead of per-unit incremental replay, while still journaling and
-/// marking every unit so the follower's batch-index mirror stays 1:1.
-/// Any checkpoint or tombstone-bearing unit in the prefix abandons the
-/// bootstrap (the per-unit loop resets from the checkpoint instead —
-/// that path is already one bulk build).
+/// Follower **bulk bootstrap**: when a shard is completely empty, scan
+/// the primary's journaled prefix and — if it is pure insert history —
+/// install it through one bulk build
+/// ([`HullService::apply_replica_bulk`], DESIGN §S21) instead of
+/// per-unit apply, while still journaling and marking every unit so the
+/// follower's batch-index mirror stays 1:1. Any checkpoint or
+/// tombstone-bearing unit in the prefix abandons the bootstrap (the
+/// per-unit loop resets from the checkpoint instead — that path is
+/// already one bulk build).
 fn bootstrap_bulk(
     service: &HullService,
     state: &ReplicaState,
     client: &mut HullClient,
     shard: u16,
 ) -> io::Result<()> {
-    let threshold = service.config().bulk_threshold;
-    if threshold == 0 || service.batch_units(shard).map_err(svc_err)? != 0 {
+    if service.batch_units(shard).map_err(svc_err)? != 0 {
         return Ok(());
     }
     let dim = service.config().dim;
@@ -553,7 +553,13 @@ fn bootstrap_bulk(
             }
         }
     }
-    if units.is_empty() || points < threshold {
+    if units.is_empty() {
+        return Ok(());
+    }
+    // Failpoint `replica.apply`, once for the whole prefix: a dropped
+    // bootstrap leaves the shard empty for the per-unit loop to re-fetch.
+    if failpoint::eval(sites::REPL_APPLY) == FaultAction::SpuriousFull {
+        state.dropped.fetch_add(1, Ordering::SeqCst);
         return Ok(());
     }
     let applied = units.len() as u64;

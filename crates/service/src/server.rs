@@ -517,7 +517,6 @@ mod tests {
                 max_batch: 16,
                 workers: 2,
                 wal_dir: None,
-                bulk_threshold: 0,
                 ..Default::default()
             },
             ..Default::default()

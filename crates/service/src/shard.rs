@@ -61,8 +61,10 @@
 //! 1. marks the shard **degraded** and bumps its recovery *generation*;
 //!    queries keep flowing from the last published snapshot, wrapped in
 //!    the wire `Degraded` status so callers can see the staleness;
-//! 2. rebuilds hull **and live set** by replaying the shard's typed
-//!    [`Journal`] in its journaled batch units (tombstones journaled
+//! 2. rebuilds the hull from the shard's [`Journal`] with one bulk
+//!    build over its insert rows ([`HullBuilder::seed_from_bulk`], the
+//!    same constructor as every other restart surface), and the live
+//!    set by walking its typed ops in unit order (tombstones journaled
 //!    *before* the hull is touched, so a crash mid-rebuild loses
 //!    nothing: replay reconstructs the live set and re-runs the rebuild
 //!    decision);
@@ -121,16 +123,6 @@ pub struct ServiceConfig {
     /// journal purely in memory: worker crashes are still recovered, but
     /// a process restart starts empty.
     pub wal_dir: Option<PathBuf>,
-    /// Journals holding at least this many inserts rebuild through the
-    /// **bulk** divide-and-conquer constructor
-    /// ([`HullBuilder::seed_from_bulk`], DESIGN §S21) instead of
-    /// incremental batch replay — at WAL cold start, at supervised
-    /// crash recovery, and at follower bootstrap. `0` (the default)
-    /// disables the bulk path entirely: replay stays bit-identical to
-    /// the lost hull, the A/B baseline. With bulk, the rebuilt hull is
-    /// canonically identical (same facets, possibly different internal
-    /// ids), which every query surface is insensitive to.
-    pub bulk_threshold: usize,
     /// Per-shard retention window, applied after every publication:
     /// rows falling out of the window are tombstoned exactly as if a
     /// `Delete` had arrived for them. [`WindowPolicy::None`] (the
@@ -160,7 +152,6 @@ impl Default for ServiceConfig {
             max_batch: 256,
             workers: 0,
             wal_dir: None,
-            bulk_threshold: 0,
             window: WindowPolicy::None,
             rebuild_ratio: 0.5,
             journal_ratio: 4.0,
@@ -325,56 +316,29 @@ fn wal_err(stats: &ShardStats) {
     service_metrics().wal_errors.incr();
 }
 
-/// Build a hull from the journal's **insert** rows in their batch units
-/// (tombstones contribute nothing to the build — see [`replay_shard`]
-/// for where they are honored). Below `bulk_threshold` inserts (or with
-/// the threshold at 0), incremental batch replay reproduces the lost
-/// hull bit-identically for insert-only journals. At or above it, the
-/// bulk divide-and-conquer constructor builds a canonically identical
-/// hull in one pass. A degenerate journal (no full-rank prefix) falls
-/// back to incremental replay inside `seed_from_bulk`; that is not
-/// counted as a bulk build.
-fn replay_core(
-    dim: usize,
-    journal: &Journal,
-    workers: usize,
-    bulk_threshold: usize,
-    stats: &ShardStats,
-) -> HullBuilder {
-    if bulk_threshold > 0 && journal.len() >= bulk_threshold {
-        let rows = journal.insert_rows();
-        if rows.len() >= bulk_threshold {
-            let t0 = Instant::now();
-            let (core, report) = HullBuilder::seed_from_bulk(dim, &rows, workers);
-            if !report.fallback {
-                stats.bulk_builds.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .bulk_pruned
-                    .fetch_add((report.input - report.candidates) as u64, Ordering::Relaxed);
-                if chull_obs::armed() {
-                    let m = service_metrics();
-                    m.bulk_builds.incr();
-                    m.bulk_build_us.record(t0.elapsed().as_micros() as u64);
-                }
-            }
-            return core;
+/// Build a hull from the journal's **insert** rows (tombstones
+/// contribute nothing to the build — see [`replay_shard`] for where
+/// they are honored) through the one bulk constructor,
+/// [`HullBuilder::seed_from_bulk`]: canonically identical to the lost
+/// hull (same facets, possibly different internal ids), which every
+/// query surface is insensitive to. A degenerate journal (no full-rank
+/// prefix) falls back to incremental replay inside `seed_from_bulk`;
+/// that is not counted as a bulk build.
+fn replay_core(dim: usize, journal: &Journal, workers: usize, stats: &ShardStats) -> HullBuilder {
+    let t0 = Instant::now();
+    let (core, report) = HullBuilder::seed_from_bulk(dim, &journal.insert_rows(), workers);
+    if !report.fallback {
+        stats.bulk_builds.fetch_add(1, Ordering::Relaxed);
+        stats
+            .bulk_pruned
+            .fetch_add((report.input - report.candidates) as u64, Ordering::Relaxed);
+        if chull_obs::armed() {
+            let m = service_metrics();
+            m.bulk_builds.incr();
+            m.bulk_build_us.record(t0.elapsed().as_micros() as u64);
         }
     }
-    // Tombstone-only units applied no batch originally, so dropping
-    // their (empty) insert unit keeps replay bit-identical.
-    let units: Vec<Vec<Vec<i64>>> = journal
-        .batches()
-        .map(|u| {
-            u.iter()
-                .filter_map(|op| match op {
-                    JournalOp::Insert(r) => Some(r.clone()),
-                    JournalOp::Tombstone(_) => None,
-                })
-                .collect::<Vec<_>>()
-        })
-        .filter(|u| !u.is_empty())
-        .collect();
-    HullBuilder::replay_batches(dim, units.iter().map(|u| u.as_slice()), workers)
+    core
 }
 
 /// Rebuild a shard's hull **and live set** from its journal — the one
@@ -391,10 +355,9 @@ fn replay_shard(
     dim: usize,
     journal: &Journal,
     workers: usize,
-    bulk_threshold: usize,
     stats: &ShardStats,
 ) -> (HullBuilder, LiveSet) {
-    let mut core = replay_core(dim, journal, workers, bulk_threshold, stats);
+    let mut core = replay_core(dim, journal, workers, stats);
     let mut live = LiveSet::new();
     let base = journal.unit_base();
     let mut tombstoned: HashSet<Vec<i64>> = HashSet::new();
@@ -411,8 +374,7 @@ fn replay_shard(
         }
     }
     if tombstoned.is_empty() {
-        // Insert-only journal: replay is bit-identical, nothing to
-        // classify.
+        // Insert-only journal: nothing to classify.
         return (core, live);
     }
     let needs_rebuild = match core.hull() {
@@ -539,8 +501,7 @@ impl HullService {
             // `new` returns, a WAL-backed shard already serves its
             // previous run's surviving points.
             let stats = Arc::new(ShardStats::default());
-            let (core, live) =
-                replay_shard(config.dim, &journal, workers, config.bulk_threshold, &stats);
+            let (core, live) = replay_shard(config.dim, &journal, workers, &stats);
             // Seal any open tail (ops whose batch marker was lost to
             // the crash): it just replayed as one unit and must stay one
             // unit in every future replay. Cold start has no published
@@ -577,7 +538,6 @@ impl HullService {
                 dim: config.dim,
                 max_batch: config.max_batch,
                 workers,
-                bulk_threshold: config.bulk_threshold,
                 window: config.window,
                 rebuild_ratio: config.rebuild_ratio,
                 journal_ratio: config.journal_ratio,
@@ -902,8 +862,8 @@ impl HullService {
     /// puller path, allowed in read-only mode). Each unit is still
     /// journaled and marked individually, keeping the 1:1 batch-index
     /// mirror with the primary, but the hull is constructed once over
-    /// the whole prefix (through [`HullBuilder::seed_from_bulk`] when
-    /// it clears `bulk_threshold`) and published at the final epoch,
+    /// the whole prefix (through [`HullBuilder::seed_from_bulk`]) and
+    /// published at the final epoch,
     /// instead of replaying thousands of units one publication at a
     /// time. Blocks until published; worker-death semantics match
     /// [`HullService::apply_replica_ops`].
@@ -1068,8 +1028,6 @@ struct ShardCtx {
     max_batch: usize,
     /// Resolved pool threads for parallel batch apply (never 0).
     workers: usize,
-    /// Bulk-recovery threshold (inserts; 0 = bulk path disabled).
-    bulk_threshold: usize,
     /// Retention window applied after every local publication.
     window: WindowPolicy,
     /// Tombstone-ratio rebuild trigger (dead entries vs live rows).
@@ -1103,13 +1061,7 @@ fn shard_supervisor(ctx: &ShardCtx, mut st: ShardState) {
                 ctx.degraded.store(true, Ordering::SeqCst);
                 let generation = ctx.generation.fetch_add(1, Ordering::SeqCst) + 1;
                 let t0 = Instant::now();
-                let (core, live) = replay_shard(
-                    ctx.dim,
-                    &st.journal,
-                    ctx.workers,
-                    ctx.bulk_threshold,
-                    &ctx.stats,
-                );
+                let (core, live) = replay_shard(ctx.dim, &st.journal, ctx.workers, &ctx.stats);
                 st.core = core;
                 st.live = live;
                 // Seal an open tail (its marker died with the worker) so
@@ -1662,15 +1614,8 @@ fn apply_bulk_units(
     ctx.stats
         .journal_len
         .store(st.journal.len() as u64, Ordering::Relaxed);
-    // One build over the whole prefix: bulk when it clears the
-    // threshold, a single incremental replay otherwise.
-    st.core = replay_core(
-        ctx.dim,
-        &st.journal,
-        ctx.workers,
-        ctx.bulk_threshold,
-        &ctx.stats,
-    );
+    // One bulk build over the whole prefix.
+    st.core = replay_core(ctx.dim, &st.journal, ctx.workers, &ctx.stats);
     st.epoch = st.journal.batch_count();
     let mut live = LiveSet::new();
     for (i, unit) in units.iter().enumerate() {
@@ -2261,7 +2206,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_cold_start_matches_incremental_replay() {
+    fn cold_start_bulk_build_serves_pre_shutdown_hull() {
         let dir = std::env::temp_dir().join(format!(
             "chull-shard-bulk-{}-{:?}",
             std::process::id(),
@@ -2274,29 +2219,15 @@ mod tests {
         );
         let mut config = cfg(2, 1);
         config.wal_dir = Some(dir.clone());
-        {
+        let served = {
             let svc = HullService::new(config.clone()).unwrap();
             insert_all(&svc, 0, &pts);
             svc.flush(0).unwrap();
-            svc.shutdown();
-        }
-        // Restart A: incremental replay (bulk off) — the baseline.
-        let baseline = {
-            let svc = HullService::new(config.clone()).unwrap();
-            let snap = svc.snapshot(0).unwrap();
-            assert_eq!(
-                svc.stats_for(0)
-                    .unwrap()
-                    .bulk_builds
-                    .load(Ordering::Relaxed),
-                0
-            );
-            let out = canonical_coords(&snap.flat_points(), &snap.output(), 2);
+            let out = snap_canonical(&svc.snapshot(0).unwrap(), 2);
             svc.shutdown();
             out
         };
-        // Restart B: bulk divide-and-conquer build over the same WAL.
-        config.bulk_threshold = 1;
+        // One restart: a single bulk build over the WAL's insert rows.
         let svc = HullService::new(config).unwrap();
         let snap = svc.snapshot(0).unwrap();
         assert!(snap.ready());
@@ -2304,10 +2235,10 @@ mod tests {
         let stats = svc.stats_for(0).unwrap();
         assert_eq!(stats.bulk_builds.load(Ordering::Relaxed), 1);
         assert!(stats.bulk_pruned.load(Ordering::Relaxed) > 0);
-        assert_eq!(
-            canonical_coords(&snap.flat_points(), &snap.output(), 2),
-            baseline
-        );
+        let restarted = snap_canonical(&snap, 2);
+        assert_eq!(restarted, served, "restart changed the served hull");
+        let offline = incremental_hull_run(&pts);
+        assert_eq!(restarted, canonical_coords(pts.flat(), &offline.output, 2));
         // The bulk-seeded hull keeps serving new inserts.
         svc.try_mutate(0, vec![Mutation::Insert(vec![(1 << 21) + 7, 0])])
             .unwrap();

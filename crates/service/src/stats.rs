@@ -102,11 +102,12 @@ pub struct ShardStats {
     /// the shard had published. Should stay 0; non-zero means a recovery
     /// rebuilt from an incomplete journal.
     pub torn_tails: AtomicU64,
-    /// Recoveries that took the bulk divide-and-conquer build path
-    /// instead of incremental batch replay (DESIGN §S21).
+    /// Journal rebuilds (cold start, supervised recovery, follower
+    /// bootstrap) done by one bulk build (DESIGN §S21); degenerate
+    /// journals that fall back to incremental replay are not counted.
     pub bulk_builds: AtomicU64,
-    /// Points the bulk sweep pruned as strictly interior across those
-    /// builds (never candidates, never touched the batch install).
+    /// Points the bulk prefilter dropped as strictly interior across
+    /// those builds (never candidates, never touched the batch install).
     pub bulk_pruned: AtomicU64,
     /// Deletes and expires accepted into the ingest queue (wire
     /// `Mutate`).

@@ -19,7 +19,7 @@
 //! USAGE: hull [--dim D] [--algo seq|par|rounds|chain] [--seed S]
 //!             [--stats] [--stats-json] [FILE]
 //!        hull serve [--addr H:P] [--dim D] [--shards N] [--queue-cap C]
-//!                   [--batch B] [--workers W] [--wal DIR] [--bulk-threshold N]
+//!                   [--batch B] [--workers W] [--wal DIR]
 //!                   [--window N | --window-epochs N] [--rebuild-ratio R]
 //!                   [--journal-ratio R]
 //!                   [--metrics-addr H:P] [--chaos-seed S] [--oneshot] [--stats-json]
@@ -81,15 +81,13 @@ fn usage() -> ! {
     eprintln!(
         "USAGE: hull [--dim D] [--algo seq|par|rounds|chain] [--seed S] [--stats] [--stats-json] [FILE]\n\
          \x20      hull serve [--addr H:P] [--dim D] [--shards N] [--queue-cap C] [--batch B]\n\
-         \x20                 [--workers W] [--wal DIR] [--bulk-threshold N] [--metrics-addr H:P]\n\
+         \x20                 [--workers W] [--wal DIR] [--metrics-addr H:P]\n\
          \x20                 [--window N | --window-epochs N] [--rebuild-ratio R] [--journal-ratio R]\n\
          \x20                 [--chaos-seed S] [--oneshot] [--stats-json]\n\
          \x20                 [--dispatchers N] [--follow PRIMARY] [--promote-after N]\n\
          \x20        --workers W sizes the pool each shard applies batches with (0 = auto, 1 = sequential baseline);\n\
-         \x20        --wal DIR persists per-shard insert WALs under DIR (crash-safe restart);\n\
-         \x20        --bulk-threshold N rebuilds journals holding >= N inserts through the bulk\n\
-         \x20        divide-and-conquer constructor at restart/recovery/follower bootstrap\n\
-         \x20        (canonically identical hull, much faster; 0 = off, the bit-identical baseline);\n\
+         \x20        --wal DIR persists per-shard insert WALs under DIR (crash-safe restart: the\n\
+         \x20        hull is rebuilt by one bulk build, canonically identical to the lost one);\n\
          \x20        --window N keeps only the newest N points per shard (sliding window: older\n\
          \x20        rows are tombstoned after every publication); --window-epochs N retires rows\n\
          \x20        older than N publication epochs instead; --rebuild-ratio R rebuilds the hull\n\
@@ -420,11 +418,6 @@ fn serve_main(args: &[String]) {
             "--wal" => {
                 opts.config.wal_dir = Some(std::path::PathBuf::from(next("--wal", &mut it)));
             }
-            "--bulk-threshold" => {
-                opts.config.bulk_threshold = next("--bulk-threshold", &mut it)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --bulk-threshold value"));
-            }
             "--window" => {
                 opts.config.window = WindowPolicy::Count(
                     next("--window", &mut it)
@@ -553,20 +546,23 @@ fn serve_main(args: &[String]) {
 }
 
 /// `hull compact --wal DIR`: collapse each shard's journal into one
-/// bulk-built checkpoint. The divide-and-conquer candidate sweep
-/// ([`bulk_candidates`](convex_hull_suite::core::bulk::bulk_candidates),
-/// DESIGN §S21) prunes points strictly interior to the hull, and the
-/// survivors — every weakly-extreme point, in original arrival order —
-/// are rewritten atomically (tmp + rename) as **one** journal batch
-/// unit. Tombstones (deletes and window expirations) are resolved
-/// before the sweep, so only rows still live enter the checkpoint. A
+/// bulk-built checkpoint. The live rows go through the one bulk
+/// constructor (`HullBuilder::seed_from_bulk`, DESIGN §S21); the
+/// prefilter survivors that do not classify strictly inside the built
+/// hull — every vertex and every point on the hull boundary, in
+/// original arrival order — are rewritten atomically (tmp + rename) as
+/// **one** journal batch unit. A flat shard (still bootstrapping) keeps
+/// every row. Tombstones (deletes and window expirations) are resolved
+/// before the build, so only rows still live enter the checkpoint. A
 /// restart over the compacted WAL serves the identical hull
 /// while replaying a fraction of the inserts. Epochs reset to 1, so
 /// replication cursors into the old journal are invalidated: followers
 /// of a compacted primary must re-bootstrap from scratch.
 fn compact_main(args: &[String]) {
-    use convex_hull_suite::core::bulk::{bulk_candidates, BulkReport};
+    use convex_hull_suite::core::bulk::prefilter;
+    use convex_hull_suite::core::online::{HullBuilder, PointLocation};
     use convex_hull_suite::core::LiveSet;
+    use convex_hull_suite::geometry::KernelCounts;
     use convex_hull_suite::service::{rewrite_wal, Journal, JournalOp};
 
     let mut dim = 2usize;
@@ -639,12 +635,20 @@ fn compact_main(args: &[String]) {
             }
         }
         let rows = live.survivors();
-        let pts = PointSet::from_rows(dim, &rows);
-        let mut report = BulkReport::default();
-        // Ascending candidate ids == original arrival order, so the
-        // compacted journal replays with the same seed-basis choice.
-        let keep = bulk_candidates(&pts, workers, &mut report);
-        let kept: Vec<Vec<i64>> = keep.iter().map(|&i| rows[i as usize].clone()).collect();
+        let kept: Vec<Vec<i64>> = match HullBuilder::seed_from_bulk(dim, &rows, workers).0.hull() {
+            // Ascending survivor ids == original arrival order, so the
+            // compacted journal replays with the same seed-basis choice.
+            Some(hull) => {
+                let mut counts = KernelCounts::default();
+                prefilter(&PointSet::from_rows(dim, &rows))
+                    .into_iter()
+                    .map(|i| &rows[i as usize])
+                    .filter(|r| hull.classify(r, &mut counts) != PointLocation::Inside)
+                    .cloned()
+                    .collect()
+            }
+            None => rows,
+        };
         let bytes = rewrite_wal(dim, &dir, shard, &kept)
             .unwrap_or_else(|e| die(&format!("rewrite shard {shard} WAL: {e}")));
         println!(

@@ -36,7 +36,6 @@ fn opts(dim: usize, workers: usize) -> ServeOptions {
             max_batch: 128,
             workers,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()

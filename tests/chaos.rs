@@ -54,7 +54,6 @@ fn opts(dim: usize, wal_dir: Option<PathBuf>) -> ServeOptions {
             max_batch: 32,
             workers: 2,
             wal_dir,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()

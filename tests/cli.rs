@@ -119,6 +119,116 @@ fn serve_and_route_flag_validation() {
     let (_, stderr, ok) = run_hull(&["route"], "");
     assert!(!ok);
     assert!(stderr.contains("at least one NODE"), "stderr: {stderr}");
+
+    // Restart always takes the one bulk build; there is no knob for it.
+    let (_, stderr, ok) = run_hull(&["serve", "--bulk-threshold", "1"], "");
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown serve flag '--bulk-threshold'"),
+        "stderr: {stderr}"
+    );
+}
+
+/// Canonical facet geometry (sorted vertex coordinates per facet) of the
+/// hull a restart over `dir`'s WAL serves on shard 0.
+fn restart_canonical(dir: &std::path::Path) -> std::collections::BTreeSet<Vec<Vec<i64>>> {
+    use convex_hull_suite::service::{HullService, ServiceConfig};
+    let svc = HullService::new(ServiceConfig {
+        dim: 2,
+        shards: 1,
+        wal_dir: Some(dir.to_path_buf()),
+        ..ServiceConfig::default()
+    })
+    .expect("restart over the WAL");
+    let snap = svc.snapshot(0).unwrap();
+    let flat = snap.flat_points();
+    let out = snap
+        .output()
+        .facets
+        .iter()
+        .map(|f| {
+            let mut verts: Vec<Vec<i64>> = f[..2]
+                .iter()
+                .map(|&v| flat[v as usize * 2..v as usize * 2 + 2].to_vec())
+                .collect();
+            verts.sort();
+            verts
+        })
+        .collect();
+    svc.shutdown();
+    out
+}
+
+/// `hull compact` keeps exactly the live rows that are not strictly
+/// inside the hull (vertices and boundary points, in arrival order) as
+/// one WAL unit, and a restart over the compacted WAL serves the same
+/// hull as before.
+#[test]
+fn compact_keeps_live_boundary_rows_in_one_unit() {
+    use convex_hull_suite::core::seq::incremental_hull_run;
+    use convex_hull_suite::geometry::{KernelCounts, PointSet, Sign};
+    use convex_hull_suite::service::Journal;
+
+    let dir = std::env::temp_dir().join(format!("chull-cli-compact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let units: [&[[i64; 2]]; 3] = [
+        &[[0, 0], [40, 0], [0, 40], [40, 40]],
+        // (20, 0) lies on the hull edge (0,0)-(40,0); the rest are
+        // interior.
+        &[[20, 0], [10, 10], [30, 5], [25, 30], [5, 20]],
+        &[[12, 14]],
+    ];
+    {
+        let mut j = Journal::with_wal(2, &dir, 0).unwrap();
+        for (i, unit) in units.iter().enumerate() {
+            for p in unit.iter() {
+                j.append(p).unwrap();
+            }
+            if i == 2 {
+                // Delete the vertex (40, 40): (25, 30) becomes a vertex.
+                j.append_tombstone(&[40, 40]).unwrap();
+            }
+            j.mark_batch().unwrap();
+        }
+        j.sync().unwrap();
+    }
+    let live: Vec<Vec<i64>> = units
+        .iter()
+        .flat_map(|u| u.iter())
+        .filter(|p| **p != [40, 40])
+        .map(|p| p.to_vec())
+        .collect();
+    // Scan oracle: a live row is kept unless it is strictly on the inner
+    // side of every facet of offline Algorithm 2's hull.
+    let run = incremental_hull_run(&PointSet::from_rows(2, &live));
+    let mut counts = KernelCounts::default();
+    let expected: Vec<Vec<i64>> = live
+        .iter()
+        .filter(|p| {
+            run.facets.iter().zip(&run.alive).any(|(f, &alive)| {
+                let s = f.plane.sign_point(p, &mut counts);
+                alive && (s == Sign::Zero || s == f.visible_sign)
+            })
+        })
+        .cloned()
+        .collect();
+    assert!(expected.contains(&vec![20, 0]), "boundary point dropped");
+    assert!(!expected.contains(&vec![10, 10]), "interior point kept");
+
+    let before = restart_canonical(&dir);
+    let (stdout, stderr, ok) = run_hull(&["compact", "--wal", dir.to_str().unwrap()], "");
+    assert!(ok, "compact failed: {stderr}");
+    assert!(stdout.contains("-> 5 inserts / 1 unit"), "stdout: {stdout}");
+    let j = Journal::with_wal(2, &dir, 0).unwrap();
+    assert_eq!(j.batch_count(), 1, "compacted WAL is one unit");
+    assert_eq!(j.insert_rows(), expected);
+    drop(j);
+    assert_eq!(
+        restart_canonical(&dir),
+        before,
+        "compaction changed the hull"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// SIGTERM runs the same graceful path as a wire `Shutdown`: stop

@@ -258,7 +258,6 @@ fn server(request_timeout: Duration) -> convex_hull_suite::service::ServerHandle
             max_batch: 16,
             workers: 2,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         request_timeout,

@@ -27,7 +27,6 @@ fn serve_opts() -> ServeOptions {
             max_batch: 32,
             workers: 2,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         metrics_addr: Some("127.0.0.1:0".to_string()),

@@ -37,7 +37,6 @@ fn server() -> ServerHandle {
             max_batch: 32,
             workers: 2,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()

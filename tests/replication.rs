@@ -49,7 +49,6 @@ fn opts(dim: usize) -> ServeOptions {
             max_batch: 16,
             workers: 2,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()
@@ -385,9 +384,9 @@ fn follower_promotes_and_accepts_writes() {
     follower.shutdown();
 }
 
-/// A follower armed with `bulk_threshold` bootstraps its empty shard by
+/// A follower joining a primary with history bootstraps its empty shard by
 /// pulling the primary's whole journaled prefix and installing it
-/// through one bulk divide-and-conquer build — while still mirroring
+/// through one bulk build — while still mirroring
 /// every batch unit 1:1, so the resume cursor, incremental tail
 /// replication, and the converged hull are all exactly what per-unit
 /// pulling would have produced.
@@ -405,8 +404,7 @@ fn follower_bootstraps_via_bulk_build() {
     let units = primary.service().batch_units(0).unwrap();
     assert!(units >= 2, "bootstrap needs a multi-unit journal");
 
-    let mut fopts = follower_opts(2, primary.local_addr(), 0);
-    fopts.config.bulk_threshold = 1;
+    let fopts = follower_opts(2, primary.local_addr(), 0);
     let mut follower = serve(fopts).unwrap();
     let state = follower.replica_state().unwrap();
     wait_until("follower to bootstrap", || {

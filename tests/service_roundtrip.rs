@@ -27,7 +27,6 @@ fn opts(dim: usize, queue_capacity: usize, max_batch: usize) -> ServeOptions {
             max_batch,
             workers: 2,
             wal_dir: None,
-            bulk_threshold: 0,
             ..Default::default()
         },
         ..Default::default()

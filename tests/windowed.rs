@@ -53,7 +53,6 @@ fn opts(dim: usize, workers: usize, window: WindowPolicy) -> ServeOptions {
             max_batch: 64,
             workers,
             wal_dir: None,
-            bulk_threshold: 0,
             window,
             ..Default::default()
         },
