@@ -23,7 +23,7 @@
 //! duplicate-heavy) inputs; see DESIGN §S21.
 
 use crate::seq::incremental_hull_run;
-use chull_geometry::{KernelCounts, PointSet, Sign};
+use chull_geometry::{Hyperplane, KernelCounts, PointSet, Sign};
 
 /// Telemetry of one bulk build.
 #[derive(Clone, Copy, Debug, Default)]
@@ -37,23 +37,11 @@ pub struct BulkReport {
     pub fallback: bool,
 }
 
-/// Ascending ids of every point of `pts` not strictly inside the hull
-/// of its directional extremes (per-axis min/max plus, in low
-/// dimension, the diagonal directions). The extreme hull is spanned by
-/// input points, so its strict interior is inside the full hull's
-/// strict interior: points there can never be weakly extreme. Points
-/// on an extreme-hull facet are kept (see the module docs). Returns
-/// every id when the extremes are affinely degenerate (flat input).
-pub fn prefilter(pts: &PointSet) -> Vec<u32> {
-    let dim = pts.dim();
-    let n = pts.len() as u32;
-    if n == 0 {
-        return Vec::new();
-    }
-    // Probe directions: ±axis for every axis, plus every ± sign pattern
-    // of the all-ones diagonal in low dimension (2^d stays tiny for
-    // d ≤ 4; higher dimensions make do with the axes and the main
-    // diagonal). Fixed list + lowest-id tie-break = deterministic.
+/// The probe directions of [`prefilter`]: ±axis for every axis, plus
+/// every ± sign pattern of the all-ones diagonal in low dimension (2^d
+/// stays tiny for d ≤ 4; higher dimensions make do with the axes and the
+/// main diagonal). A fixed list + lowest-id tie-break = deterministic.
+fn probe_directions(dim: usize) -> Vec<Vec<i64>> {
     let mut dirs: Vec<Vec<i64>> = Vec::new();
     for axis in 0..dim {
         let mut w = vec![0i64; dim];
@@ -74,7 +62,72 @@ pub fn prefilter(pts: &PointSet) -> Vec<u32> {
         dirs.push(vec![1; dim]);
         dirs.push(vec![-1; dim]);
     }
-    let mut extremes: Vec<u32> = dirs
+    dirs
+}
+
+/// The sign tests [`prefilter`] spends per point: one per probe
+/// direction, which is the most facets its extreme hull can have in the
+/// plane. `n ×` this is the budget
+/// [`HullBuilder::repair`](crate::online::HullBuilder::repair) weighs its
+/// own sign tests against.
+pub fn prefilter_facets(dim: usize) -> usize {
+    probe_directions(dim).len()
+}
+
+/// The facets of the hull of `rows`, as `(plane, visible sign)` pairs:
+/// a point is strictly inside iff no plane gives it `Zero` or the
+/// visible sign. Algorithm 2 builds it from the greedy affine basis (in
+/// row order) followed by the remaining rows. `None` when the rows are
+/// not full-dimensional.
+pub fn hull_facets(dim: usize, rows: &[&[i64]]) -> Option<Vec<(Hyperplane, Sign)>> {
+    let mut basis: Vec<usize> = Vec::with_capacity(dim + 1);
+    for i in 0..rows.len() {
+        let mut sel: Vec<&[i64]> = basis.iter().map(|&b| rows[b]).collect();
+        sel.push(rows[i]);
+        if chull_geometry::exact::affine_rank(&sel) == sel.len() {
+            basis.push(i);
+            if basis.len() == dim + 1 {
+                break;
+            }
+        }
+    }
+    if basis.len() < dim + 1 {
+        return None;
+    }
+    let mut sub = PointSet::new(dim);
+    for &i in &basis {
+        sub.push(rows[i]);
+    }
+    for (i, r) in rows.iter().enumerate() {
+        if !basis.contains(&i) {
+            sub.push(r);
+        }
+    }
+    let run = incremental_hull_run(&sub);
+    Some(
+        run.facets
+            .into_iter()
+            .zip(run.alive)
+            .filter(|(_, alive)| *alive)
+            .map(|(f, _)| (f.plane, f.visible_sign))
+            .collect(),
+    )
+}
+
+/// Ascending ids of every point of `pts` not strictly inside the hull
+/// of its directional extremes (per-axis min/max plus, in low
+/// dimension, the diagonal directions). The extreme hull is spanned by
+/// input points, so its strict interior is inside the full hull's
+/// strict interior: points there can never be weakly extreme. Points
+/// on an extreme-hull facet are kept (see the module docs). Returns
+/// every id when the extremes are affinely degenerate (flat input).
+pub fn prefilter(pts: &PointSet) -> Vec<u32> {
+    let dim = pts.dim();
+    let n = pts.len() as u32;
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut extremes: Vec<u32> = probe_directions(dim)
         .iter()
         .map(|w| {
             let dot = |id: u32| -> i64 { pts.pt(id).iter().zip(w).map(|(c, k)| c * k).sum() };
@@ -92,50 +145,24 @@ pub fn prefilter(pts: &PointSet) -> Vec<u32> {
         .collect();
     extremes.sort_unstable();
     extremes.dedup();
-    // Full-rank check, greedy in ascending id order; degenerate extremes
-    // mean a flat input — nothing is safe to filter.
-    let mut basis: Vec<u32> = Vec::with_capacity(dim + 1);
-    for &id in &extremes {
-        let mut rows: Vec<&[i64]> = basis.iter().map(|&b| pts.pt(b)).collect();
-        rows.push(pts.pt(id));
-        if chull_geometry::exact::affine_rank(&rows) == rows.len() {
-            basis.push(id);
-            if basis.len() == dim + 1 {
-                break;
-            }
-        }
-    }
-    if basis.len() < dim + 1 {
+    // Degenerate extremes mean a flat input — nothing is safe to filter.
+    let rows: Vec<&[i64]> = extremes.iter().map(|&id| pts.pt(id)).collect();
+    let Some(facets) = hull_facets(dim, &rows) else {
         return (0..n).collect();
-    }
-    let mut order = basis.clone();
-    order.extend(extremes.iter().copied().filter(|id| !basis.contains(id)));
-    let mut sub = PointSet::new(dim);
-    for &id in &order {
-        sub.push(pts.pt(id));
-    }
-    let run = incremental_hull_run(&sub);
-    let alive: Vec<&crate::facet::Facet> = run
-        .facets
-        .iter()
-        .zip(&run.alive)
-        .filter(|(_, &a)| a)
-        .map(|(f, _)| f)
-        .collect();
+    };
     let mut is_extreme = vec![false; pts.len()];
     for &id in &extremes {
         is_extreme[id as usize] = true;
     }
     // Strictly inside the extreme hull = on the invisible side of every
-    // facet (each facet carries its own `visible_sign` orientation);
-    // `Zero` (on a facet) or visible (outside) both keep the point.
+    // facet; `Zero` (on a facet) or visible (outside) both keep the point.
     let mut counts = KernelCounts::default();
     (0..n)
         .filter(|&id| {
             is_extreme[id as usize]
-                || alive.iter().any(|f| {
-                    let s = f.plane.sign_point(pts.pt(id), &mut counts);
-                    s == Sign::Zero || s == f.visible_sign
+                || facets.iter().any(|(plane, visible)| {
+                    let s = plane.sign_point(pts.pt(id), &mut counts);
+                    s == Sign::Zero || s == *visible
                 })
         })
         .collect()

@@ -40,6 +40,6 @@ pub mod telemetry;
 pub mod verify;
 
 pub use context::prepare_points;
-pub use liveset::{LiveSet, RemoveOutcome, WindowPolicy};
+pub use liveset::{LiveRows, LiveSet, RemoveOutcome, WindowPolicy};
 pub use output::HullOutput;
 pub use stats::HullStats;

@@ -2,20 +2,21 @@
 //! rows are still alive, in arrival order.
 //!
 //! The online hull itself is insert-only (Algorithm 2's structure has no
-//! cheap delete), so deletion is served by **tombstone-then-rebuild**:
+//! cheap delete), so deletion is served by **tombstone-then-correct**:
 //! the serving layer tracks this multiset next to the hull, tombstones
-//! departing rows, and — when enough tombstones could matter — rebuilds
-//! the hull from [`LiveSet::survivors`] through the parallel bulk path.
-//! Theorem 4.2's order-independence makes that rebuild canonically
-//! equivalent to any insertion order of the survivors, which is what
-//! lets the whole design skip fine-grained dynamic-hull locking.
+//! departing rows, and — when a tombstone could matter — corrects the
+//! hull from the rows [`LiveSet::live_rows`] walks (a closed-star repair
+//! or a full bulk build). Theorem 4.2's order-independence makes either
+//! canonically equivalent to any insertion order of the survivors,
+//! which is what lets the whole design skip fine-grained dynamic-hull
+//! locking.
 //!
 //! Duplicate coordinates are counted (a multiset), and a delete kills
 //! the **oldest** live copy: survivors are always a suffix of each
 //! coordinate's arrival list, so window expiry (oldest-first) and
 //! explicit deletes compose without tracking per-copy identity.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{vec_deque, HashMap, VecDeque};
 
 /// Per-shard retention policy for windowed serving.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,23 +45,61 @@ pub enum RemoveOutcome {
     Gone,
 }
 
+/// One arrival in the FIFO, live or already dead.
+#[derive(Debug)]
+struct Arrival {
+    row: Vec<i64>,
+    /// The publication epoch it arrived under.
+    epoch: u64,
+    live: bool,
+}
+
+/// The live copies of one coordinate row.
+#[derive(Debug)]
+struct Copies {
+    live: usize,
+    /// Sequence number of the oldest live copy: the one a delete kills.
+    oldest: u64,
+}
+
 /// The live multiset: per-coordinate live counts plus the arrival-order
-/// FIFO that windows expire from and rebuilds enumerate survivors from.
+/// FIFO that windows expire from and corrections walk survivors from.
 #[derive(Debug, Default)]
 pub struct LiveSet {
-    /// Live copies per coordinate row.
-    counts: HashMap<Vec<i64>, usize>,
-    /// Every arrival still in the FIFO (live or dead), oldest first,
-    /// with the publication epoch it arrived under.
-    fifo: VecDeque<(Vec<i64>, u64)>,
-    /// FIFO entries per coordinate that are already dead (deleted or
-    /// expired, with younger arrivals possibly still live). A delete
-    /// kills the oldest copy, so the first `dead[row]` FIFO occurrences
-    /// of `row` are the dead ones.
-    dead: HashMap<Vec<i64>, usize>,
-    /// Total live rows (sum of `counts`).
+    /// Coordinate rows with at least one live copy.
+    copies: HashMap<Vec<i64>, Copies>,
+    /// Every arrival still in the FIFO (live or dead), oldest first.
+    fifo: VecDeque<Arrival>,
+    /// Sequence number of the FIFO's front: arrival `seq` sits at
+    /// position `seq - head`.
+    head: u64,
+    /// Total live rows (sum of the live copies).
     live: usize,
 }
+
+/// The live rows of a [`LiveSet`] in arrival order, borrowed; see
+/// [`LiveSet::live_rows`].
+#[derive(Clone)]
+pub struct LiveRows<'a> {
+    fifo: vec_deque::Iter<'a, Arrival>,
+    left: usize,
+}
+
+impl<'a> Iterator for LiveRows<'a> {
+    type Item = &'a [i64];
+
+    fn next(&mut self) -> Option<&'a [i64]> {
+        let a = self.fifo.find(|a| a.live)?;
+        self.left -= 1;
+        Some(&a.row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for LiveRows<'_> {}
 
 impl LiveSet {
     /// An empty live set.
@@ -70,33 +109,49 @@ impl LiveSet {
 
     /// Record one inserted row arriving at publication epoch `epoch`.
     pub fn insert(&mut self, row: Vec<i64>, epoch: u64) {
-        *self.counts.entry(row.clone()).or_insert(0) += 1;
-        self.fifo.push_back((row, epoch));
+        let seq = self.head + self.fifo.len() as u64;
+        self.copies
+            .entry(row.clone())
+            .and_modify(|c| c.live += 1)
+            .or_insert(Copies {
+                live: 1,
+                oldest: seq,
+            });
+        self.fifo.push_back(Arrival {
+            row,
+            epoch,
+            live: true,
+        });
         self.live += 1;
     }
 
     /// Kill the oldest live copy of `row`, if any.
     pub fn remove(&mut self, row: &[i64]) -> RemoveOutcome {
-        let Some(n) = self.counts.get_mut(row) else {
+        let Some(c) = self.copies.get_mut(row) else {
             return RemoveOutcome::Miss;
         };
-        *n -= 1;
-        let gone = *n == 0;
-        if gone {
-            self.counts.remove(row);
-        }
-        *self.dead.entry(row.to_vec()).or_insert(0) += 1;
+        let at = (c.oldest - self.head) as usize;
+        self.fifo[at].live = false;
         self.live -= 1;
-        if gone {
-            RemoveOutcome::Gone
-        } else {
-            RemoveOutcome::Dec
+        c.live -= 1;
+        if c.live == 0 {
+            self.copies.remove(row);
+            return RemoveOutcome::Gone;
         }
+        // Live copies are a suffix of the row's arrivals, so the next
+        // arrival of the row is the new oldest live copy.
+        let next = self
+            .fifo
+            .range(at + 1..)
+            .position(|a| a.row == row)
+            .expect("a younger live copy");
+        c.oldest += next as u64 + 1;
+        RemoveOutcome::Dec
     }
 
     /// Live copies of `row` (0 when absent).
     pub fn count(&self, row: &[i64]) -> usize {
-        self.counts.get(row).copied().unwrap_or(0)
+        self.copies.get(row).map_or(0, |c| c.live)
     }
 
     /// Total live rows.
@@ -105,7 +160,7 @@ impl LiveSet {
     }
 
     /// FIFO entries that are dead but not yet compacted away — the
-    /// memory the next rebuild reclaims.
+    /// memory the next compaction reclaims.
     pub fn dead_entries(&self) -> usize {
         self.fifo.len() - self.live
     }
@@ -116,24 +171,26 @@ impl LiveSet {
     pub fn expire_oldest(&mut self, n: usize) -> Vec<Vec<i64>> {
         let mut out = Vec::with_capacity(n.min(self.live));
         while out.len() < n && self.live > 0 {
-            let (row, _) = self.fifo.pop_front().expect("live > 0 implies entries");
-            if let Some(d) = self.dead.get_mut(&row) {
-                // Oldest copies die first, so a dead-marked front entry
-                // is one of the already-deleted copies: drop it and the
-                // mark together.
-                *d -= 1;
-                if *d == 0 {
-                    self.dead.remove(&row);
-                }
+            let a = self.fifo.pop_front().expect("live > 0 implies entries");
+            self.head += 1;
+            if !a.live {
                 continue;
             }
-            let c = self.counts.get_mut(&row).expect("live entry has a count");
-            *c -= 1;
-            if *c == 0 {
-                self.counts.remove(&row);
+            // The front live entry is the oldest live copy of its row.
+            let c = self.copies.get_mut(&a.row).expect("live entry has copies");
+            c.live -= 1;
+            if c.live == 0 {
+                self.copies.remove(&a.row);
+            } else {
+                let next = self
+                    .fifo
+                    .iter()
+                    .position(|b| b.row == a.row)
+                    .expect("a younger live copy");
+                c.oldest = self.head + next as u64;
             }
             self.live -= 1;
-            out.push(row);
+            out.push(a.row);
         }
         out
     }
@@ -149,23 +206,16 @@ impl LiveSet {
             }
             WindowPolicy::Epochs(n) => {
                 let mut out = Vec::new();
-                loop {
-                    // Pop dead prefix entries for free while hunting the
-                    // oldest live arrival.
-                    match self.fifo.front() {
-                        Some((row, at)) if now.saturating_sub(*at) >= n => {
-                            if self.dead.contains_key(row) {
-                                let (row, _) = self.fifo.pop_front().expect("front exists");
-                                let d = self.dead.get_mut(&row).expect("checked above");
-                                *d -= 1;
-                                if *d == 0 {
-                                    self.dead.remove(&row);
-                                }
-                            } else {
-                                out.extend(self.expire_oldest(1));
-                            }
-                        }
-                        _ => break,
+                while let Some(a) = self.fifo.front() {
+                    if now.saturating_sub(a.epoch) < n {
+                        break;
+                    }
+                    if a.live {
+                        out.extend(self.expire_oldest(1));
+                    } else {
+                        // Dead prefix entries pop for free.
+                        self.fifo.pop_front();
+                        self.head += 1;
                     }
                 }
                 out
@@ -173,35 +223,35 @@ impl LiveSet {
         }
     }
 
-    /// The live rows in arrival order — the input a rebuild feeds to the
-    /// bulk constructor. For a coordinate with dead older copies, only
-    /// the youngest `count` arrivals are emitted.
-    pub fn survivors(&self) -> Vec<Vec<i64>> {
-        let mut skip = self.dead.clone();
-        let mut out = Vec::with_capacity(self.live);
-        for (row, _) in &self.fifo {
-            if let Some(d) = skip.get_mut(row) {
-                *d -= 1;
-                if *d == 0 {
-                    skip.remove(row);
-                }
-                continue;
-            }
-            out.push(row.clone());
+    /// The live rows in arrival order, borrowed: one pass over the FIFO
+    /// that allocates nothing. For a coordinate with dead older copies,
+    /// only the youngest `count` arrivals are live.
+    pub fn live_rows(&self) -> LiveRows<'_> {
+        LiveRows {
+            fifo: self.fifo.iter(),
+            left: self.live,
         }
-        debug_assert_eq!(out.len(), self.live);
-        out
     }
 
-    /// Drop every dead FIFO entry (after a rebuild journaled the
-    /// survivors as the new checkpoint): the FIFO shrinks to exactly the
-    /// live rows, re-stamped as arriving at epoch `epoch`.
+    /// [`LiveSet::live_rows`], copied out — the rows a checkpoint
+    /// journals and ships.
+    pub fn survivors(&self) -> Vec<Vec<i64>> {
+        self.live_rows().map(<[i64]>::to_vec).collect()
+    }
+
+    /// Drop every dead FIFO entry (after a checkpoint journaled the
+    /// survivors): the FIFO shrinks in place to exactly the live rows,
+    /// re-stamped as arriving at epoch `epoch`.
     pub fn compact(&mut self, epoch: u64) {
-        let rows = self.survivors();
-        self.fifo.clear();
-        self.dead.clear();
-        for row in rows {
-            self.fifo.push_back((row, epoch));
+        self.fifo.retain(|a| a.live);
+        self.head = 0;
+        for c in self.copies.values_mut() {
+            c.oldest = u64::MAX;
+        }
+        for (seq, a) in self.fifo.iter_mut().enumerate() {
+            a.epoch = epoch;
+            let c = self.copies.get_mut(&a.row).expect("live entry has copies");
+            c.oldest = c.oldest.min(seq as u64);
         }
         debug_assert_eq!(self.fifo.len(), self.live);
     }
@@ -281,5 +331,63 @@ mod tests {
         // Everything now dates from epoch 9.
         assert!(s.expire_window(&WindowPolicy::Epochs(1), 9).is_empty());
         assert_eq!(s.expire_window(&WindowPolicy::Epochs(1), 10).len(), 4);
+    }
+
+    /// Deletes, expiries and compactions over a duplicate-heavy stream
+    /// agree with a naive model that scans for the oldest live copy.
+    #[test]
+    fn duplicate_heavy_stream_matches_naive_model() {
+        let mut s = LiveSet::new();
+        let mut model: Vec<(Vec<i64>, bool)> = Vec::new();
+        let mut x = 0x9E37_79B9u64;
+        let mut next = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        for step in 0..3000u64 {
+            let row = vec![next(7) as i64, next(3) as i64];
+            match next(10) {
+                0..=4 => {
+                    s.insert(row.clone(), step);
+                    model.push((row.clone(), true));
+                }
+                5..=7 => {
+                    let hit = model.iter_mut().find(|(r, l)| *l && *r == row);
+                    let expect = match hit {
+                        None => RemoveOutcome::Miss,
+                        Some(e) => {
+                            e.1 = false;
+                            if model.iter().any(|(r, l)| *l && *r == row) {
+                                RemoveOutcome::Dec
+                            } else {
+                                RemoveOutcome::Gone
+                            }
+                        }
+                    };
+                    assert_eq!(s.remove(&row), expect, "step {step}");
+                }
+                8 => {
+                    let n = next(3) as usize;
+                    let mut expect = Vec::new();
+                    for e in model.iter_mut().filter(|e| e.1).take(n) {
+                        e.1 = false;
+                        expect.push(e.0.clone());
+                    }
+                    assert_eq!(s.expire_oldest(n), expect, "step {step}");
+                }
+                _ => {
+                    s.compact(step);
+                    model.retain(|e| e.1);
+                    assert_eq!(s.dead_entries(), 0);
+                }
+            }
+            let live: Vec<Vec<i64>> = model.iter().filter(|e| e.1).map(|e| e.0.clone()).collect();
+            assert_eq!(s.live(), live.len());
+            assert_eq!(s.live_rows().len(), live.len());
+            assert_eq!(rows(&s), live, "step {step}");
+            assert_eq!(s.count(&row), live.iter().filter(|r| **r == row).count());
+        }
     }
 }

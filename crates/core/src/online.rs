@@ -65,6 +65,14 @@ thread_local! {
 /// decision per batch.
 pub const MIN_PAR_BATCH: usize = 8;
 
+/// Bulk installs of fewer points run on the calling thread: each of
+/// Algorithm 3's two fork-joins spawns its pool threads afresh, which
+/// costs more than a repair's few dozen points save (a repair's install
+/// took ≈0.41 ms at 2 workers and ≈0.32 ms at 1 on a 2-vCPU host). Like
+/// [`MIN_PAR_BATCH`], the cutoff depends only on the input, and the
+/// installed hull is the same for every worker count.
+const MIN_PAR_INSTALL: usize = 256;
+
 /// Where a point sits relative to the current hull — the answer of
 /// [`OnlineHull::classify`]. Distinguishing `OnBoundary` from `Inside`
 /// matters for deletion: removing an interior point never changes the
@@ -999,6 +1007,21 @@ impl OnlineHull {
         self.facets.iter().filter(|f| f.alive).count()
     }
 
+    /// The alive facet ids, ascending, read off the ridge adjacency map:
+    /// O(hull size), not O(history).
+    fn alive_facets(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = self
+            .adj
+            .values()
+            .flatten()
+            .copied()
+            .filter(|&f| f != NO_FACET)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
     /// Bring `stale` — an unmodified clone of an earlier state of this
     /// hull — up to date in place, at a cost proportional to what changed
     /// since it was taken: the facets and points added since are copied
@@ -1157,6 +1180,14 @@ pub struct HullBuilder {
     dim: usize,
     applied: u64,
     state: BuilderState,
+    /// Point ids the last bulk build ([`HullBuilder::seed_from_bulk`] or
+    /// [`HullBuilder::repair`]) installed, seeds included, ascending.
+    /// Every other point that build saw is strictly inside their hull.
+    installed: Vec<u32>,
+    /// Points the hull held right after that build: ids from here on
+    /// were appended since. 0 for a hull promoted by
+    /// [`HullBuilder::push`], whose every point counts as appended.
+    built: usize,
 }
 
 #[derive(Clone)]
@@ -1180,6 +1211,8 @@ impl HullBuilder {
                 pts: Vec::new(),
                 basis: Vec::new(),
             },
+            installed: Vec::new(),
+            built: 0,
         }
     }
 
@@ -1280,57 +1313,26 @@ impl HullBuilder {
     /// order — so snapshots and queries observe the same ids either way.
     /// Inputs without `d + 1` affinely independent rows fall back to plain
     /// incremental replay (`report.fallback`).
-    pub fn seed_from_bulk(
+    pub fn seed_from_bulk<R: AsRef<[i64]>>(
         dim: usize,
-        rows: &[Vec<i64>],
+        rows: &[R],
         threads: usize,
     ) -> (HullBuilder, crate::bulk::BulkReport) {
-        let threads = if threads == 0 {
-            chull_concurrent::pool::default_threads()
-        } else {
-            threads
-        };
+        let rows: Vec<&[i64]> = rows.iter().map(AsRef::as_ref).collect();
         let mut report = crate::bulk::BulkReport {
             input: rows.len(),
             ..Default::default()
         };
-        // Greedy basis over arrival order — the same selection rule
-        // `HullBuilder::push` applies while bootstrapping.
-        let mut basis: Vec<usize> = Vec::with_capacity(dim + 1);
-        for (i, p) in rows.iter().enumerate() {
-            assert_eq!(p.len(), dim, "point of wrong dimension");
-            let mut sel: Vec<&[i64]> = basis.iter().map(|&j| rows[j].as_slice()).collect();
-            sel.push(p);
-            if chull_geometry::exact::affine_rank(&sel) == sel.len() {
-                basis.push(i);
-                if basis.len() == dim + 1 {
-                    break;
-                }
-            }
-        }
-        if basis.len() < dim + 1 {
+        let Some(hull) = seeded(dim, &rows) else {
             report.fallback = true;
-            let b = HullBuilder::replay(dim, rows.iter().map(|r| r.as_slice()));
-            return (b, report);
-        }
-        let seeds: Vec<Vec<i64>> = basis.iter().map(|&i| rows[i].clone()).collect();
-        let mut hull = OnlineHull::new(dim, &seeds);
-        let basis_set: std::collections::HashSet<usize> = basis.iter().copied().collect();
-        for (i, p) in rows.iter().enumerate() {
-            if !basis_set.contains(&i) {
-                hull.pts.push(p);
-            }
-        }
+            return (HullBuilder::replay(dim, rows), report);
+        };
         let survivors = crate::bulk::prefilter(&hull.pts);
         report.candidates = survivors.len();
-        let candidates: Vec<u32> = survivors
-            .into_iter()
-            // The seed simplex ids `0..=dim` are already installed.
-            .filter(|&c| c > dim as u32)
-            .collect();
-        hull.install_bulk(&candidates, threads);
+        let b = HullBuilder::install(hull, survivors, threads);
         #[cfg(debug_assertions)]
         {
+            let hull = b.hull().expect("installed hull is live");
             let reference = crate::seq::incremental_hull_run(&hull.pts);
             debug_assert_eq!(
                 hull.output().canonical(),
@@ -1338,12 +1340,175 @@ impl HullBuilder {
                 "bulk-built hull differs from Algorithm 2's canonical hull"
             );
         }
-        let b = HullBuilder {
-            dim,
-            applied: rows.len() as u64,
-            state: BuilderState::Live(Box::new(hull)),
-        };
         (b, report)
+    }
+
+    /// Correct the hull after the rows `dying` lost their last live copy,
+    /// installing only what can change: the hull of `live` (the surviving
+    /// rows in arrival order), canonically identical to
+    /// [`HullBuilder::seed_from_bulk`] on them, with the same vertex ids.
+    ///
+    /// Each dying row must be a hull vertex `v`; its closed star
+    /// `conv({v} ∪ link(v))` holds everything the hull gains when `v`
+    /// goes. The build installs the surviving old vertices (every live
+    /// copy of one) plus the live rows inside some star (bounding-box
+    /// rejection, then exact sign tests against the star's facets).
+    /// Every other live row was
+    /// strictly inside the old hull and lies in no star, so it is
+    /// strictly inside the hull of the surviving vertices — the rule
+    /// [`crate::bulk::prefilter`] drops points by, and the reason the
+    /// result matches Algorithm 2 (debug builds cross-check against
+    /// `seed_from_bulk`).
+    ///
+    /// Returns `None`, and the caller takes the full build, when:
+    /// * a dying row is not a vertex, or two share a facet;
+    /// * a star is not full-dimensional;
+    /// * a live non-vertex row might lie on the old hull's boundary
+    ///   without coinciding with a vertex: the rows the last build
+    ///   installed plus those appended since are classified (every other
+    ///   row is strictly inside by construction);
+    /// * those classifications and the star tests would cost more sign
+    ///   tests than the full build's prefilter (`n ×`
+    ///   [`crate::bulk::prefilter_facets`]) — checked before either runs,
+    ///   so a hull of all vertices refuses at once;
+    /// * the hull is still bootstrapping, or the survivors are flat.
+    ///
+    /// `live` must be a sub-multiset of the rows the hull holds.
+    pub fn repair<'a, I>(&self, live: I, dying: &[Vec<i64>], threads: usize) -> Option<HullBuilder>
+    where
+        I: ExactSizeIterator<Item = &'a [i64]>,
+    {
+        let dim = self.dim;
+        let hull = self.hull()?;
+        let n = live.len();
+        let budget = n * crate::bulk::prefilter_facets(dim);
+        let verts = hull.hull_vertices();
+        let dead: Vec<u32> = dying
+            .iter()
+            .map(|row| {
+                verts
+                    .iter()
+                    .copied()
+                    .find(|&v| hull.pts.pt(v) == row.as_slice())
+            })
+            .collect::<Option<_>>()?;
+        let alive = hull.alive_facets();
+        let mut links: Vec<Vec<u32>> = vec![Vec::new(); dead.len()];
+        for &f in &alive {
+            let fv = &hull.facets[f as usize].verts[..dim];
+            let mut hits = dead.iter().enumerate().filter(|&(_, v)| fv.contains(v));
+            if let Some((k, &v)) = hits.next() {
+                if hits.next().is_some() {
+                    return None;
+                }
+                links[k].extend(fv.iter().copied().filter(|&u| u != v));
+            }
+        }
+        // Certification set: the rows the last build installed and those
+        // appended since (vertices among them are skipped below, so the
+        // cost is an upper bound).
+        let mut cert = self
+            .installed
+            .iter()
+            .copied()
+            .chain(self.built as u32..hull.pts.len() as u32);
+        let cert_tests = (self.installed.len() + hull.pts.len() - self.built) * alive.len();
+        if cert_tests > budget {
+            return None;
+        }
+        let stars: Vec<Star> = dead
+            .iter()
+            .zip(&mut links)
+            .map(|(&v, link)| {
+                link.sort_unstable();
+                link.dedup();
+                let rows: Vec<&[i64]> = std::iter::once(v)
+                    .chain(link.iter().copied())
+                    .map(|u| hull.pts.pt(u))
+                    .collect();
+                Star::new(dim, &rows)
+            })
+            .collect::<Option<_>>()?;
+        let rows: Vec<&[i64]> = live.collect();
+        let new = seeded(dim, &rows)?;
+        let star_tests: usize = (0..new.pts.len() as u32)
+            .map(|id| {
+                let p = new.pts.pt(id);
+                stars
+                    .iter()
+                    .filter(|s| s.boxes(p))
+                    .map(|s| s.facets.len())
+                    .sum::<usize>()
+            })
+            .sum();
+        if cert_tests + star_tests > budget {
+            return None;
+        }
+        let mut counts = KernelCounts::default();
+        let planes: Vec<(&Hyperplane, Sign)> = alive
+            .iter()
+            .map(|&f| {
+                (
+                    &hull.facets[f as usize].plane,
+                    hull.facets[f as usize].visible_sign,
+                )
+            })
+            .collect();
+        // Vertex coordinates. A dying row has no live copy left, so the
+        // live rows found here are exactly the surviving vertices and
+        // their duplicates, all of which get installed.
+        let kept = VertexSet::new(verts.iter().map(|&v| hull.pts.pt(v)));
+        let is_vertex = |id: u32| hull.incidence.get(id as usize).is_some_and(|&c| c > 0);
+        if !cert.all(|id| {
+            let p = hull.pts.pt(id);
+            is_vertex(id) || strictly_inside(&planes, p, &mut counts) || kept.contains(p)
+        }) {
+            return None;
+        }
+        let picks: Vec<u32> = (0..new.pts.len() as u32)
+            .filter(|&id| {
+                let p = new.pts.pt(id);
+                id <= dim as u32
+                    || kept.contains(p)
+                    || stars.iter().any(|s| s.contains(p, &mut counts))
+            })
+            .collect();
+        let b = HullBuilder::install(new, picks, threads);
+        #[cfg(debug_assertions)]
+        {
+            let full = HullBuilder::seed_from_bulk(dim, &rows, threads).0;
+            debug_assert_eq!(
+                b.hull().map(|h| h.output().canonical()),
+                full.hull().map(|h| h.output().canonical()),
+                "repaired hull differs from the full survivor build"
+            );
+        }
+        Some(b)
+    }
+
+    /// Install `picks` (ascending ids; those of the seed simplex
+    /// `0..=dim` are in already) into a freshly [`seeded`] hull with one
+    /// parallel batch, and record them as the build's installed set.
+    /// Fewer than [`MIN_PAR_INSTALL`] picks install on the calling thread.
+    fn install(mut hull: OnlineHull, picks: Vec<u32>, threads: usize) -> HullBuilder {
+        let threads = if picks.len() < MIN_PAR_INSTALL {
+            1
+        } else if threads == 0 {
+            chull_concurrent::pool::default_threads()
+        } else {
+            threads
+        };
+        let dim = hull.dim;
+        // The seed simplex ids `0..=dim` are already installed.
+        let from = picks.partition_point(|&c| c <= dim as u32);
+        hull.install_bulk(&picks[from..], threads);
+        HullBuilder {
+            dim,
+            applied: hull.pts.len() as u64,
+            built: hull.pts.len(),
+            installed: picks,
+            state: BuilderState::Live(Box::new(hull)),
+        }
     }
 
     /// The dimension this builder was created with.
@@ -1370,6 +1535,120 @@ impl HullBuilder {
             BuilderState::Boot { pts, .. } => Some(pts),
             BuilderState::Live(_) => None,
         }
+    }
+}
+
+/// A fresh hull over `rows` (arrival order) as every bulk constructor
+/// lays it out — the greedy affine basis (the selection rule
+/// [`HullBuilder::push`] applies while bootstrapping) as the seed
+/// simplex, every other row appended in arrival order — with nothing
+/// installed beyond the simplex. `None` when the rows are flat.
+fn seeded(dim: usize, rows: &[&[i64]]) -> Option<OnlineHull> {
+    let mut basis: Vec<usize> = Vec::with_capacity(dim + 1);
+    for (i, p) in rows.iter().enumerate() {
+        assert_eq!(p.len(), dim, "point of wrong dimension");
+        let mut sel: Vec<&[i64]> = basis.iter().map(|&j| rows[j]).collect();
+        sel.push(p);
+        if chull_geometry::exact::affine_rank(&sel) == sel.len() {
+            basis.push(i);
+            if basis.len() == dim + 1 {
+                break;
+            }
+        }
+    }
+    if basis.len() < dim + 1 {
+        return None;
+    }
+    let seeds: Vec<Vec<i64>> = basis.iter().map(|&i| rows[i].to_vec()).collect();
+    let mut hull = OnlineHull::new(dim, &seeds);
+    for (i, p) in rows.iter().enumerate() {
+        if !basis.contains(&i) {
+            hull.pts.push(p);
+        }
+    }
+    Some(hull)
+}
+
+/// Strictly inside the halfspace intersection of `planes` (no plane
+/// gives `q` a `Zero` or visible sign).
+fn strictly_inside(planes: &[(&Hyperplane, Sign)], q: &[i64], counts: &mut KernelCounts) -> bool {
+    planes.iter().all(|&(plane, visible)| {
+        let s = plane.sign_point(q, counts);
+        s != Sign::Zero && s != visible
+    })
+}
+
+/// A set of vertex coordinate rows for [`HullBuilder::repair`]'s one
+/// lookup per live row, screened by a 1024-bit filter on the first
+/// coordinate: nearly every row is interior and shares its first
+/// coordinate with no vertex, so it costs one multiply and one bit test.
+/// Rows come from clients, so the set keeps the default (keyed) hasher.
+struct VertexSet<'a> {
+    screen: [u64; 16],
+    rows: std::collections::HashSet<&'a [i64]>,
+}
+
+impl<'a> VertexSet<'a> {
+    fn new(rows: impl Iterator<Item = &'a [i64]>) -> VertexSet<'a> {
+        let mut set = VertexSet {
+            screen: [0; 16],
+            rows: Default::default(),
+        };
+        for r in rows {
+            let bit = Self::bit(r);
+            set.screen[bit >> 6] |= 1 << (bit & 63);
+            set.rows.insert(r);
+        }
+        set
+    }
+
+    fn bit(r: &[i64]) -> usize {
+        ((r[0] as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54) as usize
+    }
+
+    fn contains(&self, r: &[i64]) -> bool {
+        let bit = Self::bit(r);
+        self.screen[bit >> 6] >> (bit & 63) & 1 == 1 && self.rows.contains(r)
+    }
+}
+
+/// The closed star `conv({v} ∪ link(v))` of a dying vertex, for
+/// [`HullBuilder::repair`]: its facets and its bounding box.
+struct Star {
+    facets: Vec<(Hyperplane, Sign)>,
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+}
+
+impl Star {
+    /// `None` when the star is not full-dimensional.
+    fn new(dim: usize, rows: &[&[i64]]) -> Option<Star> {
+        let facets = crate::bulk::hull_facets(dim, rows)?;
+        let (mut lo, mut hi) = (rows[0].to_vec(), rows[0].to_vec());
+        for r in &rows[1..] {
+            for a in 0..dim {
+                lo[a] = lo[a].min(r[a]);
+                hi[a] = hi[a].max(r[a]);
+            }
+        }
+        Some(Star { facets, lo, hi })
+    }
+
+    /// `q` lies in the star's bounding box.
+    fn boxes(&self, q: &[i64]) -> bool {
+        q.iter()
+            .zip(self.lo.iter().zip(&self.hi))
+            .all(|(c, (lo, hi))| lo <= c && c <= hi)
+    }
+
+    /// `q` lies in the closed star: inside its box and beyond none of
+    /// its facets.
+    fn contains(&self, q: &[i64], counts: &mut KernelCounts) -> bool {
+        self.boxes(q)
+            && self
+                .facets
+                .iter()
+                .all(|(plane, visible)| plane.sign_point(q, counts) != *visible)
     }
 }
 

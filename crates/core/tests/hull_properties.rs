@@ -414,3 +414,180 @@ fn prop_order_invariance() {
         assert_eq!(a.output.num_facets(), b.output.num_facets());
     }
 }
+
+/// Closed-star repair vs the full survivor rebuild (DESIGN §S22). A
+/// count window slides over each workload while every other unit also
+/// deletes a row from half a window back; after every unit whose
+/// tombstones left the hull, `HullBuilder::repair` must either refuse or
+/// build exactly the hull `seed_from_bulk` builds on the survivors, id
+/// for id, at 1 and 2 workers. Inputs cover the degenerate shapes the
+/// refusal rules exist for (collinear boundaries, grids, duplicates) and
+/// the all-vertex inputs the work bound refuses.
+#[test]
+fn repair_matches_full_rebuild_after_every_tombstone_unit() {
+    use chull_core::online::PointLocation;
+    use chull_core::{LiveSet, RemoveOutcome, WindowPolicy};
+    let rows2 = |pts: Vec<chull_geometry::Point2i>| -> Vec<Vec<i64>> {
+        pts.iter().map(|p| vec![p.x, p.y]).collect()
+    };
+    let rows3 = |pts: Vec<chull_geometry::Point3i>| -> Vec<Vec<i64>> {
+        pts.iter().map(|p| vec![p.x, p.y, p.z]).collect()
+    };
+    let mut dups = rows2(generators::disk_2d(300, 1 << 18, 45));
+    for i in (0..dups.len()).step_by(3) {
+        let copy = dups[i].clone();
+        dups.insert(i + 1, copy);
+    }
+    // The last field: `Some(true)` when repairs must outnumber refusals,
+    // `Some(false)` when the work bound must refuse every repair (every
+    // row a vertex), `None` when the refusal rules decide case by case.
+    let workloads = vec![
+        (
+            "disk",
+            2,
+            rows2(generators::disk_2d(700, 1 << 20, 41)),
+            Some(true),
+        ),
+        (
+            "near_circle",
+            2,
+            rows2(generators::near_circle_2d(500, 1 << 24, 42)),
+            Some(false),
+        ),
+        (
+            "collinear",
+            2,
+            rows2(generators::collinear_heavy_2d(500, 12, 43)),
+            None,
+        ),
+        ("grid", 2, rows2(generators::grid_2d(22, 44)), None),
+        ("duplicates", 2, dups, Some(true)),
+        (
+            "ball3",
+            3,
+            rows3(generators::ball_3d(500, 1 << 20, 46)),
+            None,
+        ),
+        (
+            "near_sphere3",
+            3,
+            rows3(generators::near_sphere_3d(300, 1 << 20, 47)),
+            None,
+        ),
+    ];
+    for (name, dim, rows, expect) in &workloads {
+        let (dim, window) = (*dim, rows.len() / 4);
+        for threads in [1usize, 2] {
+            let mut live = LiveSet::new();
+            for r in &rows[..window] {
+                live.insert(r.clone(), 0);
+            }
+            let mut b = HullBuilder::seed_from_bulk(dim, &rows[..window], threads).0;
+            let (mut repairs, mut refusals) = (0, 0);
+            for (unit, start) in (window..rows.len()).step_by(8).enumerate() {
+                let chunk = &rows[start..(start + 8).min(rows.len())];
+                let mut tombs = Vec::new();
+                for r in chunk {
+                    live.insert(r.clone(), unit as u64);
+                }
+                if unit % 2 == 0 {
+                    let victim = &rows[start - window / 2];
+                    if live.remove(victim) != RemoveOutcome::Miss {
+                        tombs.push(victim.clone());
+                    }
+                }
+                tombs.extend(live.expire_window(&WindowPolicy::Count(window), unit as u64));
+                b.push_batch(chunk, threads);
+                let hull = b.hull().expect("window hull is live");
+                let mut k = KernelCounts::default();
+                let mut dying: Vec<Vec<i64>> = tombs
+                    .into_iter()
+                    .filter(|t| {
+                        live.count(t) == 0 && hull.classify(t, &mut k) != PointLocation::Inside
+                    })
+                    .collect();
+                dying.sort();
+                dying.dedup();
+                if dying.is_empty() {
+                    continue;
+                }
+                let full = HullBuilder::seed_from_bulk(dim, &live.survivors(), threads).0;
+                match b.repair(live.live_rows(), &dying, threads) {
+                    Some(r) => {
+                        assert_eq!(
+                            r.hull().map(|h| h.output().canonical()),
+                            full.hull().map(|h| h.output().canonical()),
+                            "{name} at {threads} workers, unit {unit}: repair differs from the full rebuild"
+                        );
+                        assert_eq!(r.applied(), live.live() as u64);
+                        repairs += 1;
+                        b = r;
+                    }
+                    None => {
+                        refusals += 1;
+                        b = full;
+                    }
+                }
+            }
+            match expect {
+                Some(true) => assert!(
+                    repairs > refusals,
+                    "{name}: only {repairs} repairs against {refusals} refusals"
+                ),
+                Some(false) => {
+                    assert_eq!(repairs, 0, "{name}: the work bound let a repair through")
+                }
+                None => {}
+            }
+            // The hull still holds rows inserted since the last
+            // correction (and dead interior ones): compare coordinates.
+            let replayed = HullBuilder::replay(dim, live.live_rows());
+            let coords = |h: &chull_core::online::OnlineHull| {
+                h.output()
+                    .canonical()
+                    .into_iter()
+                    .map(|f| {
+                        let mut rows: Vec<Vec<i64>> =
+                            f.iter().map(|&v| h.points().pt(v).to_vec()).collect();
+                        rows.sort();
+                        rows
+                    })
+                    .collect::<std::collections::BTreeSet<_>>()
+            };
+            assert_eq!(
+                b.hull().map(coords),
+                replayed.hull().map(coords),
+                "{name} at {threads} workers: final hull differs from Algorithm 2 on the survivors"
+            );
+        }
+    }
+}
+
+/// Repair in 3D: a spike vertex over a bulk-built cube dies; only its
+/// star's rows are reinstalled and the result is the survivors' hull.
+#[test]
+fn repair_3d_spike_matches_full_rebuild() {
+    let mut rows: Vec<Vec<i64>> = Vec::new();
+    for m in 0..8i64 {
+        rows.push(vec![(m & 1) * 100, (m >> 1 & 1) * 100, (m >> 2 & 1) * 100]);
+    }
+    for i in 1..12i64 {
+        rows.push(vec![7 * i + 3, 5 * i + 11, 8 * i + 2]);
+    }
+    let spike = vec![50, 50, 400];
+    rows.push(spike.clone());
+    rows.push(vec![50, 52, 180]); // inside the spike's star only
+    let b = HullBuilder::seed_from_bulk(3, &rows, 2).0;
+    rows.retain(|r| *r != spike);
+    let live: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+    let r = b
+        .repair(live.iter().copied(), &[spike], 2)
+        .expect("a lone spike over a cube repairs");
+    let full = HullBuilder::seed_from_bulk(3, &rows, 2).0;
+    assert_eq!(
+        r.hull().unwrap().output().canonical(),
+        full.hull().unwrap().output().canonical()
+    );
+    assert!(!r.hull().unwrap().contains(&[50, 51, 250]));
+    assert!(r.hull().unwrap().contains(&[50, 51, 150]));
+}

@@ -4,7 +4,8 @@
 //! here **before** it is applied to the hull; the journal append is the
 //! commit point. A worker that panics mid-batch is therefore fully
 //! described by (journal prefix, remaining queue): the supervisor
-//! rebuilds the hull from the journal's insert rows with one bulk build
+//! replays the journal's ops into the live set, rebuilds the hull from
+//! its live rows with one bulk build
 //! ([`chull_core::online::HullBuilder::seed_from_bulk`]) and resumes
 //! draining the queue — no acked mutation is lost and none is applied
 //! twice (exactly-once through the journal). WAL cold start, follower
@@ -495,7 +496,7 @@ impl Journal {
     }
 
     /// The journaled **insert** rows in append order (tombstones
-    /// skipped) — what an insert-only consumer (bulk cold start) sees.
+    /// skipped).
     pub fn insert_rows(&self) -> Vec<Vec<i64>> {
         self.mem
             .iter()

@@ -48,11 +48,13 @@
 //!
 //! Shards serve **windowed / deletable** hulls:
 //! `Delete` tombstones a live point, a per-shard
-//! [`chull_core::WindowPolicy`] expires the oldest live points, and when
-//! tombstones (or journal growth) pass a configurable ratio the worker
-//! rebuilds the hull from survivors through the parallel bulk builder
-//! and journals the result as one checkpoint unit — crash-safe across
-//! WAL replay, supervised recovery, and follower replication.
+//! [`chull_core::WindowPolicy`] expires the oldest live points, a hull
+//! vertex's death is corrected in memory by a closed-star repair
+//! ([`chull_core::online::HullBuilder::repair`]), and when tombstones
+//! (or journal growth) pass a configurable ratio the worker rebuilds the
+//! hull from survivors through the parallel bulk builder and journals
+//! the result as one checkpoint unit — crash-safe across WAL replay,
+//! supervised recovery, and follower replication.
 //!
 //! Correctness bar: the served hull is **bit-identical** to the offline
 //! sequential Algorithm 2 on the same point multiset (the loopback

@@ -136,12 +136,19 @@ pub struct ServiceMetrics {
     pub tombstones: Arc<Counter>,
     /// Points expired by per-shard window policies.
     pub window_expirations: Arc<Counter>,
-    /// Hull rebuilds from the live survivor set.
+    /// Ratio-triggered hull rebuilds from the live survivor set (each a
+    /// checkpoint on a primary).
     pub rebuilds: Arc<Counter>,
     /// Wall time of one survivor rebuild (µs).
     pub rebuild_us: Arc<Histogram>,
     /// Rebuilds triggered by the journal-growth ratio (auto-compaction).
     pub auto_compactions: Arc<Counter>,
+    /// In-memory hull corrections done by the closed-star repair.
+    pub repairs: Arc<Counter>,
+    /// In-memory hull corrections the repair refused (full build).
+    pub repair_fallbacks: Arc<Counter>,
+    /// Wall time of one in-memory hull correction (µs).
+    pub repair_us: Arc<Histogram>,
     /// Wall time of one snapshot publish (refresh or copy + swap), µs.
     pub publish_us: Arc<Histogram>,
     /// Publishes that refreshed the retired snapshot in place.
@@ -275,15 +282,29 @@ pub fn service_metrics() -> &'static ServiceMetrics {
             ),
             rebuilds: r.counter(
                 "chull_shard_rebuilds_total",
-                "Hull rebuilds from the live survivor set.",
+                "Ratio-triggered hull rebuilds from the live survivor set.",
             ),
             rebuild_us: r.histogram(
                 "chull_shard_rebuild_us",
-                "Microseconds of one rebuild from survivors (bulk build + checkpoint).",
+                "Microseconds of one ratio-triggered rebuild from survivors (bulk build + checkpoint).",
             ),
             auto_compactions: r.counter(
                 "chull_shard_auto_compactions_total",
                 "Rebuilds triggered by the journal-growth ratio (auto-compaction).",
+            ),
+            repairs: r.counter_with(
+                "chull_shard_repairs_total",
+                &[("outcome", "repaired")],
+                "In-memory hull corrections, by outcome (closed-star repair, or full-build fallback).",
+            ),
+            repair_fallbacks: r.counter_with(
+                "chull_shard_repairs_total",
+                &[("outcome", "fallback")],
+                "In-memory hull corrections, by outcome (closed-star repair, or full-build fallback).",
+            ),
+            repair_us: r.histogram(
+                "chull_shard_repair_us",
+                "Microseconds of one in-memory hull correction (repair or full-build fallback).",
             ),
             publish_us: r.histogram(
                 "chull_shard_publish_us",

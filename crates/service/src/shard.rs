@@ -27,26 +27,42 @@
 //! ## Deletion, windows, and rebuilds
 //!
 //! The online hull is insert-only, so departure is served by
-//! **tombstone-then-rebuild**: a `Delete` (or a window expiry) kills the
+//! **tombstone-then-correct**: a `Delete` (or a window expiry) kills the
 //! row in the live set and journals a tombstone record in the same batch
-//! unit. The hull itself is rebuilt from [`LiveSet::survivors`] through
-//! the parallel bulk constructor ([`HullBuilder::seed_from_bulk`]) only
-//! when it has to be:
+//! unit. Two separate mechanisms then act on the hull and the journal:
 //!
-//! * immediately, when a tombstoned row's last live copy does not
-//!   classify strictly [`PointLocation::Inside`] the current hull (an
-//!   interior delete can never change the hull — Theorem 4.2's
-//!   order-independence makes the survivor rebuild canonically
-//!   equivalent to any insertion order of the survivors);
-//! * lazily, when dead live-set entries exceed `rebuild_ratio` × live
-//!   rows (reclaiming memory), or when the journal exceeds
-//!   `journal_ratio` × live rows (**auto-compaction**, retiring the
-//!   manual-only `hull compact` flow).
+//! * **Correction, in memory, at once.** When a tombstoned row's last
+//!   live copy does not classify strictly [`PointLocation::Inside`] the
+//!   current hull, the worker corrects the hull before publishing (an
+//!   interior delete can never change the hull). The correction is the
+//!   closed-star [`HullBuilder::repair`]: only the surviving vertices and
+//!   the live rows inside each dying vertex's star `conv({v} ∪ link(v))`
+//!   are installed. When the repair refuses (see its docs), the full
+//!   survivor build [`HullBuilder::seed_from_bulk`] runs instead. Both
+//!   walk [`LiveSet::live_rows`] and give the same canonical hull —
+//!   Theorem 4.2's order-independence makes it equivalent to any
+//!   insertion order of the survivors. Primaries and followers correct
+//!   alike; nothing is journaled, because the triggering unit,
+//!   tombstones included, is journaled and synced before the hull is
+//!   touched, so a replay re-derives the correction (`repairs`,
+//!   `repair_fallbacks`).
+//! * **Compaction, lazily, on the ratio triggers only.** When dead
+//!   live-set entries exceed `rebuild_ratio` × live rows, or the journal
+//!   exceeds `journal_ratio` × live rows (**auto-compaction**), a primary
+//!   rebuilds the hull from [`LiveSet::survivors`] and journals the
+//!   result as **one checkpoint unit**: the WAL is atomically rewritten
+//!   to a checkpoint header (preserving the cumulative unit index) plus
+//!   the survivors, the replication log ships it to followers, and the
+//!   live set drops its dead entries (`rebuilds`). WAL replay,
+//!   supervised recovery, and follower replication all stay crash-safe
+//!   for free.
 //!
-//! A primary-side rebuild is journaled as **one checkpoint unit**: the
-//! WAL is atomically rewritten to a checkpoint header (preserving the
-//! cumulative unit index) plus the survivors, so WAL replay, supervised
-//! recovery, and follower replication all stay crash-safe for free.
+//! So a vertex death costs a repair, not a WAL rewrite. With
+//! `journal_ratio = 0` a count-windowed shard's WAL is compacted only by
+//! the tombstone ratio: window expiry pops dead entries off the live
+//! set's front, so a steady window may never reach that ratio and its
+//! WAL then grows until a restart replays it.
+//!
 //! The trigger ratios deliberately compare against **live rows**, not
 //! hull vertices: a rebuild cannot shrink the journal below the live
 //! count (survivors must be retained for delete correctness), so a
@@ -61,13 +77,13 @@
 //! 1. marks the shard **degraded** and bumps its recovery *generation*;
 //!    queries keep flowing from the last published snapshot, wrapped in
 //!    the wire `Degraded` status so callers can see the staleness;
-//! 2. rebuilds the hull from the shard's [`Journal`] with one bulk
-//!    build over its insert rows ([`HullBuilder::seed_from_bulk`], the
-//!    same constructor as every other restart surface), and the live
-//!    set by walking its typed ops in unit order (tombstones journaled
-//!    *before* the hull is touched, so a crash mid-rebuild loses
-//!    nothing: replay reconstructs the live set and re-runs the rebuild
-//!    decision);
+//! 2. rebuilds the live set from the shard's [`Journal`] by walking its
+//!    typed ops in unit order, then the hull with one bulk build over
+//!    the live rows ([`HullBuilder::seed_from_bulk`], the same
+//!    constructor as every other restart surface). Tombstones are
+//!    journaled *before* the hull is touched, so a crash mid-correction
+//!    or mid-rebuild loses nothing: the replayed hull is the survivors'
+//!    hull either way;
 //! 3. republishes a fresh snapshot and clears the degraded flag.
 //!
 //! **Exactly-once for acked mutations**: a mutation is acked when it
@@ -316,17 +332,18 @@ fn wal_err(stats: &ShardStats) {
     service_metrics().wal_errors.incr();
 }
 
-/// Build a hull from the journal's **insert** rows (tombstones
-/// contribute nothing to the build — see [`replay_shard`] for where
-/// they are honored) through the one bulk constructor,
-/// [`HullBuilder::seed_from_bulk`]: canonically identical to the lost
-/// hull (same facets, possibly different internal ids), which every
-/// query surface is insensitive to. A degenerate journal (no full-rank
-/// prefix) falls back to incremental replay inside `seed_from_bulk`;
-/// that is not counted as a bulk build.
-fn replay_core(dim: usize, journal: &Journal, workers: usize, stats: &ShardStats) -> HullBuilder {
+/// Build a hull from `rows` through the one bulk constructor,
+/// [`HullBuilder::seed_from_bulk`], counting it as a bulk build. A
+/// degenerate row set (no full-rank prefix) falls back to incremental
+/// replay inside `seed_from_bulk`; that is not counted.
+fn bulk_core<R: AsRef<[i64]>>(
+    dim: usize,
+    rows: &[R],
+    workers: usize,
+    stats: &ShardStats,
+) -> HullBuilder {
     let t0 = Instant::now();
-    let (core, report) = HullBuilder::seed_from_bulk(dim, &journal.insert_rows(), workers);
+    let (core, report) = HullBuilder::seed_from_bulk(dim, rows, workers);
     if !report.fallback {
         stats.bulk_builds.fetch_add(1, Ordering::Relaxed);
         stats
@@ -343,24 +360,23 @@ fn replay_core(dim: usize, journal: &Journal, workers: usize, stats: &ShardStats
 
 /// Rebuild a shard's hull **and live set** from its journal — the one
 /// decision point for every restart surface (WAL cold start, supervised
-/// crash recovery). The hull is built from all journaled insert rows;
-/// the live set is reconstructed by walking the typed ops in unit order
-/// (every journaled tombstone finds a live copy on replay, because
-/// tombstones are journaled only when they killed one originally and
-/// replay sees at least as many arrivals). If any fully-dead row is not
-/// strictly inside the built hull, one in-memory rebuild from the
-/// survivors restores the windowed-serving invariant — no WAL rewrite,
-/// no unit-count change, so replay stays idempotent.
+/// crash recovery). The live set is reconstructed by walking the typed
+/// ops in unit order (every journaled tombstone finds a live copy on
+/// replay, because tombstones are journaled only when they killed one
+/// originally and replay sees at least as many arrivals); the hull is
+/// one bulk build over its live rows. That is the survivors' canonical
+/// hull — the lost hull's facets, possibly with different internal ids,
+/// which every query surface is insensitive to — with no WAL rewrite and
+/// no unit-count change, so replay stays idempotent. An insert-only
+/// journal's live rows are all its insert rows, in order.
 fn replay_shard(
     dim: usize,
     journal: &Journal,
     workers: usize,
     stats: &ShardStats,
 ) -> (HullBuilder, LiveSet) {
-    let mut core = replay_core(dim, journal, workers, stats);
     let mut live = LiveSet::new();
     let base = journal.unit_base();
-    let mut tombstoned: HashSet<Vec<i64>> = HashSet::new();
     for (idx, unit) in journal.batches().enumerate() {
         let at = base + idx as u64 + 1;
         for op in unit {
@@ -368,32 +384,12 @@ fn replay_shard(
                 JournalOp::Insert(row) => live.insert(row.clone(), at),
                 JournalOp::Tombstone(row) => {
                     let _ = live.remove(row);
-                    tombstoned.insert(row.clone());
                 }
             }
         }
     }
-    if tombstoned.is_empty() {
-        // Insert-only journal: nothing to classify.
-        return (core, live);
-    }
-    let needs_rebuild = match core.hull() {
-        Some(h) => {
-            let mut scratch = KernelCounts::default();
-            tombstoned
-                .iter()
-                .any(|t| live.count(t) == 0 && h.classify(t, &mut scratch) != PointLocation::Inside)
-        }
-        // Still bootstrapping: the buffer may hold dead rows; rebuild
-        // conservatively whenever any row is fully dead.
-        None => tombstoned.iter().any(|t| live.count(t) == 0),
-    };
-    if needs_rebuild {
-        let survivors = live.survivors();
-        core = HullBuilder::seed_from_bulk(dim, &survivors, workers).0;
-        stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-    }
-    (core, live)
+    let rows: Vec<&[i64]> = live.live_rows().collect();
+    (bulk_core(dim, &rows, workers, stats), live)
 }
 
 /// Seal the journal's open tail for replay, surfacing a torn tail (a
@@ -1210,38 +1206,36 @@ fn apply_batch(
     }
 }
 
-/// Did this unit's tombstones invalidate the current hull? Only a row
-/// whose **last** live copy died can matter, and only when it is not
-/// strictly inside (a vertex, a boundary point, or — transiently, for
-/// buffered-but-unapplied rows — outside). While still bootstrapping
-/// (no hull to classify against) any fully-dead row forces a rebuild:
-/// the boot buffer may hold it.
-fn tombstones_affect_hull(st: &ShardState, tombstones: &[Vec<i64>]) -> bool {
-    if tombstones.is_empty() {
-        return false;
-    }
-    match st.core.hull() {
-        Some(h) => {
-            let mut scratch = KernelCounts::default();
-            let mut seen: HashSet<&[i64]> = HashSet::new();
-            tombstones.iter().any(|t| {
-                st.live.count(t) == 0
-                    && seen.insert(t.as_slice())
-                    && h.classify(t, &mut scratch) != PointLocation::Inside
-            })
-        }
-        None => tombstones.iter().any(|t| st.live.count(t) == 0),
-    }
+/// The tombstoned rows that may have changed the hull, deduplicated:
+/// only a row whose **last** live copy died can matter, and only when it
+/// is not strictly inside (a vertex, a boundary point, or — transiently,
+/// for buffered-but-unapplied rows — outside). While still bootstrapping
+/// (no hull to classify against) every fully-dead row counts: the boot
+/// buffer may hold it.
+fn dying_rows(st: &ShardState, tombstones: &[Vec<i64>]) -> Vec<Vec<i64>> {
+    let mut scratch = KernelCounts::default();
+    let mut seen: HashSet<&[i64]> = HashSet::new();
+    tombstones
+        .iter()
+        .filter(|t| {
+            st.live.count(t) == 0
+                && seen.insert(t)
+                && st
+                    .core
+                    .hull()
+                    .is_none_or(|h| h.classify(t, &mut scratch) != PointLocation::Inside)
+        })
+        .cloned()
+        .collect()
 }
 
 /// Resolve, journal, mark, sync, apply, and publish one batch unit
 /// (no-op when nothing survives resolution — batch units are never
 /// empty). `replica` marks a follower-applied unit: the window policy
 /// does not run (the primary already ran it and shipped the resulting
-/// tombstones) and rebuild triggers stay local-only (the primary ships
-/// checkpoint units instead) — except a hull-invalidating tombstone,
-/// which forces an **in-memory** rebuild so the follower's hull stays
-/// correct between checkpoints.
+/// tombstones) and the ratio triggers stay off (the primary ships its
+/// checkpoint units instead). A hull-invalidating tombstone triggers
+/// the same in-memory [`correct_hull`] on primaries and followers.
 fn apply_unit(
     ctx: &ShardCtx,
     st: &mut ShardState,
@@ -1388,7 +1382,7 @@ fn apply_unit(
     st.recorded += inserted;
     // Classify after the batch applied: a row inserted and deleted in
     // this same unit is in the hull by now, so `classify` sees it.
-    let need_rebuild = tombstones_affect_hull(st, &tombstones);
+    let dying = dying_rows(st, &tombstones);
     // Mirror the unit into the replication log before the epoch
     // becomes visible, so a subscriber that sees epoch `e` can
     // always fetch every unit below `e`.
@@ -1404,14 +1398,13 @@ fn apply_unit(
                 && (st.journal.len() as f64) > ctx.journal_ratio * live.max(1.0),
         )
     };
-    if need_rebuild || tomb_trigger || journal_trigger {
-        rebuild_from_survivors(
-            ctx,
-            st,
-            !replica,
-            journal_trigger && !need_rebuild && !tomb_trigger,
-        );
+    if tomb_trigger || journal_trigger {
+        // The survivor rebuild corrects the hull as well.
+        rebuild_from_survivors(ctx, st, !tomb_trigger);
     } else {
+        if !dying.is_empty() {
+            correct_hull(ctx, st, &dying);
+        }
         publish(ctx, st);
     }
     if armed {
@@ -1448,16 +1441,58 @@ fn apply_unit(
     }
 }
 
+/// Correct the hull in memory after the rows `dying` lost their last
+/// live copy: the closed-star [`HullBuilder::repair`] when it applies,
+/// the full survivor build ([`HullBuilder::seed_from_bulk`]) otherwise.
+/// Both walk the live rows and give the survivors' canonical hull.
+/// Neither touches the journal or the live set: the unit whose tombstones
+/// got here is journaled already, so a replay re-derives the survivors'
+/// hull. Counted as a repair or a repair fallback, never as a rebuild;
+/// the caller publishes.
+fn correct_hull(ctx: &ShardCtx, st: &mut ShardState, dying: &[Vec<i64>]) {
+    // Failpoint `shard.rebuild`: may panic (worker death mid-correction).
+    // Safe at any point: the unit whose tombstones triggered it is
+    // journaled and synced, so the supervisor's replay reconstructs the
+    // live set and the survivors' hull.
+    let _ = failpoint::eval(sites::SHARD_REBUILD);
+    let t0 = Instant::now();
+    let repaired = st.core.repair(st.live.live_rows(), dying, ctx.workers);
+    let ok = repaired.is_some();
+    st.core = repaired.unwrap_or_else(|| {
+        let rows: Vec<&[i64]> = st.live.live_rows().collect();
+        HullBuilder::seed_from_bulk(ctx.dim, &rows, ctx.workers).0
+    });
+    // A correction shrinks `applied` to the live count; re-baseline so a
+    // later recovery never double-counts.
+    st.recorded = st.core.applied();
+    let us = t0.elapsed().as_micros() as u64;
+    let counter = if ok {
+        &ctx.stats.repairs
+    } else {
+        &ctx.stats.repair_fallbacks
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    ctx.stats.repair_us_total.fetch_add(us, Ordering::Relaxed);
+    if chull_obs::armed() {
+        let m = service_metrics();
+        if ok {
+            m.repairs.incr();
+        } else {
+            m.repair_fallbacks.incr();
+        }
+        m.repair_us.record(us);
+    }
+}
+
 /// Rebuild the shard's hull from the live set's survivors through the
-/// parallel bulk constructor. With `checkpoint` (primary-side), the
-/// journal is atomically rewritten to one checkpoint unit preserving
-/// the cumulative unit index, the replication log ships the checkpoint
-/// to followers, and the live set compacts its dead entries; without it
-/// (replica-side hull correction), the rebuild is purely in-memory —
-/// no journal rewrite, no epoch change — and the primary's own
-/// checkpoint unit arrives later. `auto` tags a rebuild that only the
-/// journal-ratio trigger asked for (the auto-compaction counter).
-fn rebuild_from_survivors(ctx: &ShardCtx, st: &mut ShardState, checkpoint: bool, auto: bool) {
+/// parallel bulk constructor and compact: the journal is atomically
+/// rewritten to one checkpoint unit preserving the cumulative unit
+/// index, the replication log ships the checkpoint to followers, and the
+/// live set drops its dead entries. Only the `rebuild_ratio` and
+/// `journal_ratio` triggers get here, and only on a primary; `auto` tags
+/// a rebuild that only the journal-ratio trigger asked for (the
+/// auto-compaction counter).
+fn rebuild_from_survivors(ctx: &ShardCtx, st: &mut ShardState, auto: bool) {
     // Failpoint `shard.rebuild`: may panic (worker death mid-rebuild).
     // Safe at any point in this function: the unit that triggered the
     // rebuild — tombstones included — is journaled and synced, so the
@@ -1472,19 +1507,17 @@ fn rebuild_from_survivors(ctx: &ShardCtx, st: &mut ShardState, checkpoint: bool,
     // A rebuild shrinks `applied` to the survivor count; re-baseline so
     // a later recovery never double-counts.
     st.recorded = st.core.applied();
-    if checkpoint {
-        if st.journal.reset_checkpoint(&survivors).is_err() {
-            wal_err(&ctx.stats);
-        }
-        st.epoch = st.journal.batch_count();
-        ctx.repl.push_checkpoint(st.epoch, survivors);
-        st.live.compact(st.epoch);
-        ctx.stats
-            .journal_len
-            .store(st.journal.len() as u64, Ordering::Relaxed);
-        if auto {
-            ctx.stats.auto_compactions.fetch_add(1, Ordering::Relaxed);
-        }
+    if st.journal.reset_checkpoint(&survivors).is_err() {
+        wal_err(&ctx.stats);
+    }
+    st.epoch = st.journal.batch_count();
+    ctx.repl.push_checkpoint(st.epoch, survivors);
+    st.live.compact(st.epoch);
+    ctx.stats
+        .journal_len
+        .store(st.journal.len() as u64, Ordering::Relaxed);
+    if auto {
+        ctx.stats.auto_compactions.fetch_add(1, Ordering::Relaxed);
     }
     let us = t0.elapsed().as_micros() as u64;
     ctx.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
@@ -1615,7 +1648,8 @@ fn apply_bulk_units(
         .journal_len
         .store(st.journal.len() as u64, Ordering::Relaxed);
     // One bulk build over the whole prefix.
-    st.core = replay_core(ctx.dim, &st.journal, ctx.workers, &ctx.stats);
+    let rows: Vec<&[i64]> = units.iter().flatten().map(Vec::as_slice).collect();
+    st.core = bulk_core(ctx.dim, &rows, ctx.workers, &ctx.stats);
     st.epoch = st.journal.batch_count();
     let mut live = LiveSet::new();
     for (i, unit) in units.iter().enumerate() {
@@ -1896,27 +1930,33 @@ mod tests {
             svc.snapshot(0).unwrap().contains(&[20, 5], &mut k),
             Some(true)
         );
-        // Interior delete: no rebuild needed, hull unchanged.
+        // Interior delete: no correction needed, hull unchanged.
         mutate_all(&svc, 0, vec![Mutation::Delete(inner.clone())]);
         svc.flush(0).unwrap();
         let st = svc.stats_for(0).unwrap();
-        assert_eq!(st.rebuilds.load(Ordering::Relaxed), 0);
+        let corrections =
+            || st.repairs.load(Ordering::Relaxed) + st.repair_fallbacks.load(Ordering::Relaxed);
+        assert_eq!(corrections(), 0);
         assert_eq!(st.tombstones.load(Ordering::Relaxed), 1);
-        // Vertex delete: the hull must shrink back to the square.
+        // Vertex delete: the hull must shrink back to the square, by an
+        // in-memory correction that checkpoints nothing.
+        let e0 = svc.flush(0).unwrap();
         mutate_all(&svc, 0, vec![Mutation::Delete(spike.clone())]);
         svc.flush(0).unwrap();
         let snap = svc.snapshot(0).unwrap();
+        assert_eq!(corrections(), 1);
+        assert_eq!(st.rebuilds.load(Ordering::Relaxed), 0);
         assert_eq!(
-            svc.stats_for(0).unwrap().rebuilds.load(Ordering::Relaxed),
-            1
+            snap.epoch,
+            e0 + 1,
+            "the tombstone unit is the only new unit"
         );
         assert_eq!(
             svc.snapshot(0).unwrap().contains(&[20, 5], &mut k),
             Some(false)
         );
         assert_eq!(snap_canonical(&snap, 2), offline_canonical(&square, 2));
-        // The checkpoint preserved the cumulative unit index: epochs
-        // keep climbing.
+        // Epochs keep climbing.
         svc.try_mutate(0, vec![Mutation::Insert(vec![5, 20])])
             .unwrap();
         let e = svc.flush(0).unwrap();
@@ -2028,8 +2068,8 @@ mod tests {
                 rows.iter().cloned().map(Mutation::Insert).collect(),
             );
             svc.flush(0).unwrap();
-            // Vertex delete → in-place rebuild + checkpoint, then one
-            // more mixed unit left un-compacted in the journal.
+            // Vertex delete → in-memory correction, no checkpoint; then
+            // one more mixed unit, the whole history left in the journal.
             mutate_all(&svc, 0, vec![Mutation::Delete(vec![40, 5])]);
             svc.flush(0).unwrap();
             mutate_all(
@@ -2107,6 +2147,144 @@ mod tests {
             }
         }
         assert!(recovered, "no injected panic landed in the rebuild");
+    }
+
+    /// A fresh WAL directory for one test.
+    fn temp_wal(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "chull-shard-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// 300 disk rows and a spike vertex far outside them, written to the
+    /// WAL of `config` by one service and served by a second one over it
+    /// — so the hull is bulk-built, and deleting the spike takes the
+    /// closed-star repair. (A hull built point by point has every row to
+    /// certify, which here costs more than the full build's prefilter:
+    /// the repair refuses it.)
+    fn bulk_built_spike(config: &ServiceConfig) -> (HullService, Vec<Vec<i64>>, Vec<i64>) {
+        let r = 1 << 20;
+        let pts = prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(300, r, 65)),
+            66,
+        );
+        let rows: Vec<Vec<i64>> = pts.iter().map(|p| p.to_vec()).collect();
+        let spike = vec![4 * r, 7];
+        let svc = HullService::new(config.clone()).unwrap();
+        let mut all = rows.clone();
+        all.push(spike.clone());
+        mutate_all(&svc, 0, all.into_iter().map(Mutation::Insert).collect());
+        svc.flush(0).unwrap();
+        svc.shutdown();
+        (HullService::new(config.clone()).unwrap(), rows, spike)
+    }
+
+    /// The bulk-built variant of [`mid_rebuild_crash_replay_converges`]:
+    /// the armed panic lands inside a closed-star repair (the unarmed
+    /// run of the same scenario shows the correction is one), and the
+    /// recovered shard serves the survivors' hull.
+    #[test]
+    fn mid_repair_crash_replay_converges() {
+        let dir = temp_wal("mid-repair");
+        let mut config = cfg(2, 1);
+        config.wal_dir = Some(dir.clone());
+        config.rebuild_ratio = 1e9;
+        config.journal_ratio = 0.0;
+        let mut recovered = false;
+        for round in 0..21 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let (svc, rows, spike) = bulk_built_spike(&config);
+            let armed = round > 0;
+            if armed {
+                failpoint::arm(FaultPlan::new(0x9E9_0000 + round).site(
+                    sites::SHARD_REBUILD,
+                    SiteSpec {
+                        panic_every: 1,
+                        max_fires: 1,
+                        ..SiteSpec::default()
+                    },
+                ));
+            }
+            mutate_all(&svc, 0, vec![Mutation::Delete(spike)]);
+            svc.flush(0).unwrap();
+            failpoint::disarm();
+            let st = svc.stats_for(0).unwrap();
+            let hit = st.recoveries.load(Ordering::Relaxed) >= 1;
+            if !armed {
+                assert_eq!(
+                    st.repairs.load(Ordering::Relaxed),
+                    1,
+                    "the spike death repairs"
+                );
+            }
+            assert_eq!(st.rebuilds.load(Ordering::Relaxed), 0);
+            let snap = svc.snapshot(0).unwrap();
+            assert_eq!(snap_canonical(&snap, 2), offline_canonical(&rows, 2));
+            assert_eq!(st.live_points.load(Ordering::Relaxed), rows.len() as u64);
+            svc.shutdown();
+            if hit {
+                recovered = true;
+                break;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(recovered, "no injected panic landed in the repair");
+    }
+
+    /// Vertex deaths repaired in memory leave the WAL uncompacted: a
+    /// restart replays every unit, tombstones included, and must serve
+    /// exactly the survivors' hull and live count.
+    #[test]
+    fn restart_over_repaired_uncheckpointed_wal_serves_survivors() {
+        let dir = temp_wal("repaired-wal");
+        let mut config = cfg(2, 1);
+        config.wal_dir = Some(dir.clone());
+        config.window = WindowPolicy::Count(150);
+        config.rebuild_ratio = 1e9;
+        config.journal_ratio = 0.0;
+        let pts = prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(1200, 1 << 20, 67)),
+            68,
+        );
+        let rows: Vec<Vec<i64>> = pts.iter().map(|p| p.to_vec()).collect();
+        let svc = HullService::new(config.clone()).unwrap();
+        for chunk in rows.chunks(16) {
+            mutate_all(
+                &svc,
+                0,
+                chunk.iter().cloned().map(Mutation::Insert).collect(),
+            );
+            svc.flush(0).unwrap();
+        }
+        let st = svc.stats_for(0).unwrap();
+        assert!(
+            st.repairs.load(Ordering::Relaxed) >= 1,
+            "no vertex death repaired"
+        );
+        assert_eq!(
+            st.rebuilds.load(Ordering::Relaxed),
+            0,
+            "nothing checkpointed"
+        );
+        let served = snap_canonical(&svc.snapshot(0).unwrap(), 2);
+        let units = svc.flush(0).unwrap();
+        svc.shutdown();
+        let survivors = &rows[rows.len() - 150..];
+        assert_eq!(served, offline_canonical(survivors, 2));
+
+        let svc = HullService::new(config).unwrap();
+        let snap = svc.snapshot(0).unwrap();
+        assert_eq!(snap.epoch, units, "every unit replayed");
+        assert_eq!(snap_canonical(&snap, 2), offline_canonical(survivors, 2));
+        let st = svc.stats_for(0).unwrap();
+        assert_eq!(st.live_points.load(Ordering::Relaxed), 150);
+        assert_eq!(st.rebuilds.load(Ordering::Relaxed), 0);
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2332,54 +2510,102 @@ mod tests {
         svc.shutdown();
     }
 
+    /// A vertex death on a bulk-built hull is repaired in memory — no
+    /// rebuild, no checkpoint — and the repaired hull is a new lineage,
+    /// so the publish after it copies instead of refreshing.
     #[test]
-    fn survivor_rebuild_publishes_a_fresh_copy() {
+    fn survivor_repair_publishes_a_fresh_copy() {
         let r = 1 << 20;
+        let dir = temp_wal("repair-publish");
         let mut config = cfg(2, 1);
+        config.wal_dir = Some(dir.clone());
         config.rebuild_ratio = 1e9;
         config.journal_ratio = 0.0;
-        let pts = prepare_points(
-            &PointSet::from_points2(&generators::disk_2d(600, r, 63)),
-            64,
-        );
-        let mut rows: Vec<Vec<i64>> = pts.iter().map(|p| p.to_vec()).collect();
-        let svc = HullService::new(config).unwrap();
+        let (svc, mut rows, spike) = bulk_built_spike(&config);
         let stats = svc.stats_for(0).unwrap();
-        let insert = |svc: &HullService, chunk: &[Vec<i64>]| {
+        let cloned = stats.publishes_cloned.load(Ordering::Relaxed);
+        mutate_all(&svc, 0, vec![Mutation::Delete(spike)]);
+        svc.flush(0).unwrap();
+        assert_eq!(stats.repairs.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.repair_fallbacks.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.rebuilds.load(Ordering::Relaxed), 0);
+        assert!(stats.publishes_cloned.load(Ordering::Relaxed) > cloned);
+        let snap = svc.snapshot(0).unwrap();
+        assert_eq!(snap_canonical(&snap, 2), offline_canonical(&rows, 2));
+        assert_matches_fresh_freeze(&snap, r);
+        drop(snap);
+        // Publishing continues on the repaired hull, refreshing again.
+        let refreshed = stats.publishes_refreshed.load(Ordering::Relaxed);
+        let more: Vec<Vec<i64>> = prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(200, r, 69)),
+            70,
+        )
+        .iter()
+        .map(|p| p.to_vec())
+        .collect();
+        for chunk in more.chunks(50) {
             mutate_all(
-                svc,
+                &svc,
                 0,
                 chunk.iter().cloned().map(Mutation::Insert).collect(),
             );
             svc.flush(0).unwrap();
-        };
-        insert(&svc, &rows[..400]);
-        // Deleting a hull vertex forces a rebuild from survivors: a new
-        // hull lineage, so the retired snapshot cannot be refreshed.
+        }
+        assert!(stats.publishes_refreshed.load(Ordering::Relaxed) > refreshed);
+        rows.extend(more);
+        let snap = svc.snapshot(0).unwrap();
+        assert_eq!(snap_canonical(&snap, 2), offline_canonical(&rows, 2));
+        assert_matches_fresh_freeze(&snap, r);
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The tombstone-ratio trigger still rebuilds from survivors and
+    /// checkpoints: one `rebuilds`, no in-memory correction, and a fresh
+    /// lineage published by copy.
+    #[test]
+    fn ratio_rebuild_publishes_a_fresh_copy() {
+        let r = 1 << 20;
+        let mut config = cfg(2, 1);
+        // Any dead entry passes a zero ratio.
+        config.rebuild_ratio = 0.0;
+        config.journal_ratio = 0.0;
+        let pts = prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(400, r, 63)),
+            64,
+        );
+        let rows: Vec<Vec<i64>> = pts.iter().map(|p| p.to_vec()).collect();
+        let svc = HullService::new(config).unwrap();
+        let stats = svc.stats_for(0).unwrap();
+        mutate_all(
+            &svc,
+            0,
+            rows.iter().cloned().map(Mutation::Insert).collect(),
+        );
+        let e0 = svc.flush(0).unwrap();
         let (_, vertex) = svc.snapshot(0).unwrap().extreme(&[1, 0]).unwrap();
         let cloned = stats.publishes_cloned.load(Ordering::Relaxed);
         mutate_all(&svc, 0, vec![Mutation::Delete(vertex.clone())]);
         svc.flush(0).unwrap();
         assert_eq!(stats.rebuilds.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            stats.repairs.load(Ordering::Relaxed) + stats.repair_fallbacks.load(Ordering::Relaxed),
+            0
+        );
+        assert_eq!(
+            stats.lazy_tombstones.load(Ordering::Relaxed),
+            0,
+            "compacted"
+        );
         assert!(stats.publishes_cloned.load(Ordering::Relaxed) > cloned);
-        let survivors: Vec<Vec<i64>> = rows[..400]
-            .iter()
-            .filter(|p| **p != vertex)
-            .cloned()
-            .collect();
         let snap = svc.snapshot(0).unwrap();
+        assert_eq!(
+            snap.epoch,
+            e0 + 2,
+            "the tombstone unit, then the checkpoint unit"
+        );
+        let survivors: Vec<Vec<i64>> = rows.iter().filter(|p| **p != vertex).cloned().collect();
         assert_eq!(snap_canonical(&snap, 2), offline_canonical(&survivors, 2));
-        assert_matches_fresh_freeze(&snap, r);
-        drop(snap);
-        // Publishing continues on the rebuilt hull, refreshing again.
-        let refreshed = stats.publishes_refreshed.load(Ordering::Relaxed);
-        for chunk in rows[400..].chunks(50) {
-            insert(&svc, chunk);
-        }
-        assert!(stats.publishes_refreshed.load(Ordering::Relaxed) > refreshed);
-        rows.retain(|p| *p != vertex);
-        let snap = svc.snapshot(0).unwrap();
-        assert_eq!(snap_canonical(&snap, 2), offline_canonical(&rows, 2));
         assert_matches_fresh_freeze(&snap, r);
         svc.shutdown();
     }

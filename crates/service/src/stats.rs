@@ -124,8 +124,10 @@ pub struct ShardStats {
     /// Dead live-set entries awaiting the next compacting rebuild
     /// (gauge).
     pub lazy_tombstones: AtomicU64,
-    /// Hull rebuilds from survivors (tombstone-forced, ratio-triggered,
-    /// replayed, or follower checkpoints).
+    /// Ratio-triggered hull rebuilds from survivors (`rebuild_ratio` or
+    /// `journal_ratio`), each checkpointing the journal, plus follower
+    /// installs of a primary's checkpoint. In-memory hull corrections
+    /// never count here (see `repairs`).
     pub rebuilds: AtomicU64,
     /// Rebuilds triggered purely by the journal-ratio auto-compaction
     /// policy.
@@ -134,6 +136,15 @@ pub struct ShardStats {
     pub rebuild_us_last: AtomicU64,
     /// Total time spent rebuilding, in microseconds.
     pub rebuild_us_total: AtomicU64,
+    /// In-memory hull corrections after a hull-invalidating tombstone
+    /// (worker or replay) done by the closed-star repair.
+    pub repairs: AtomicU64,
+    /// In-memory hull corrections the repair refused, done by the full
+    /// survivor build instead.
+    pub repair_fallbacks: AtomicU64,
+    /// Total time spent on in-memory corrections (repairs and
+    /// fallbacks), in microseconds.
+    pub repair_us_total: AtomicU64,
     /// Snapshot publishes that refreshed the retired snapshot in place.
     pub publishes_refreshed: AtomicU64,
     /// Snapshot publishes that froze a fresh copy of the hull (a reader
@@ -176,6 +187,7 @@ impl ShardStats {
              \"window_expirations\":{},\"live_points\":{},\"lazy_tombstones\":{},\
              \"rebuilds\":{},\"auto_compactions\":{},\
              \"rebuild_us_last\":{},\"rebuild_us_total\":{},\
+             \"repairs\":{},\"repair_fallbacks\":{},\"repair_us_total\":{},\
              \"publishes_refreshed\":{},\"publishes_cloned\":{},\
              \"ingest_kernel\":{},\"query_kernel\":{}}}",
             snap.epoch,
@@ -214,6 +226,9 @@ impl ShardStats {
             self.auto_compactions.load(Ordering::Relaxed),
             self.rebuild_us_last.load(Ordering::Relaxed),
             self.rebuild_us_total.load(Ordering::Relaxed),
+            self.repairs.load(Ordering::Relaxed),
+            self.repair_fallbacks.load(Ordering::Relaxed),
+            self.repair_us_total.load(Ordering::Relaxed),
             self.publishes_refreshed.load(Ordering::Relaxed),
             self.publishes_cloned.load(Ordering::Relaxed),
             kernel_json(&ingest),
@@ -284,6 +299,9 @@ mod tests {
             "\"auto_compactions\":0",
             "\"rebuild_us_last\":0",
             "\"rebuild_us_total\":0",
+            "\"repairs\":0",
+            "\"repair_fallbacks\":0",
+            "\"repair_us_total\":0",
             "\"publishes_refreshed\":0",
             "\"publishes_cloned\":0",
             "\"ready\":false",

@@ -110,6 +110,41 @@ fn wire_and_http_scrapes_agree_and_cover_every_layer() {
     let lag = c.repl_ack(0, 1).unwrap();
     assert_eq!(lag, total - 1, "ack through unit 0 leaves total-1 lag");
 
+    // Delete shard 0's extreme vertices until one death takes the
+    // closed-star repair: the first correction of a hull built point by
+    // point falls back to the full build, which the repair then builds on.
+    let corrections = |c: &mut HullClient| {
+        let stats = c.stats(Some(0)).unwrap();
+        (
+            json_field(&stats, "repairs"),
+            json_field(&stats, "repair_fallbacks"),
+        )
+    };
+    for dir in [
+        [1, 0],
+        [0, 1],
+        [-1, 0],
+        [0, -1],
+        [1, 1],
+        [-1, -1],
+        [1, -1],
+        [-1, 1],
+    ] {
+        if corrections(&mut c).0 > 0 {
+            break;
+        }
+        let (_, vertex) = c.extreme(0, &dir).unwrap().expect("shard 0 is live");
+        c.mutate(0, MutationBatch::new().delete(vertex)).unwrap();
+        c.flush(0).unwrap();
+    }
+    let (repairs, fallbacks) = corrections(&mut c);
+    assert!(
+        repairs >= 1,
+        "no vertex death repaired ({fallbacks} fallbacks)"
+    );
+    let rebuilds = json_field(&c.stats(Some(0)).unwrap(), "rebuilds");
+    assert_eq!(rebuilds, 0, "vertex deaths must not rebuild");
+
     let wire_text = c.metrics().unwrap();
     let http_reply = http_get(maddr, "/metrics");
     assert!(http_reply.starts_with("HTTP/1.0 200"), "{http_reply}");
@@ -153,6 +188,10 @@ fn wire_and_http_scrapes_agree_and_cover_every_layer() {
         "chull_replica_failovers_total",
         "chull_replica_lag_batches",
         "chull_replica_last_acked",
+        // Deletion layer: in-memory corrections and ratio rebuilds.
+        "chull_shard_repairs_total",
+        "chull_shard_repair_us",
+        "chull_shard_rebuilds_total",
     ] {
         assert!(wf.contains(family), "family {family} missing:\n{wire_text}");
     }
@@ -184,12 +223,36 @@ fn wire_and_http_scrapes_agree_and_cover_every_layer() {
         assert!(dep < 60, "dep_depth {dep} not logarithmic-ish");
     }
 
+    // The in-memory corrections, by outcome, agree with the Stats op
+    // (shard 1 saw no deletes), and each one was timed.
+    let sample = |needle: &str| -> u64 {
+        wire_text
+            .lines()
+            .find_map(|l| l.strip_prefix(needle))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no sample `{needle}`:\n{wire_text}"))
+    };
+    assert_eq!(
+        sample("chull_shard_repairs_total{outcome=\"repaired\"}"),
+        repairs
+    );
+    assert_eq!(
+        sample("chull_shard_repairs_total{outcome=\"fallback\"}"),
+        fallbacks
+    );
+    assert_eq!(
+        hist_count(&wire_text, "chull_shard_repair_us"),
+        repairs + fallbacks
+    );
+    assert_eq!(sample("chull_shard_rebuilds_total"), 0);
+
     // Per-op request accounting covered the ops this test issued.
     for op in [
         "mutate",
         "flush",
         "contains",
         "visible",
+        "extreme",
         "stats",
         "metrics",
         "repl_unit",

@@ -406,3 +406,105 @@ fn mid_rebuild_crash_recovers_survivor_hull_in_process_and_from_wal() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(recovered, "no injected panic landed in the rebuild");
 }
+
+/// The bulk-built variant of
+/// [`mid_rebuild_crash_recovers_survivor_hull_in_process_and_from_wal`]:
+/// the hull is served from a WAL restart (one bulk build), so deleting
+/// its spike vertex takes the closed-star repair — in-memory, with no
+/// checkpoint — and the armed panic lands inside that repair. Round 0
+/// runs unarmed and pins that the correction is a repair. Both the
+/// in-process recovery and a full restart over the same WAL (which now
+/// replays the tombstone unit, never checkpointed) must serve the
+/// survivor hull and live count.
+#[test]
+fn mid_repair_crash_recovers_bulk_built_survivor_hull_in_process_and_from_wal() {
+    let _g = test_lock();
+    let dir = std::env::temp_dir().join(format!(
+        "chull-windowed-repair-wal-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let r = 1 << 20;
+    let disk = rows_of(&generators::ball_d(2, 300, r, 71));
+    let spike = vec![4 * r, 7];
+    let config = || {
+        let mut o = opts(2, 2, WindowPolicy::None);
+        o.config.wal_dir = Some(dir.clone());
+        o.config.rebuild_ratio = 1e9;
+        o.config.journal_ratio = 0.0;
+        o
+    };
+    let connect =
+        |addr: std::net::SocketAddr| HullClient::builder(addr.to_string()).connect().unwrap();
+    let mut recovered = false;
+    for round in 0..21u64 {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut writer = serve(config()).unwrap();
+        let mut client = connect(writer.local_addr());
+        for chunk in disk.chunks(16) {
+            let muts: Vec<Mutation> = chunk.iter().map(|p| Mutation::Insert(p.clone())).collect();
+            client.mutate(0, muts.into()).unwrap();
+        }
+        client
+            .mutate(0, MutationBatch::new().insert(spike.clone()))
+            .unwrap();
+        client.flush(0).unwrap();
+        writer.shutdown();
+
+        // Restart: the hull is now one bulk build over the WAL.
+        let mut server = serve(config()).unwrap();
+        let mut client = connect(server.local_addr());
+        let armed = round > 0;
+        if armed {
+            failpoint::arm(FaultPlan::new(0x51DF_0000 + round).site(
+                sites::SHARD_REBUILD,
+                SiteSpec {
+                    panic_every: 1,
+                    max_fires: 1,
+                    ..SiteSpec::default()
+                },
+            ));
+        }
+        client
+            .mutate(0, MutationBatch::new().delete(spike.clone()))
+            .unwrap();
+        client.flush(0).unwrap();
+        failpoint::disarm();
+        let stats = client.stats(Some(0)).unwrap();
+        let hit = grab(&stats, "recoveries") >= 1;
+        if !armed {
+            assert_eq!(
+                grab(&stats, "repairs"),
+                1,
+                "the spike death repairs: {stats}"
+            );
+        }
+        assert_eq!(grab(&stats, "rebuilds"), 0, "nothing checkpoints: {stats}");
+        assert_eq!(grab(&stats, "live_points"), disk.len() as u64, "{stats}");
+        assert_eq!(
+            canonical_served(&client.snapshot(0).unwrap()),
+            canonical_offline(&disk, 2),
+            "round {round}: recovered hull differs from the survivors"
+        );
+        assert_eq!(client.contains(0, &[2 * r, 4]).unwrap(), Some(false));
+        server.shutdown();
+
+        let mut restarted = serve(config()).unwrap();
+        let mut client = connect(restarted.local_addr());
+        let stats = client.stats(Some(0)).unwrap();
+        assert_eq!(grab(&stats, "live_points"), disk.len() as u64, "{stats}");
+        assert_eq!(
+            canonical_served(&client.snapshot(0).unwrap()),
+            canonical_offline(&disk, 2),
+            "round {round}: WAL-restarted hull differs from the survivors"
+        );
+        restarted.shutdown();
+        if hit {
+            recovered = true;
+            break;
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(recovered, "no injected panic landed in the repair");
+}
