@@ -8,7 +8,7 @@
 //! hull's corners (Lemma 6.1), and that the space has 4-support
 //! (Lemma 6.2), so Theorem 4.2 still yields logarithmic dependence depth.
 //!
-//! * [`poly_hull`] — an exact, degeneracy-tolerant polygonal-face 3D hull
+//! * [`poly_hull`](mod@poly_hull) — an exact, degeneracy-tolerant polygonal-face 3D hull
 //!   (the brute-force substrate);
 //! * [`corner_space`] — the corner space as a
 //!   [`chull_confspace::ConfigurationSpace`], with a constructive-search

@@ -482,7 +482,7 @@ impl PlaneBlock {
 
     /// Run the filter over **every** plane in the block against `q`, in
     /// plane order, visiting `(index, certified sign or None)` per plane.
-    /// The hot loops are coefficient-major over [`BLOCK_CHUNK`]-wide
+    /// The hot loops are coefficient-major over `BLOCK_CHUNK`-wide
     /// contiguous lanes — the vectorizable full-scan path, benchmarked
     /// against per-facet tests in the `predicates` bench.
     pub fn filter_scan<F: FnMut(u32, Option<Sign>)>(&self, q: &[i64], mut visit: F) {

@@ -1,7 +1,7 @@
 //! Exact geometric predicates over integer coordinates.
 //!
 //! All predicates are exact for coordinates within
-//! [`MAX_COORD`](crate::point::MAX_COORD): the 2D/3D fast paths use `i128`
+//! [`MAX_COORD`]: the 2D/3D fast paths use `i128`
 //! arithmetic whose intermediates provably fit, and everything else routes
 //! through the overflow-checked fraction-free determinants of
 //! [`crate::exact::det`] (which fall back to arbitrary precision).

@@ -8,15 +8,15 @@
 //!
 //! Layers (each usable alone):
 //!
-//! * [`poller`] — [`Poller`](poller::Poller) trait over level-triggered
+//! * [`poller`](mod@poller) — [`Poller`] trait over level-triggered
 //!   epoll (Linux) with a portable `poll(2)` fallback, plus an
-//!   eventfd [`Waker`](poller::Waker) for cross-thread wakeups;
-//! * [`buf`] — [`ByteBuf`](buf::ByteBuf), the per-connection FIFO with
+//!   eventfd [`Waker`] for cross-thread wakeups;
+//! * [`buf`] — [`ByteBuf`], the per-connection FIFO with
 //!   amortized-O(1) consume and burst-allocation release;
-//! * [`frame`] — [`FrameDecoder`](frame::FrameDecoder), incremental
+//! * [`frame`] — [`FrameDecoder`], incremental
 //!   length-prefixed frame reassembly (the wire format of
 //!   `chull-service`), tracking partial frames for deadline reaping;
-//! * [`slab`] — [`Slab`](slab::Slab), stable keys for connection state.
+//! * [`slab`] — [`Slab`], stable keys for connection state.
 //!
 //! The reactor built on these lives in `chull-service::event_server`;
 //! the `service_load` bench drives tens of thousands of client

@@ -4,7 +4,7 @@
 //! `libc` crate, no build script. Every symbol used here is exported by
 //! glibc/musl, which Rust's `std` already links on Linux.
 //!
-//! Only compiled on Linux; the portable [`crate::poller`] fallback uses
+//! Only compiled on Linux; the portable [`crate::poller`](mod@crate::poller) fallback uses
 //! `poll(2)`, declared in the same spirit below under `cfg(unix)`.
 
 #![allow(non_camel_case_types)]

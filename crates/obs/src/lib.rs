@@ -18,10 +18,10 @@
 //! * [`Histogram`] — 65 log₂ buckets over `u64` with exact `sum`,
 //!   `count` and `max` side-totals; snapshots are mergeable and
 //!   diffable, and quantile readout is clamped to the observed max.
-//! * [`trace`] — a bounded ring-buffer event tracer with seeded
+//! * [`trace`](mod@trace) — a bounded ring-buffer event tracer with seeded
 //!   sampling (ChaCha8 from one u64, replayable like
 //!   `concurrent::failpoint`).
-//! * [`registry`] — the process-global name → metric table rendered as
+//! * [`registry`](mod@registry) — the process-global name → metric table rendered as
 //!   Prometheus text exposition, served over the wire protocol
 //!   (`Metrics` op) and plain HTTP ([`serve_metrics_http`]).
 //!

@@ -1,47 +1,51 @@
-//! Per-shard append-only mutation journals — the recovery substrate.
+//! Per-shard append-only mutation journals — the shard's only state log.
 //!
 //! Every mutation a shard worker pops from its ingest queue is appended
-//! here **before** it is applied to the hull; the journal append is the
-//! commit point. A worker that panics mid-batch is therefore fully
-//! described by (journal prefix, remaining queue): the supervisor
-//! replays the journal's ops into the live set, rebuilds the hull from
-//! its live rows with one bulk build
-//! ([`chull_core::online::HullBuilder::seed_from_bulk`]) and resumes
-//! draining the queue — no acked mutation is lost and none is applied
-//! twice (exactly-once through the journal). WAL cold start, follower
-//! bootstrap and compaction use the same constructor.
+//! here **before** it is applied to the hull; closing the unit
+//! ([`Journal::mark_batch`]) is the commit point. A shard's whole state
+//! is a function of its journal: [`Journal::replay`] rebuilds the live
+//! set, and one bulk build over the live rows
+//! ([`chull_core::online::HullBuilder::seed_from_bulk`]) rebuilds the
+//! hull (Theorem 4.2 makes the hull a function of the live set alone).
+//! Every whole-shard replacement — WAL cold start, supervised crash
+//! recovery, a ratio rebuild, a follower catching up, `hull compact` —
+//! is an edit of this log followed by that one replay.
 //!
-//! Since the windowed-serving redesign the journal records **typed
-//! ops** ([`JournalOp`]): inserts and tombstones (explicit deletes and
-//! window expirations, both journaled as tombstones so replay is
-//! window-policy-independent). A rebuild-from-survivors compaction
-//! collapses the log into one **checkpoint unit** via
-//! [`Journal::reset_checkpoint`]: the survivors in order, preceded by a
-//! checkpoint header carrying the number of batch units the checkpoint
-//! replaces — so the shard's epoch/unit index keeps counting
-//! monotonically across compactions and follower replication cursors
-//! stay meaningful.
+//! The journal records **batch units**: the inserts and tombstones
+//! (explicit deletes and window expirations, both journaled as
+//! tombstones so replay is window-policy-independent) applied together,
+//! each unit one [`ReplUnit::Ops`]. A compaction collapses the log into
+//! one [`ReplUnit::Checkpoint`] unit via [`Journal::reset_checkpoint`]:
+//! the survivors in order, at the cumulative unit index it replaces — so
+//! the shard's epoch/unit index keeps counting monotonically across
+//! compactions and follower replication cursors stay meaningful.
 //!
 //! Two tiers:
 //!
-//! * the **in-memory log** (always on): a `Vec` of typed ops, enough to
-//!   survive worker panics within one process;
+//! * the **in-memory log** (always on): the closed units as shared
+//!   `Arc<ReplUnit>`s in a [`UnitLog`] window, enough to survive worker
+//!   panics within one process. The replication surface reads the same
+//!   window, so a unit exists once in memory whether it is replayed or
+//!   shipped;
 //! * an optional **on-disk WAL** (`hull serve --wal <dir>`): one file
 //!   per shard of length-prefixed, crc32-checked records, enough to
 //!   survive process crashes. Reopening tolerates a truncated or
 //!   corrupt tail (the classic torn-write case): the file is truncated
 //!   back to its last intact record and appending resumes there. Every
 //!   file creation or replacement is made durable by fsyncing the WAL
-//!   directory as well ([`durable_rename`]).
+//!   directory as well.
 //!
 //! Replay cost is one bulk build over the journal: a quickhull-style
 //! prefilter drops the strict interior in a few sign tests per point,
 //! and one Algorithm 3 batch installs the rest — cheap enough that
 //! "recovery = re-run the algorithm" is the *whole* recovery story.
 
+use crate::wire::ReplUnit;
+use chull_core::LiveSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
 /// Small and std-only; speed is irrelevant next to the hull geometry.
@@ -86,8 +90,8 @@ fn crc32(bytes: &[u8]) -> u32 {
 ///   checkpoint, so `batch_count` keeps counting monotonically across
 ///   compactions; the survivor count says how many leading insert
 ///   records form the checkpoint unit itself (0 for a checkpoint of an
-///   emptied shard), which the replication mirror needs to tell the
-///   checkpoint unit apart from ordinary units appended after it.
+///   emptied shard), which reopening needs to tell the checkpoint unit
+///   apart from ordinary units appended after it.
 ///
 /// Markers delimit the atomic units of apply: one marker is appended
 /// (and synced) after a batch's ops and **before** the batch is applied
@@ -155,37 +159,37 @@ fn decode_row(payload: &[u8]) -> Vec<i64> {
         .collect()
 }
 
-/// One journaled mutation: the typed unit the shard worker commits
-/// before applying, and the unit replication ships to followers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JournalOp {
-    /// A row entered the live set (and the hull).
-    Insert(Vec<i64>),
-    /// The oldest live copy of a row left the live set — an explicit
-    /// `Delete` or a window expiration; the journal does not
-    /// distinguish, so replay is window-policy-independent.
-    Tombstone(Vec<i64>),
+/// The unit being journaled: the ops appended since the last marker.
+#[derive(Default)]
+struct OpenUnit {
+    inserts: Vec<Vec<i64>>,
+    tombstones: Vec<Vec<i64>>,
 }
 
-impl JournalOp {
-    /// The coordinate row either way.
-    pub fn row(&self) -> &[i64] {
-        match self {
-            JournalOp::Insert(r) | JournalOp::Tombstone(r) => r,
+impl OpenUnit {
+    fn len(&self) -> usize {
+        self.inserts.len() + self.tombstones.len()
+    }
+
+    fn take(&mut self) -> ReplUnit {
+        let open = std::mem::take(self);
+        ReplUnit::Ops {
+            inserts: open.inserts,
+            tombstones: open.tombstones,
         }
     }
 }
 
 /// Result of scanning a WAL file on reopen.
 struct WalScan {
-    /// Intact ops, in append order.
-    ops: Vec<JournalOp>,
-    /// Batch boundaries: cumulative op counts at each marker.
-    marks: Vec<usize>,
-    /// Units collapsed into a leading checkpoint header (0 without one).
-    unit_base: u64,
-    /// Leading ops that form the checkpoint unit itself (0 without one).
-    checkpoint_rows: usize,
+    /// Units closed by a marker, in append order.
+    closed: Vec<ReplUnit>,
+    /// Ops after the last marker: a unit whose marker was lost.
+    open: OpenUnit,
+    /// A leading checkpoint header: (unit base, survivor count).
+    header: Option<(u64, u64)>,
+    /// Intact insert and tombstone records.
+    records: usize,
     /// Byte offset of the first damaged/incomplete record (== file
     /// length when the tail is clean).
     good_len: u64,
@@ -199,11 +203,12 @@ fn scan_wal(file: &mut File, dim: usize) -> io::Result<WalScan> {
     let mut buf = Vec::new();
     file.seek(SeekFrom::Start(0))?;
     file.read_to_end(&mut buf)?;
-    let mut ops: Vec<JournalOp> = Vec::new();
-    let mut marks: Vec<usize> = Vec::new();
-    let mut unit_base = 0u64;
-    let mut checkpoint_rows = 0u64;
+    let mut closed = Vec::new();
+    let mut open = OpenUnit::default();
+    let mut header = None;
+    let mut records = 0usize;
     let mut at = 0usize;
+    let u64_at = |b: &[u8]| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
     loop {
         if at + RECORD_HEADER > buf.len() {
             break; // clean EOF or torn header
@@ -227,11 +232,10 @@ fn scan_wal(file: &mut File, dim: usize) -> io::Result<WalScan> {
             // A marker must close a non-empty batch of exactly the ops
             // since the previous marker; anything else is a damaged
             // record that happened to checksum clean.
-            let since = ops.len() - marks.last().copied().unwrap_or(0);
-            if count == 0 || count != since {
+            if count == 0 || count != open.len() {
                 break;
             }
-            marks.push(ops.len());
+            closed.push(open.take());
         } else if len == CHECKPOINT_LEN {
             // Only valid as the very first record; elsewhere it is
             // damage (a compaction never lands mid-file).
@@ -239,42 +243,24 @@ fn scan_wal(file: &mut File, dim: usize) -> io::Result<WalScan> {
             if at != 0 || magic != CHECKPOINT_MAGIC {
                 break;
             }
-            unit_base = u64::from_le_bytes([
-                payload[4],
-                payload[5],
-                payload[6],
-                payload[7],
-                payload[8],
-                payload[9],
-                payload[10],
-                payload[11],
-            ]);
-            checkpoint_rows = u64::from_le_bytes([
-                payload[12],
-                payload[13],
-                payload[14],
-                payload[15],
-                payload[16],
-                payload[17],
-                payload[18],
-                payload[19],
-            ]);
+            header = Some((u64_at(&payload[4..12]), u64_at(&payload[12..20])));
         } else if len == dim * 8 + 1 {
             if payload[0] != TOMBSTONE_TAG {
                 break;
             }
-            ops.push(JournalOp::Tombstone(decode_row(&payload[1..])));
+            open.tombstones.push(decode_row(&payload[1..]));
+            records += 1;
         } else {
-            ops.push(JournalOp::Insert(decode_row(payload)));
+            open.inserts.push(decode_row(payload));
+            records += 1;
         }
         at += RECORD_HEADER + len;
     }
-    let checkpoint_rows = (checkpoint_rows as usize).min(ops.len());
     Ok(WalScan {
-        ops,
-        marks,
-        unit_base,
-        checkpoint_rows,
+        closed,
+        open,
+        header,
+        records,
         good_len: at as u64,
         tail_damaged: at as u64 != buf.len() as u64,
     })
@@ -320,25 +306,87 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+/// The window of a journal's closed units, shared between the shard
+/// worker (whose journal appends to it) and the replication surface
+/// (`ReplUnitFetch` reads it without touching the worker): absolute unit
+/// indices `base..total()`. Units below `base` were collapsed by a
+/// checkpoint, and the oldest held unit is then that
+/// [`ReplUnit::Checkpoint`], which a lagging subscriber resets from.
+#[derive(Clone, Default)]
+pub struct UnitLog(Arc<RwLock<Units>>);
+
+#[derive(Default)]
+struct Units {
+    base: u64,
+    units: Vec<Arc<ReplUnit>>,
+}
+
+impl Units {
+    /// Close one unit. The first unit after a checkpoint header is the
+    /// checkpoint's survivor rows (a reopened WAL reads them as inserts).
+    fn push(&mut self, unit: ReplUnit) {
+        let unit = match unit {
+            ReplUnit::Ops { inserts, .. } if self.base > 0 && self.units.is_empty() => {
+                ReplUnit::Checkpoint {
+                    units_after: self.base + 1,
+                    survivors: inserts,
+                }
+            }
+            unit => unit,
+        };
+        self.units.push(Arc::new(unit));
+    }
+}
+
+impl UnitLog {
+    fn read(&self) -> RwLockReadGuard<'_, Units> {
+        match self.0.read() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        }
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Units> {
+        match self.0.write() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        }
+    }
+
+    /// Closed units, counting the ones a checkpoint collapsed.
+    pub fn total(&self) -> u64 {
+        let g = self.read();
+        g.base + g.units.len() as u64
+    }
+
+    /// The unit a subscriber at absolute cursor `from` needs: `None`
+    /// when caught up; the checkpoint at `base` when `from` points into
+    /// compacted history; otherwise the unit at `from` itself. The
+    /// returned index is the unit's absolute position (it may be
+    /// *above* `from` for the checkpoint case).
+    pub fn get(&self, from: u64) -> Option<(u64, Arc<ReplUnit>)> {
+        let g = self.read();
+        let at = from.max(g.base);
+        let unit = g.units.get((at - g.base) as usize)?;
+        Some((at, Arc::clone(unit)))
+    }
+}
+
 /// An append-only mutation journal; see module docs. Owned by one
-/// shard's supervisor thread (no internal locking needed).
+/// shard's supervisor thread; only its [`UnitLog`] is shared.
 pub struct Journal {
     dim: usize,
-    mem: Vec<JournalOp>,
-    /// Batch boundaries: cumulative op counts at each
-    /// [`Journal::mark_batch`], ascending. Ops past the last mark form
-    /// the open (in-flight) batch.
-    marks: Vec<usize>,
-    /// Batch units collapsed into the checkpoint this log starts from
-    /// (0 for a log that has never compacted).
-    unit_base: u64,
-    /// Leading ops that form the checkpoint unit itself (0 without one).
-    checkpoint_rows: usize,
+    /// The closed units.
+    log: UnitLog,
+    /// Ops appended since the last [`Journal::mark_batch`].
+    open: OpenUnit,
+    /// Journaled ops (inserts + tombstones), open unit included.
+    ops: usize,
     wal: Option<BufWriter<File>>,
     /// The WAL directory and shard id, kept so a checkpoint rewrite can
     /// re-create the file atomically (temp + rename + reopen).
     wal_at: Option<(PathBuf, u16)>,
-    /// Records recovered from disk on open (prefix of `mem`).
+    /// Records recovered from disk on open.
     recovered: usize,
     /// Whether the reopened WAL had a damaged tail that was dropped.
     tail_damaged: bool,
@@ -350,10 +398,9 @@ impl Journal {
     pub fn in_memory(dim: usize) -> Journal {
         Journal {
             dim,
-            mem: Vec::new(),
-            marks: Vec::new(),
-            unit_base: 0,
-            checkpoint_rows: 0,
+            log: UnitLog::default(),
+            open: OpenUnit::default(),
+            ops: 0,
             wal: None,
             wal_at: None,
             recovered: 0,
@@ -383,30 +430,45 @@ impl Journal {
             file.set_len(scan.good_len)?;
         }
         file.seek(SeekFrom::Start(scan.good_len))?;
-        let recovered = scan.ops.len();
+        let mut units = Units::default();
+        match scan.header {
+            // A checkpoint of an emptied shard has no survivor unit on
+            // disk: the header alone stands for it.
+            Some((base, survivors)) if base > 0 && survivors.min(scan.records as u64) == 0 => {
+                units.base = base - 1;
+                units.push(ReplUnit::Checkpoint {
+                    units_after: base,
+                    survivors: Vec::new(),
+                });
+            }
+            Some((base, _)) => units.base = base,
+            None => {}
+        }
+        for unit in scan.closed {
+            units.push(unit);
+        }
         Ok(Journal {
             dim,
-            mem: scan.ops,
-            marks: scan.marks,
-            unit_base: scan.unit_base,
-            checkpoint_rows: scan.checkpoint_rows,
+            log: UnitLog(Arc::new(RwLock::new(units))),
+            open: scan.open,
+            ops: scan.records,
             wal: Some(BufWriter::new(file)),
             wal_at: Some((dir.to_path_buf(), shard)),
-            recovered,
+            recovered: scan.records,
             tail_damaged: scan.tail_damaged,
         })
     }
 
-    /// Append one insert. The in-memory log is updated first (it is the
-    /// intra-process source of truth); the WAL write is buffered until
-    /// [`Journal::sync`].
+    /// Append one insert to the open unit. The WAL write is buffered
+    /// until the unit closes ([`Journal::mark_batch`]).
     pub fn append(&mut self, p: &[i64]) -> io::Result<()> {
         debug_assert_eq!(p.len(), self.dim, "journal row of wrong dimension");
-        self.mem.push(JournalOp::Insert(p.to_vec()));
-        if let Some(w) = &mut self.wal {
-            w.write_all(&encode_record(p))?;
+        self.open.inserts.push(p.to_vec());
+        self.ops += 1;
+        match &mut self.wal {
+            Some(w) => w.write_all(&encode_record(p)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Append one tombstone: the oldest live copy of `p` died (explicit
@@ -415,112 +477,118 @@ impl Journal {
     /// and any triggered rebuild still replays to the same hull.
     pub fn append_tombstone(&mut self, p: &[i64]) -> io::Result<()> {
         debug_assert_eq!(p.len(), self.dim, "journal row of wrong dimension");
-        self.mem.push(JournalOp::Tombstone(p.to_vec()));
-        if let Some(w) = &mut self.wal {
-            w.write_all(&encode_tombstone(p))?;
+        self.open.tombstones.push(p.to_vec());
+        self.ops += 1;
+        match &mut self.wal {
+            Some(w) => w.write_all(&encode_tombstone(p)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Flush buffered WAL writes to the OS (called once per applied
-    /// batch, before the snapshot publishes). No-op without a WAL.
+    /// Flush buffered WAL writes to the OS. No-op without a WAL.
     pub fn sync(&mut self) -> io::Result<()> {
-        if let Some(w) = &mut self.wal {
-            w.flush()?;
+        match &mut self.wal {
+            Some(w) => w.flush(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Close the open batch: record that every op appended since the
-    /// previous mark forms one atomic apply unit. Written (and meant to
-    /// be [`Journal::sync`]ed) **before** the batch is applied, so a
-    /// crash mid-apply still replays the batch whole. No-op when no
-    /// ops are pending (batches are never empty).
+    /// Close the open unit — the commit point: its marker is written and
+    /// the WAL flushed **before** the unit is applied to the hull, so a
+    /// crash mid-apply still replays the unit whole, and before the unit
+    /// joins the [`UnitLog`], so a subscriber never fetches a unit the
+    /// WAL could lose to a process crash. No-op when no ops are pending
+    /// (units are never empty). The unit lands in memory even if the WAL
+    /// write errors: memory stays authoritative for in-process recovery.
     pub fn mark_batch(&mut self) -> io::Result<()> {
-        let since = self.mem.len() - self.marks.last().copied().unwrap_or(0);
-        if since == 0 {
+        let count = self.open.len();
+        if count == 0 {
             return Ok(());
         }
-        // The in-memory mark lands even if the WAL write errors — like
-        // `append`, memory stays authoritative for in-process recovery.
         let res = match &mut self.wal {
-            Some(w) => w.write_all(&encode_marker(since as u32)),
+            Some(w) => w
+                .write_all(&encode_marker(count as u32))
+                .and_then(|()| w.flush()),
             None => Ok(()),
         };
-        self.marks.push(self.mem.len());
+        self.log.write().push(self.open.take());
         res
     }
 
-    /// Number of batch units the journal accounts for: the units a
-    /// checkpoint collapsed ([`Journal::unit_base`]), every marked batch
-    /// since, plus the open tail (ops past the last marker) if
+    /// Number of batch units the journal accounts for: every closed unit
+    /// (counting the ones a checkpoint collapsed), plus the open unit if
     /// non-empty. The shard's published epoch equals this count.
     pub fn batch_count(&self) -> u64 {
-        let marked = self.marks.last().copied().unwrap_or(0);
-        self.unit_base + (self.marks.len() + usize::from(self.mem.len() > marked)) as u64
+        self.log.total() + u64::from(self.open.len() > 0)
     }
 
-    /// Batch units collapsed into this log's leading checkpoint (0 when
-    /// the log has never compacted).
+    /// Batch units collapsed into this log's leading checkpoint, as its
+    /// WAL header records them (0 when the log has never compacted).
     pub fn unit_base(&self) -> u64 {
-        self.unit_base
-    }
-
-    /// Leading ops that form the checkpoint unit itself (0 when the log
-    /// has never compacted, or when the checkpoint emptied the shard).
-    pub fn checkpoint_rows(&self) -> usize {
-        self.checkpoint_rows
-    }
-
-    /// The journal split into its batch units, in append order — the
-    /// batch-replay input. The open tail (if any) is the final unit.
-    /// Units before [`Journal::unit_base`] no longer exist individually;
-    /// the first yielded unit is the checkpoint unit when `unit_base >
-    /// 0`.
-    pub fn batches(&self) -> impl Iterator<Item = &[JournalOp]> {
-        let mut bounds = Vec::with_capacity(self.marks.len() + 1);
-        let mut prev = 0usize;
-        for &m in &self.marks {
-            bounds.push((prev, m));
-            prev = m;
+        let g = self.log.read();
+        match g.units.first().map(|u| &**u) {
+            Some(ReplUnit::Checkpoint {
+                units_after,
+                survivors,
+            }) if survivors.is_empty() => *units_after,
+            _ => g.base,
         }
-        if self.mem.len() > prev {
-            bounds.push((prev, self.mem.len()));
-        }
-        bounds.into_iter().map(move |(a, b)| &self.mem[a..b])
     }
 
-    /// Every journaled op, in append order — the replay input.
-    pub fn ops(&self) -> &[JournalOp] {
-        &self.mem
+    /// The closed units, shared: what replication ships.
+    pub fn log(&self) -> &UnitLog {
+        &self.log
+    }
+
+    /// Replay the journal into a live set — the one replay every
+    /// whole-shard replacement runs. Units go in order, the open unit (if
+    /// any) last, each row stamped with its unit's absolute index: the
+    /// epoch the unit was published at, which epoch windows expire by.
+    /// Every journaled tombstone finds a live copy, because tombstones are
+    /// journaled only when they killed one originally and replay has seen
+    /// at least as many arrivals. A unit's inserts replay before its
+    /// tombstones, which is equivalent to their arrival order: they share
+    /// one stamp, and a tombstone kills the oldest live copy.
+    pub fn replay(&self) -> LiveSet {
+        let mut live = LiveSet::new();
+        let mut feed = |at: u64, inserts: &[Vec<i64>], tombstones: &[Vec<i64>]| {
+            for row in inserts {
+                live.insert(row.clone(), at);
+            }
+            for row in tombstones {
+                let _ = live.remove(row);
+            }
+        };
+        let g = self.log.read();
+        for (i, unit) in g.units.iter().enumerate() {
+            feed(g.base + i as u64 + 1, unit.inserts(), unit.tombstones());
+        }
+        let at = g.base + g.units.len() as u64 + 1;
+        feed(at, &self.open.inserts, &self.open.tombstones);
+        drop(g);
+        live
     }
 
     /// The journaled **insert** rows in append order (tombstones
     /// skipped).
     pub fn insert_rows(&self) -> Vec<Vec<i64>> {
-        self.mem
+        let g = self.log.read();
+        g.units
             .iter()
-            .filter_map(|op| match op {
-                JournalOp::Insert(r) => Some(r.clone()),
-                JournalOp::Tombstone(_) => None,
-            })
+            .flat_map(|u| u.inserts())
+            .chain(&self.open.inserts)
+            .cloned()
             .collect()
-    }
-
-    /// True when no journaled op is a tombstone (the insert-only fast
-    /// paths — flat replication, plain bulk replay — stay valid).
-    pub fn is_insert_only(&self) -> bool {
-        self.mem.iter().all(|op| matches!(op, JournalOp::Insert(_)))
     }
 
     /// Number of journaled ops (inserts + tombstones).
     pub fn len(&self) -> usize {
-        self.mem.len()
+        self.ops
     }
 
     /// True when nothing has been journaled.
     pub fn is_empty(&self) -> bool {
-        self.mem.is_empty()
+        self.ops == 0
     }
 
     /// Seal the open tail for replay and **validate** the sealed journal
@@ -553,7 +621,7 @@ impl Journal {
     /// before the call): the checkpoint is one new unit replacing all
     /// prior ones, so the shard's epoch and follower unit cursors keep
     /// advancing monotonically.
-    pub fn reset_checkpoint(&mut self, survivors: &[Vec<i64>]) -> io::Result<()> {
+    pub fn reset_checkpoint(&mut self, survivors: Vec<Vec<i64>>) -> io::Result<()> {
         let after = self.batch_count() + 1;
         self.install_checkpoint(survivors, after)
     }
@@ -564,41 +632,43 @@ impl Journal {
     /// [`Journal::reset_checkpoint`] with the log's own successor count,
     /// and by a follower installing a replicated checkpoint at the
     /// primary's unit index. With empty `survivors` the checkpoint unit
-    /// is empty, carried entirely by the header (`unit_base ==
-    /// units_after`, no records) since batches are never empty.
+    /// is empty; on disk the header alone carries it (`unit_base ==
+    /// units_after`, no records) since markers never close empty units.
     ///
     /// On-disk the WAL is atomically rewritten (temp file + rename +
     /// reopen): a crash mid-rewrite leaves the previous WAL intact, and
     /// replay then redoes the rebuild from the old log — same hull.
     pub fn install_checkpoint(
         &mut self,
-        survivors: &[Vec<i64>],
+        survivors: Vec<Vec<i64>>,
         units_after: u64,
     ) -> io::Result<()> {
         assert!(units_after > 0, "a checkpoint is always at least unit 1");
-        self.mem = survivors.iter().cloned().map(JournalOp::Insert).collect();
-        if survivors.is_empty() {
-            self.unit_base = units_after;
-            self.marks = Vec::new();
-        } else {
-            self.unit_base = units_after - 1;
-            self.marks = vec![survivors.len()];
-        }
-        self.checkpoint_rows = survivors.len();
+        let header = units_after - u64::from(!survivors.is_empty());
+        let wal = match self.wal_at.clone() {
+            Some((dir, shard)) => {
+                // Drop the old writer before the rename so its buffer
+                // can't land in the replaced file afterwards.
+                self.wal = None;
+                rewrite_wal_checkpoint(self.dim, &dir, shard, &survivors, header)
+                    .and_then(|_| OpenOptions::new().append(true).open(wal_path(&dir, shard)))
+                    .map(|file| self.wal = Some(BufWriter::new(file)))
+            }
+            None => Ok(()),
+        };
+        self.ops = survivors.len();
+        self.open = OpenUnit::default();
         self.recovered = 0;
         self.tail_damaged = false;
-        if let Some((dir, shard)) = self.wal_at.clone() {
-            // Drop the old writer before the rename so its buffer can't
-            // land in the replaced file afterwards.
-            self.wal = None;
-            rewrite_wal_checkpoint(self.dim, &dir, shard, survivors, self.unit_base)?;
-            let file = OpenOptions::new()
-                .append(true)
-                .open(wal_path(&dir, shard))?;
-            self.wal = Some(BufWriter::new(file));
-        }
+        let mut g = self.log.write();
+        g.base = units_after - 1;
+        g.units = vec![Arc::new(ReplUnit::Checkpoint {
+            units_after,
+            survivors,
+        })];
+        drop(g);
         debug_assert_eq!(self.batch_count(), units_after);
-        Ok(())
+        wal
     }
 
     /// Records recovered from disk when this journal was opened.
@@ -705,6 +775,24 @@ mod tests {
         j.insert_rows()
     }
 
+    /// The closed units, from the oldest held one.
+    fn units(j: &Journal) -> Vec<ReplUnit> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while let Some((i, u)) = j.log().get(at) {
+            out.push((*u).clone());
+            at = i + 1;
+        }
+        out
+    }
+
+    fn ops(inserts: &[&[i64]], tombstones: &[&[i64]]) -> ReplUnit {
+        ReplUnit::Ops {
+            inserts: inserts.iter().map(|r| r.to_vec()).collect(),
+            tombstones: tombstones.iter().map(|r| r.to_vec()).collect(),
+        }
+    }
+
     #[test]
     fn crc32_known_vector() {
         // IEEE CRC-32 of "123456789".
@@ -720,7 +808,8 @@ mod tests {
         assert_eq!(insert_entries(&j), vec![vec![1, 2], vec![-3, 4]]);
         assert_eq!(j.len(), 2);
         assert_eq!(j.recovered(), 0);
-        assert!(j.is_insert_only());
+        j.mark_batch().unwrap();
+        assert_eq!(units(&j), vec![ops(&[&[1, 2], &[-3, 4]], &[])]);
     }
 
     #[test]
@@ -844,12 +933,10 @@ mod tests {
         let j = Journal::with_wal(2, &dir, 0).unwrap();
         assert_eq!(j.recovered(), 10);
         assert_eq!(j.batch_count(), 3, "open tail replays as one final batch");
-        let units: Vec<usize> = j.batches().map(|b| b.len()).collect();
-        assert_eq!(units, vec![4, 5, 1]);
-        assert_eq!(
-            j.batches().next().unwrap()[0],
-            JournalOp::Insert(vec![0, 0])
-        );
+        let sizes: Vec<usize> = units(&j).iter().map(|u| u.inserts().len()).collect();
+        assert_eq!(sizes, vec![4, 5], "the open tail stays open until sealed");
+        assert_eq!(units(&j)[0].inserts()[0], vec![0, 0]);
+        assert_eq!(j.insert_rows()[9], vec![99, 99]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -863,7 +950,6 @@ mod tests {
             j.append_tombstone(&[1, 2, 3]).unwrap();
             j.mark_batch().unwrap();
             j.sync().unwrap();
-            assert!(!j.is_insert_only());
             assert_eq!(j.len(), 3, "tombstones count as ops");
         }
         let j = Journal::with_wal(3, &dir, 0).unwrap();
@@ -871,12 +957,8 @@ mod tests {
         assert!(!j.tail_damaged());
         assert_eq!(j.batch_count(), 1, "marker counts ops, not just inserts");
         assert_eq!(
-            j.ops(),
-            &[
-                JournalOp::Insert(vec![1, 2, 3]),
-                JournalOp::Insert(vec![4, 5, 6]),
-                JournalOp::Tombstone(vec![1, 2, 3]),
-            ]
+            units(&j),
+            vec![ops(&[&[1, 2, 3], &[4, 5, 6]], &[&[1, 2, 3]])]
         );
         assert_eq!(insert_entries(&j), vec![vec![1, 2, 3], vec![4, 5, 6]]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -941,8 +1023,10 @@ mod tests {
         j.append(&[2, 2]).unwrap();
         j.mark_batch().unwrap();
         assert_eq!(j.batch_count(), 2);
-        let units: Vec<usize> = j.batches().map(|b| b.len()).collect();
-        assert_eq!(units, vec![1, 2]);
+        assert_eq!(
+            units(&j),
+            vec![ops(&[&[0, 0]], &[]), ops(&[&[1, 1], &[2, 2]], &[])]
+        );
     }
 
     #[test]
@@ -972,6 +1056,34 @@ mod tests {
     }
 
     #[test]
+    fn replay_stamps_each_unit_with_its_index() {
+        use chull_core::WindowPolicy;
+        let mut j = Journal::in_memory(2);
+        j.append(&[0, 0]).unwrap();
+        j.append(&[1, 1]).unwrap();
+        j.mark_batch().unwrap();
+        j.append(&[2, 2]).unwrap();
+        j.append_tombstone(&[0, 0]).unwrap();
+        j.mark_batch().unwrap();
+        let live = j.replay();
+        assert_eq!(live.survivors(), vec![vec![1, 1], vec![2, 2]]);
+        assert_eq!(live.dead_entries(), 1, "the tombstoned arrival");
+        // Units 1 and 2 collapse into checkpoint unit 3; unit 4 follows,
+        // and the open unit replays as unit 5.
+        j.reset_checkpoint(live.survivors()).unwrap();
+        j.append(&[3, 3]).unwrap();
+        j.mark_batch().unwrap();
+        j.append(&[4, 4]).unwrap();
+        let mut live = j.replay();
+        assert_eq!(live.live(), 4);
+        assert_eq!(live.dead_entries(), 0);
+        let epochs = WindowPolicy::Epochs(2);
+        assert_eq!(live.expire_window(&epochs, 5), vec![vec![1, 1], vec![2, 2]]);
+        assert_eq!(live.expire_window(&epochs, 6), vec![vec![3, 3]]);
+        assert_eq!(live.survivors(), vec![vec![4, 4]]);
+    }
+
+    #[test]
     fn rewrite_wal_collapses_to_one_unit() {
         let dir = tmpdir("compact");
         {
@@ -992,8 +1104,7 @@ mod tests {
         assert!(!j.tail_damaged());
         assert_eq!(j.batch_count(), 1, "checkpoint is one sealed unit");
         assert_eq!(insert_entries(&j), kept);
-        let units: Vec<usize> = j.batches().map(|b| b.len()).collect();
-        assert_eq!(units, vec![3]);
+        assert_eq!(units(&j), vec![ops(&[&[0, 0], &[4, 12], &[8, 24]], &[])]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1012,11 +1123,16 @@ mod tests {
             assert_eq!(j.batch_count(), 6);
             // Compact to the survivors: the checkpoint is unit 7.
             let survivors = vec![vec![1i64, 1], vec![2, 2]];
-            j.reset_checkpoint(&survivors).unwrap();
+            j.reset_checkpoint(survivors.clone()).unwrap();
             assert_eq!(j.batch_count(), 7, "checkpoint = old count + 1");
             assert_eq!(j.unit_base(), 6);
             assert_eq!(j.len(), 2);
-            assert!(j.is_insert_only());
+            let checkpoint = ReplUnit::Checkpoint {
+                units_after: 7,
+                survivors,
+            };
+            assert_eq!(units(&j), vec![checkpoint.clone()]);
+            assert_eq!(j.log().get(0).unwrap().0, 6, "lagging cursors get it");
             // Appending keeps counting from there.
             j.append(&[9, 9]).unwrap();
             j.mark_batch().unwrap();
@@ -1029,6 +1145,17 @@ mod tests {
         assert_eq!(j.batch_count(), 8);
         assert_eq!(j.recovered(), 3);
         assert_eq!(insert_entries(&j), vec![vec![1, 1], vec![2, 2], vec![9, 9]]);
+        assert_eq!(
+            units(&j),
+            vec![
+                ReplUnit::Checkpoint {
+                    units_after: 7,
+                    survivors: vec![vec![1, 1], vec![2, 2]],
+                },
+                ops(&[&[9, 9]], &[]),
+            ],
+            "the reopened log holds the same units"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1043,7 +1170,7 @@ mod tests {
             j.mark_batch().unwrap();
             j.sync().unwrap();
             assert_eq!(j.batch_count(), 2);
-            j.reset_checkpoint(&[]).unwrap();
+            j.reset_checkpoint(Vec::new()).unwrap();
             assert_eq!(j.batch_count(), 3, "empty checkpoint still counts");
             assert!(j.is_empty());
         }
@@ -1052,6 +1179,13 @@ mod tests {
         assert_eq!(j.unit_base(), 3);
         assert!(j.is_empty());
         assert!(!j.tail_damaged());
+        assert_eq!(
+            units(&j),
+            vec![ReplUnit::Checkpoint {
+                units_after: 3,
+                survivors: Vec::new(),
+            }]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1099,7 +1233,7 @@ mod tests {
         }
         j.sync().unwrap();
         let survivors = vec![vec![0i64, 0], vec![4, -4]];
-        j.reset_checkpoint(&survivors).unwrap();
+        j.reset_checkpoint(survivors).unwrap();
         j.append(&[7, 7]).unwrap();
         j.mark_batch().unwrap();
         j.sync().unwrap();

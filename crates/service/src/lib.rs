@@ -23,10 +23,10 @@
 //!   `Degraded`/`Stale` status wrappers;
 //! * [`replica`] — follower replicas: a puller thread pulls a primary's
 //!   typed journal units (pull-based, resume cursor = its own unit
-//!   count, so faults reduce to reconnects), applies each as one
-//!   journal unit, and self-promotes if the primary stays unreachable;
-//!   every unit applies in the primary's order, so the follower's hull
-//!   matches the primary's without consensus;
+//!   count, so faults reduce to reconnects), journals each at the
+//!   primary's index, and self-promotes if the primary stays
+//!   unreachable; a shard's state is a function of its journal, so the
+//!   follower's hull matches the primary's without consensus;
 //! * [`router`] — a thin front end that consistent-hashes read traffic
 //!   across a primary + followers, health-checks via `Stats`, and fails
 //!   reads over (wrapped `Degraded`) when a node dies;
@@ -51,10 +51,10 @@
 //! [`chull_core::WindowPolicy`] expires the oldest live points, a hull
 //! vertex's death is corrected in memory by a closed-star repair
 //! ([`chull_core::online::HullBuilder::repair`]), and when tombstones
-//! (or journal growth) pass a configurable ratio the worker rebuilds the
-//! hull from survivors through the parallel bulk builder and journals
-//! the result as one checkpoint unit — crash-safe across WAL replay,
-//! supervised recovery, and follower replication.
+//! (or journal growth) pass a configurable ratio the worker collapses
+//! its journal to one checkpoint unit of the survivors and installs the
+//! hull from it through the parallel bulk builder — crash-safe across
+//! WAL replay, supervised recovery, and follower replication.
 //!
 //! Correctness bar: the served hull is **bit-identical** to the offline
 //! sequential Algorithm 2 on the same point multiset (the loopback
@@ -81,7 +81,7 @@ pub use chull_core::WindowPolicy;
 pub use client::{
     HullClient, HullClientBuilder, MutateReply, MutationBatch, RetryPolicy, SnapshotReply,
 };
-pub use journal::{rewrite_wal, wal_path, Journal, JournalError, JournalOp};
+pub use journal::{rewrite_wal, wal_path, Journal, JournalError, UnitLog};
 pub use metrics::{op_metrics, service_metrics, OpMetrics, ServiceMetrics, ShardGauges};
 pub use replica::{follow, FollowOptions, ReplicaHandle, ReplicaState};
 pub use router::{route, RouterHandle, RouterOptions};

@@ -98,7 +98,8 @@ pub struct ServiceMetrics {
     pub recoveries: Arc<Counter>,
     /// Journal replay time per recovery (µs).
     pub recovery_us: Arc<Histogram>,
-    /// Journal rebuilds done by one bulk build.
+    /// Shard installs (cold start, recovery, ratio rebuild, follower
+    /// catch-up) done by one bulk build.
     pub bulk_builds: Arc<Counter>,
     /// Wall time of one bulk build (prefilter + batch install), µs.
     pub bulk_build_us: Arc<Histogram>,
@@ -210,7 +211,7 @@ pub fn service_metrics() -> &'static ServiceMetrics {
             ),
             bulk_builds: r.counter(
                 "chull_shard_bulk_builds_total",
-                "Journal rebuilds done by the bulk constructor.",
+                "Shard installs (cold start, recovery, ratio rebuild, follower catch-up) done by the bulk constructor.",
             ),
             bulk_build_us: r.histogram(
                 "chull_shard_bulk_build_us",

@@ -19,7 +19,7 @@
 //!   recursion via [`HullBuilder::push_batch`]), and republishes an
 //!   `Arc<HullSnapshot>` under a short write-lock — by refreshing the
 //!   snapshot it retired last time in place when no reader still holds
-//!   it (see [`publish`]);
+//!   it (see `publish`);
 //! * a [`LiveSet`] tracking which inserted rows are still live (deletes
 //!   and window expiry tombstone rows instead of mutating the hull);
 //! * a [`ShardStats`] block of lock-free counters.
@@ -49,13 +49,12 @@
 //! * **Compaction, lazily, on the ratio triggers only.** When dead
 //!   live-set entries exceed `rebuild_ratio` × live rows, or the journal
 //!   exceeds `journal_ratio` × live rows (**auto-compaction**), a primary
-//!   rebuilds the hull from [`LiveSet::survivors`] and journals the
-//!   result as **one checkpoint unit**: the WAL is atomically rewritten
-//!   to a checkpoint header (preserving the cumulative unit index) plus
-//!   the survivors, the replication log ships it to followers, and the
-//!   live set drops its dead entries (`rebuilds`). WAL replay,
-//!   supervised recovery, and follower replication all stay crash-safe
-//!   for free.
+//!   collapses its journal to **one checkpoint unit** holding
+//!   [`LiveSet::survivors`] — the WAL atomically rewritten to a
+//!   checkpoint header (preserving the cumulative unit index) plus the
+//!   survivors, which replication then ships to followers as they are —
+//!   and installs from it (`rebuilds`). WAL replay, supervised recovery,
+//!   and follower replication all stay crash-safe for free.
 //!
 //! So a vertex death costs a repair, not a WAL rewrite. With
 //! `journal_ratio = 0` a count-windowed shard's WAL is compacted only by
@@ -68,23 +67,38 @@
 //! count (survivors must be retained for delete correctness), so a
 //! hull-vertex denominator would re-trigger immediately forever.
 //!
+//! ## One install
+//!
+//! A shard's whole state is a function of its [`Journal`]: the live set
+//! is [`Journal::replay`], the hull one bulk build over its live rows
+//! ([`HullBuilder::seed_from_bulk`]). So every whole-shard replacement is
+//! a journal edit followed by the one `install`:
+//!
+//! | surface | journal edit |
+//! |---|---|
+//! | WAL cold start | none (an open tail is sealed) |
+//! | supervised crash recovery | [`Journal::seal_tail`] |
+//! | ratio rebuild | [`Journal::reset_checkpoint`] |
+//! | follower catch-up | [`Journal::install_checkpoint`], shipped units appended, or both |
+//!
+//! The in-memory closed-star repair after a vertex death is not a
+//! replacement: it keeps the journal as it is.
+//!
 //! ## Failure model
 //!
 //! The drain loop runs under `catch_unwind`. If it panics (a bug, or an
-//! armed [`failpoint`](chull_concurrent::failpoint) schedule), the
+//! armed [`chull_concurrent::failpoint`] schedule), the
 //! supervisor — the same OS thread, one frame up — takes over:
 //!
 //! 1. marks the shard **degraded** and bumps its recovery *generation*;
 //!    queries keep flowing from the last published snapshot, wrapped in
 //!    the wire `Degraded` status so callers can see the staleness;
-//! 2. rebuilds the live set from the shard's [`Journal`] by walking its
-//!    typed ops in unit order, then the hull with one bulk build over
-//!    the live rows ([`HullBuilder::seed_from_bulk`], the same
-//!    constructor as every other restart surface). Tombstones are
+//! 2. seals the journal's open tail and runs the one `install`: replay
+//!    the live set, bulk-build the hull, republish. Tombstones are
 //!    journaled *before* the hull is touched, so a crash mid-correction
 //!    or mid-rebuild loses nothing: the replayed hull is the survivors'
 //!    hull either way;
-//! 3. republishes a fresh snapshot and clears the degraded flag.
+//! 3. clears the degraded flag.
 //!
 //! **Exactly-once for acked mutations**: a mutation is acked when it
 //! enters the queue. The queue lives outside `catch_unwind`, so
@@ -99,9 +113,8 @@
 //! on-disk WAL, so the same replay survives a full process restart
 //! (torn tails from a mid-write crash are detected and dropped).
 
-use crate::journal::{Journal, JournalOp};
+use crate::journal::{Journal, UnitLog};
 use crate::metrics::{service_metrics, shard_gauges, ShardGauges};
-use crate::replica::ReplLog;
 use crate::snapshot::{HullSnapshot, SnapState};
 use crate::stats::ShardStats;
 use crate::wire::{Mutation, ReplUnit};
@@ -114,7 +127,7 @@ use std::collections::HashSet;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -200,11 +213,6 @@ impl std::fmt::Display for ServiceError {
     }
 }
 
-/// A follower-bootstrap payload drained from the queue: the whole
-/// journaled prefix as pure-insert batch units, plus the puller's ack
-/// channel.
-type BulkIngest = (Vec<Vec<Vec<i64>>>, mpsc::Sender<u64>);
-
 enum Ingest {
     /// One local mutation (insert, delete, or expire) — the unified
     /// ingest item behind [`HullService::try_mutate`].
@@ -212,32 +220,13 @@ enum Ingest {
     /// Barrier: acknowledged (with the publication epoch) only after every
     /// item queued before it has been applied and republished.
     Flush(mpsc::Sender<u64>),
-    /// One replicated journal batch unit (follower apply path): applied
-    /// as exactly one journal unit — its own marker, its own epoch — so
-    /// the follower's batch indices mirror the primary's 1:1. The ack
-    /// carries the publication epoch after the unit landed.
+    /// A replicated shipment (follower apply path): the primary's units
+    /// at absolute indices `from..`, landed by [`apply_replica`] so the
+    /// follower's unit indices mirror the primary's 1:1. The ack carries
+    /// the publication epoch after the shipment landed.
     Replica {
-        inserts: Vec<Vec<i64>>,
-        tombstones: Vec<Vec<i64>>,
-        done: mpsc::Sender<u64>,
-    },
-    /// A primary's checkpoint unit (follower apply path): replace the
-    /// shard's journal with the shipped survivors at the shipped
-    /// cumulative unit index, rebuilding hull and live set from them.
-    ReplicaCheckpoint {
-        units_after: u64,
-        survivors: Vec<Vec<i64>>,
-        done: mpsc::Sender<u64>,
-    },
-    /// Follower **bootstrap** (initial catch-up): the entire journaled
-    /// prefix as its original pure-insert batch units. Every unit is
-    /// journaled and marked individually — the 1:1 index mirror
-    /// survives — but the hull is built **once**, through the bulk
-    /// constructor when the prefix clears the threshold, instead of
-    /// unit by unit. The ack carries the publication epoch after the
-    /// whole prefix landed.
-    ReplicaBulk {
-        units: Vec<Vec<Vec<i64>>>,
+        from: u64,
+        units: Vec<ReplUnit>,
         done: mpsc::Sender<u64>,
     },
 }
@@ -279,9 +268,9 @@ fn snapshot_of(core: &HullBuilder, epoch: u64) -> HullSnapshot {
     }
 }
 
-/// Publish the shard's current state as epoch `st.epoch`. Every publish
-/// site (recovery, post-batch, post-rebuild, follower checkpoint and
-/// bootstrap) goes through here.
+/// Publish the shard's current state as epoch `st.epoch`. Both publish
+/// sites — [`install`] and the end of every applied batch — go through
+/// here.
 ///
 /// The history graph only grows, so two consecutive epochs differ by what
 /// the batches between them changed. The worker keeps the snapshot it
@@ -289,7 +278,7 @@ fn snapshot_of(core: &HullBuilder, epoch: u64) -> HullSnapshot {
 /// (`Arc::get_mut` succeeds only on the sole reference) and it holds the
 /// same hull lineage, it is refreshed in place at a cost proportional to
 /// that change and published again. Otherwise — a reader still holds it,
-/// or the hull was replaced by a rebuild, recovery or bulk bootstrap —
+/// or the hull was replaced by a repair or an [`install`] —
 /// a fresh copy is frozen ([`snapshot_of`]). Either way the outgoing
 /// snapshot becomes the new spare, so a snapshot a reader can see is
 /// never mutated.
@@ -358,38 +347,54 @@ fn bulk_core<R: AsRef<[i64]>>(
     core
 }
 
-/// Rebuild a shard's hull **and live set** from its journal — the one
-/// decision point for every restart surface (WAL cold start, supervised
-/// crash recovery). The live set is reconstructed by walking the typed
-/// ops in unit order (every journaled tombstone finds a live copy on
-/// replay, because tombstones are journaled only when they killed one
-/// originally and replay sees at least as many arrivals); the hull is
-/// one bulk build over its live rows. That is the survivors' canonical
-/// hull — the lost hull's facets, possibly with different internal ids,
-/// which every query surface is insensitive to — with no WAL rewrite and
-/// no unit-count change, so replay stays idempotent. An insert-only
-/// journal's live rows are all its insert rows, in order.
-fn replay_shard(
-    dim: usize,
-    journal: &Journal,
-    workers: usize,
-    stats: &ShardStats,
-) -> (HullBuilder, LiveSet) {
-    let mut live = LiveSet::new();
-    let base = journal.unit_base();
-    for (idx, unit) in journal.batches().enumerate() {
-        let at = base + idx as u64 + 1;
-        for op in unit {
-            match op {
-                JournalOp::Insert(row) => live.insert(row.clone(), at),
-                JournalOp::Tombstone(row) => {
-                    let _ = live.remove(row);
-                }
-            }
-        }
-    }
+/// Replace the shard's whole state from its journal — the one install
+/// every whole-shard replacement ends in, after its journal edit: cold
+/// start (none), crash recovery ([`Journal::seal_tail`]), a ratio rebuild
+/// ([`Journal::reset_checkpoint`]), a follower catching up
+/// ([`Journal::install_checkpoint`], shipped units appended, or both).
+/// The live set is [`Journal::replay`]; the hull is one bulk build over
+/// its live rows. That is the survivors' canonical hull (Theorem 4.2) —
+/// the replaced hull's facets, possibly with different internal ids,
+/// which every query surface is insensitive to. The epoch becomes the
+/// journal's unit count (never lower: a torn tail keeps the published
+/// epoch); the level stats and gauges are refreshed, and the result is
+/// published.
+fn install(ctx: &ShardCtx, st: &mut ShardState) {
+    let live = st.journal.replay();
     let rows: Vec<&[i64]> = live.live_rows().collect();
-    (bulk_core(dim, &rows, workers, stats), live)
+    st.core = bulk_core(ctx.dim, &rows, ctx.workers, &ctx.stats);
+    drop(rows);
+    st.live = live;
+    // A bulk build holds only the live rows; re-baseline so a later
+    // recovery never double-counts.
+    st.recorded = st.core.applied();
+    st.epoch = st.journal.batch_count().max(st.epoch);
+    refresh_levels(ctx, st);
+    if chull_obs::armed() {
+        ctx.gauges.epoch.set(st.epoch as i64);
+        ctx.gauges
+            .dep_depth
+            .set(st.core.hull().map(|h| h.dep_depth()).unwrap_or(0) as i64);
+    }
+    publish(ctx, st);
+}
+
+/// Store the journal and live-set levels in the shard's stats (and
+/// gauges, when armed).
+fn refresh_levels(ctx: &ShardCtx, st: &ShardState) {
+    let (journal, live, dead) = (st.journal.len(), st.live.live(), st.live.dead_entries());
+    ctx.stats
+        .journal_len
+        .store(journal as u64, Ordering::Relaxed);
+    ctx.stats.live_points.store(live as u64, Ordering::Relaxed);
+    ctx.stats
+        .lazy_tombstones
+        .store(dead as u64, Ordering::Relaxed);
+    if chull_obs::armed() {
+        ctx.gauges.journal_len.set(journal as i64);
+        ctx.gauges.live_points.set(live as i64);
+        ctx.gauges.lazy_tombstones.set(dead as i64);
+    }
 }
 
 /// Seal the journal's open tail for replay, surfacing a torn tail (a
@@ -422,10 +427,11 @@ struct Shard {
     generation: Arc<AtomicU32>,
     /// True only while the supervisor is replaying the journal.
     degraded: Arc<AtomicBool>,
-    /// In-memory mirror of the journal's batch units, shared with the
-    /// wire layer so replication can ship any unit without touching
-    /// the worker-owned journal. Always `repl.total() == batch_count`.
-    repl: Arc<ReplLog>,
+    /// The journal's closed units, shared with the wire layer so
+    /// replication ships any unit without touching the worker.
+    log: UnitLog,
+    /// One past the highest unit a subscriber acked durably applied.
+    acked: AtomicU64,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -493,43 +499,28 @@ impl HullService {
                 Some(dir) => Journal::with_wal(config.dim, dir, id as u16)?,
                 None => Journal::in_memory(config.dim),
             };
-            // Cold-start recovery happens *here*, synchronously: when
-            // `new` returns, a WAL-backed shard already serves its
-            // previous run's surviving points.
+            let log = journal.log().clone();
             let stats = Arc::new(ShardStats::default());
-            let (core, live) = replay_shard(config.dim, &journal, workers, &stats);
-            // Seal any open tail (ops whose batch marker was lost to
-            // the crash): it just replayed as one unit and must stay one
-            // unit in every future replay. Cold start has no published
-            // epoch to validate against — 0 can never tear.
+            // Seal any open tail (ops whose batch marker was lost to the
+            // crash) so it stays one unit in every future replay. Cold
+            // start has no published epoch to validate against — 0 can
+            // never tear.
             seal_for_replay(&mut journal, 0, &stats);
-            let epoch = journal.batch_count();
-            for b in journal.batches() {
-                let inserts = b
-                    .iter()
-                    .filter(|op| matches!(op, JournalOp::Insert(_)))
-                    .count();
-                stats.record_batch(inserts as u64);
+            // Every recovered unit counts as one replayed batch (the
+            // checkpoint of an emptied shard holds no rows: not a batch).
+            let mut at = 0;
+            while let Some((i, unit)) = log.get(at) {
+                if !unit.is_empty() {
+                    stats.record_batch(unit.inserts().len() as u64);
+                }
+                at = i + 1;
             }
-            stats
-                .journal_len
-                .store(journal.len() as u64, Ordering::Relaxed);
-            stats
-                .live_points
-                .store(live.live() as u64, Ordering::Relaxed);
-            stats
-                .lazy_tombstones
-                .store(live.dead_entries() as u64, Ordering::Relaxed);
+            let core = HullBuilder::new(config.dim);
             let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-            let snap = Arc::new(RwLock::new(Arc::new(snapshot_of(&core, epoch))));
+            let snap = Arc::new(RwLock::new(Arc::new(snapshot_of(&core, 0))));
             let generation = Arc::new(AtomicU32::new(0));
             let degraded = Arc::new(AtomicBool::new(false));
             let gauges = shard_gauges(id);
-            // The replication log mirrors the journal's batch units so
-            // subscribers can fetch any unit, including everything
-            // recovered from the WAL before this process started.
-            let repl = Arc::new(ReplLog::new());
-            repl.reset_from(&journal);
             let ctx = ShardCtx {
                 dim: config.dim,
                 max_batch: config.max_batch,
@@ -543,17 +534,19 @@ impl HullService {
                 gauges: gauges.clone(),
                 generation: Arc::clone(&generation),
                 degraded: Arc::clone(&degraded),
-                repl: Arc::clone(&repl),
             };
-            let recorded = core.applied();
-            let state = ShardState {
+            let mut state = ShardState {
                 core,
                 journal,
-                epoch,
-                recorded,
-                live,
+                epoch: 0,
+                recorded: 0,
+                live: LiveSet::new(),
                 spare: None,
             };
+            // Cold-start recovery happens *here*, synchronously: when
+            // `new` returns, a WAL-backed shard already serves its
+            // previous run's surviving points.
+            install(&ctx, &mut state);
             let worker = std::thread::spawn(move || shard_supervisor(&ctx, state));
             shards.push(Shard {
                 queue,
@@ -562,7 +555,8 @@ impl HullService {
                 gauges,
                 generation,
                 degraded,
-                repl,
+                log,
+                acked: AtomicU64::new(0),
                 worker: Mutex::new(Some(worker)),
             });
         }
@@ -719,14 +713,14 @@ impl HullService {
         if state.promoted() {
             return None;
         }
-        let have = self.shard(shard).ok()?.repl.total();
+        let have = self.shard(shard).ok()?.log.total();
         Some(state.primary_total(shard).saturating_sub(have))
     }
 
     /// Journal batch units this shard holds — a follower's resume
     /// cursor: its next replication fetch asks for exactly this index.
     pub fn batch_units(&self, shard: u16) -> Result<u64, ServiceError> {
-        Ok(self.shard(shard)?.repl.total())
+        Ok(self.shard(shard)?.log.total())
     }
 
     /// Ship one **typed** journal batch unit to a replication
@@ -742,8 +736,8 @@ impl HullService {
         from_index: u64,
     ) -> Result<(u64, u64, ReplUnit), ServiceError> {
         let sh = self.shard(shard)?;
-        let total = sh.repl.total();
-        match sh.repl.get_abs(from_index) {
+        let total = sh.log.total();
+        match sh.log.get(from_index) {
             Some((index, unit)) => {
                 service_metrics().repl_units_shipped.incr();
                 Ok((index, total, (*unit).clone()))
@@ -765,7 +759,9 @@ impl HullService {
     /// `chull_replica_*` gauges.
     pub fn repl_ack(&self, shard: u16, index: u64) -> Result<u64, ServiceError> {
         let sh = self.shard(shard)?;
-        let (acked, total) = sh.repl.record_ack(index);
+        let total = sh.log.total();
+        let index = index.min(total);
+        let acked = sh.acked.fetch_max(index, Ordering::SeqCst).max(index);
         if chull_obs::armed() {
             sh.gauges
                 .replica_last_acked
@@ -777,99 +773,33 @@ impl HullService {
         Ok(total.saturating_sub(acked))
     }
 
-    /// Apply one replicated ops unit (follower puller path, allowed
-    /// even in read-only mode): inserts plus tombstones, enqueued whole
-    /// and applied as exactly one journal unit — one marker, one epoch
-    /// — keeping the follower's batch indices aligned with the
-    /// primary's. Blocks until the unit is applied and published; if
-    /// the shard worker dies mid-apply, returns the current published
-    /// epoch and the caller re-derives its resume cursor from
-    /// [`HullService::batch_units`] (the unit is journaled before it
-    /// touches the hull, so it either survived whole or not at all).
-    pub fn apply_replica_ops(
+    /// Land a replicated shipment (follower puller path, allowed even in
+    /// read-only mode): the primary's units at absolute indices `from..`,
+    /// as [`HullService::repl_unit_fetch`] shipped them. The shard drops
+    /// every unit below its own unit count, so a duplicated or
+    /// overlapping shipment is harmless, and journals the rest 1:1 with
+    /// the primary's indices (see `apply_replica`). Blocks until the
+    /// shipment is applied and published; if the shard worker dies
+    /// mid-apply, returns the current published epoch and the caller
+    /// re-derives its resume cursor from [`HullService::batch_units`]
+    /// (each unit is journaled before it touches the hull, so it either
+    /// survived whole or not at all).
+    pub fn apply_replica_units(
         &self,
         shard: u16,
-        inserts: Vec<Vec<i64>>,
-        tombstones: Vec<Vec<i64>>,
+        from: u64,
+        units: Vec<ReplUnit>,
     ) -> Result<u64, ServiceError> {
-        for p in inserts.iter().chain(tombstones.iter()) {
-            self.validate(p)?;
-        }
-        let sh = self.shard(shard)?;
-        if inserts.is_empty() && tombstones.is_empty() {
-            return Ok(load_snap(&sh.snap).epoch);
-        }
-        let (done, rx) = mpsc::channel();
-        match sh.queue.push(Ingest::Replica {
-            inserts,
-            tombstones,
-            done,
-        }) {
-            Ok(()) => {}
-            Err(_) => return Err(ServiceError::Closed),
-        }
-        match rx.recv() {
-            Ok(epoch) => Ok(epoch),
-            // Worker died mid-apply; the supervisor replays the journal.
-            // Never re-enqueue — a duplicate unit would skew the 1:1
-            // index mirror. The caller reconciles via `batch_units`.
-            Err(_) => Ok(load_snap(&sh.snap).epoch),
-        }
-    }
-
-    /// Apply a primary's **checkpoint unit** (follower puller path,
-    /// allowed in read-only mode): replace the shard's journal with the
-    /// shipped survivors at cumulative unit index `units_after`,
-    /// rebuilding the hull and live set from them — the follower-side
-    /// mirror of a primary rebuild, preserving the 1:1 unit index.
-    /// A stale checkpoint (at or below the follower's current unit
-    /// count) is ignored. Blocks until published; worker-death
-    /// semantics match [`HullService::apply_replica_ops`].
-    pub fn apply_replica_checkpoint(
-        &self,
-        shard: u16,
-        units_after: u64,
-        survivors: Vec<Vec<i64>>,
-    ) -> Result<u64, ServiceError> {
-        if units_after == 0 {
-            return Err(ServiceError::BadPoint("checkpoint at unit 0".into()));
-        }
-        for p in &survivors {
-            self.validate(p)?;
-        }
-        let sh = self.shard(shard)?;
-        let (done, rx) = mpsc::channel();
-        match sh.queue.push(Ingest::ReplicaCheckpoint {
-            units_after,
-            survivors,
-            done,
-        }) {
-            Ok(()) => {}
-            Err(_) => return Err(ServiceError::Closed),
-        }
-        match rx.recv() {
-            Ok(epoch) => Ok(epoch),
-            Err(_) => Ok(load_snap(&sh.snap).epoch),
-        }
-    }
-
-    /// Apply a follower's **bootstrap prefix** — every replicated
-    /// pure-insert batch unit from index 0 — as one build (follower
-    /// puller path, allowed in read-only mode). Each unit is still
-    /// journaled and marked individually, keeping the 1:1 batch-index
-    /// mirror with the primary, but the hull is constructed once over
-    /// the whole prefix (through [`HullBuilder::seed_from_bulk`]) and
-    /// published at the final epoch,
-    /// instead of replaying thousands of units one publication at a
-    /// time. Blocks until published; worker-death semantics match
-    /// [`HullService::apply_replica_ops`].
-    pub fn apply_replica_bulk(
-        &self,
-        shard: u16,
-        units: Vec<Vec<Vec<i64>>>,
-    ) -> Result<u64, ServiceError> {
-        for unit in &units {
-            for p in unit {
+        for (k, unit) in units.iter().enumerate() {
+            if let ReplUnit::Checkpoint { units_after, .. } = unit {
+                if *units_after != from + k as u64 + 1 {
+                    return Err(ServiceError::BadPoint(format!(
+                        "checkpoint to unit {units_after} shipped at index {}",
+                        from + k as u64
+                    )));
+                }
+            }
+            for p in unit.inserts().iter().chain(unit.tombstones()) {
                 self.validate(p)?;
             }
         }
@@ -878,12 +808,17 @@ impl HullService {
             return Ok(load_snap(&sh.snap).epoch);
         }
         let (done, rx) = mpsc::channel();
-        match sh.queue.push(Ingest::ReplicaBulk { units, done }) {
-            Ok(()) => {}
-            Err(_) => return Err(ServiceError::Closed),
+        if sh
+            .queue
+            .push(Ingest::Replica { from, units, done })
+            .is_err()
+        {
+            return Err(ServiceError::Closed);
         }
         match rx.recv() {
             Ok(epoch) => Ok(epoch),
+            // Worker died mid-apply; the supervisor replays the journal.
+            // Never re-enqueue — the caller reconciles via `batch_units`.
             Err(_) => Ok(load_snap(&sh.snap).epoch),
         }
     }
@@ -982,13 +917,13 @@ impl HullService {
             sh.gauges
                 .lazy_tombstones
                 .set(sh.stats.lazy_tombstones.load(Ordering::Relaxed) as i64);
-            let acked = sh.repl.acked();
+            let acked = sh.acked.load(Ordering::SeqCst);
             sh.gauges
                 .replica_last_acked
                 .set(acked.min(i64::MAX as u64) as i64);
             sh.gauges
                 .replica_lag_batches
-                .set(sh.repl.total().saturating_sub(acked).min(i64::MAX as u64) as i64);
+                .set(sh.log.total().saturating_sub(acked).min(i64::MAX as u64) as i64);
         }
     }
 
@@ -1036,7 +971,6 @@ struct ShardCtx {
     gauges: ShardGauges,
     generation: Arc<AtomicU32>,
     degraded: Arc<AtomicBool>,
-    repl: Arc<ReplLog>,
 }
 
 /// The shard's OS thread: run the drain loop under `catch_unwind`; on a
@@ -1051,40 +985,24 @@ fn shard_supervisor(ctx: &ShardCtx, mut st: ShardState) {
             Ok(()) => return,
             Err(_) => {
                 // The worker died mid-batch. Every popped mutation is in
-                // the journal (journal-before-apply), so replaying its
-                // typed batch units rebuilds the hull and live set the
-                // dead worker was maintaining.
+                // the journal (journal-before-apply), so installing from
+                // it rebuilds the hull and live set the dead worker was
+                // maintaining.
                 ctx.degraded.store(true, Ordering::SeqCst);
                 let generation = ctx.generation.fetch_add(1, Ordering::SeqCst) + 1;
                 let t0 = Instant::now();
-                let (core, live) = replay_shard(ctx.dim, &st.journal, ctx.workers, &ctx.stats);
-                st.core = core;
-                st.live = live;
+                let recorded = st.recorded;
                 // Seal an open tail (its marker died with the worker) so
                 // every future replay keeps the same batch units — and
                 // verify the journal still holds everything this shard
                 // already published (typed torn-tail detection, active
                 // in release builds too).
                 seal_for_replay(&mut st.journal, st.epoch, &ctx.stats);
-                // The epoch tracks journaled batch units; `max` keeps it
-                // monotone if a batch died between marker and publish.
-                st.epoch = st.journal.batch_count().max(st.epoch);
-                // Rebuild the replication mirror from the journal — the
-                // same source of truth the replay used — so subscribers
-                // see exactly the units a future replay would.
-                ctx.repl.reset_from(&st.journal);
-                publish(ctx, &mut st);
-                let missing = st.core.applied().saturating_sub(st.recorded);
+                install(ctx, &mut st);
+                let missing = st.core.applied().saturating_sub(recorded);
                 if missing > 0 {
                     ctx.stats.record_batch(missing);
                 }
-                st.recorded = st.core.applied();
-                ctx.stats
-                    .live_points
-                    .store(st.live.live() as u64, Ordering::Relaxed);
-                ctx.stats
-                    .lazy_tombstones
-                    .store(st.live.dead_entries() as u64, Ordering::Relaxed);
                 let us = t0.elapsed().as_micros() as u64;
                 ctx.stats.record_recovery(us, generation as u64);
                 if chull_obs::armed() {
@@ -1147,8 +1065,8 @@ fn drain_loop(ctx: &ShardCtx, st: &mut ShardState) {
 }
 
 /// Process one popped batch: local mutations coalesce into one journal
-/// unit; each replicated unit stays **its own** journal unit (the 1:1
-/// index mirror replication depends on); flush barriers ack last.
+/// unit; each replicated shipment lands on its own (the 1:1 index mirror
+/// replication depends on); flush barriers ack last.
 fn apply_batch(
     ctx: &ShardCtx,
     st: &mut ShardState,
@@ -1157,47 +1075,18 @@ fn apply_batch(
 ) {
     let mut muts: Vec<Mutation> = Vec::new();
     let mut flushes: Vec<mpsc::Sender<u64>> = Vec::new();
-    // (inserts, tombstones, done) per replica-shipped unit.
-    type ReplPending = (Vec<Vec<i64>>, Vec<Vec<i64>>, mpsc::Sender<u64>);
-    let mut replicas: Vec<ReplPending> = Vec::new();
-    let mut checkpoints: Vec<(u64, Vec<Vec<i64>>, mpsc::Sender<u64>)> = Vec::new();
-    let mut bulks: Vec<BulkIngest> = Vec::new();
+    let mut replicas: Vec<(u64, Vec<ReplUnit>, mpsc::Sender<u64>)> = Vec::new();
     for item in batch.drain(..) {
         match item {
             Ingest::Mutate(m) => muts.push(m),
             Ingest::Flush(tx) => flushes.push(tx),
-            Ingest::Replica {
-                inserts,
-                tombstones,
-                done,
-            } => replicas.push((inserts, tombstones, done)),
-            Ingest::ReplicaCheckpoint {
-                units_after,
-                survivors,
-                done,
-            } => checkpoints.push((units_after, survivors, done)),
-            Ingest::ReplicaBulk { units, done } => bulks.push((units, done)),
+            Ingest::Replica { from, units, done } => replicas.push((from, units, done)),
         }
     }
-    for (units, done) in bulks {
-        apply_bulk_units(ctx, st, prev_kernel, units);
-        let _ = done.send(st.epoch);
-    }
     apply_unit(ctx, st, prev_kernel, muts, false);
-    for (inserts, tombstones, done) in replicas {
-        let unit: Vec<Mutation> = inserts
-            .into_iter()
-            .map(Mutation::Insert)
-            .chain(tombstones.into_iter().map(Mutation::Delete))
-            .collect();
-        apply_unit(ctx, st, prev_kernel, unit, true);
-        service_metrics().repl_units_applied.incr();
+    for (from, units, done) in replicas {
+        apply_replica(ctx, st, prev_kernel, from, units);
         // Receiver may have given up (puller resubscribing) — fine.
-        let _ = done.send(st.epoch);
-    }
-    for (units_after, survivors, done) in checkpoints {
-        apply_checkpoint(ctx, st, units_after, survivors);
-        service_metrics().repl_units_applied.incr();
         let _ = done.send(st.epoch);
     }
     for tx in flushes {
@@ -1293,31 +1182,19 @@ fn apply_unit(
     }
     // Journal-before-apply: the whole unit — tombstones included —
     // becomes replayable before any of it touches the hull, so a panic
-    // below (even mid-rebuild) loses nothing. The marker behind the ops
-    // makes the unit the atomic replay unit. A WAL write error is
-    // tolerated (counted), because the in-memory journal stays
+    // below (even mid-rebuild) loses nothing. Closing the unit writes
+    // its marker and flushes the WAL: the commit point. A WAL write
+    // error is tolerated (counted), because the in-memory journal stays
     // authoritative for in-process recovery.
     let t_journal = armed.then(Instant::now);
-    for p in &inserts {
-        if st.journal.append(p).is_err() {
-            wal_err(&ctx.stats);
-        }
-    }
-    for p in &tombstones {
-        if st.journal.append_tombstone(p).is_err() {
-            wal_err(&ctx.stats);
-        }
-    }
-    if st.journal.mark_batch().is_err() {
-        wal_err(&ctx.stats);
-    }
+    journal_unit(ctx, &mut st.journal, &inserts, &tombstones);
     if let Some(t0) = t_journal {
         service_metrics()
             .journal_append_us
             .record(t0.elapsed().as_micros() as u64);
     }
     let t_sync = armed.then(Instant::now);
-    if st.journal.sync().is_err() {
+    if st.journal.mark_batch().is_err() {
         wal_err(&ctx.stats);
     }
     if let Some(t0) = t_sync {
@@ -1325,21 +1202,13 @@ fn apply_unit(
             .wal_sync_us
             .record(t0.elapsed().as_micros() as u64);
     }
-    ctx.stats
-        .journal_len
-        .store(st.journal.len() as u64, Ordering::Relaxed);
     if !tombstones.is_empty() {
         ctx.stats
             .tombstones
             .fetch_add(tombstones.len() as u64, Ordering::Relaxed);
         service_metrics().tombstones.add(tombstones.len() as u64);
     }
-    ctx.stats
-        .live_points
-        .store(st.live.live() as u64, Ordering::Relaxed);
-    ctx.stats
-        .lazy_tombstones
-        .store(st.live.dead_entries() as u64, Ordering::Relaxed);
+    refresh_levels(ctx, st);
     let t_apply = armed.then(Instant::now);
     let inserted = inserts.len() as u64;
     if inserted > 0 {
@@ -1383,10 +1252,6 @@ fn apply_unit(
     // Classify after the batch applied: a row inserted and deleted in
     // this same unit is in the hull by now, so `classify` sees it.
     let dying = dying_rows(st, &tombstones);
-    // Mirror the unit into the replication log before the epoch
-    // becomes visible, so a subscriber that sees epoch `e` can
-    // always fetch every unit below `e`.
-    ctx.repl.push_ops(inserts, tombstones);
     let (tomb_trigger, journal_trigger) = if replica {
         (false, false)
     } else {
@@ -1432,12 +1297,27 @@ fn apply_unit(
         ctx.gauges
             .dep_depth
             .set(st.core.hull().map(|h| h.dep_depth()).unwrap_or(0) as i64);
-        ctx.gauges.journal_len.set(st.journal.len() as i64);
         ctx.gauges.epoch.set(st.epoch as i64);
-        ctx.gauges.live_points.set(st.live.live() as i64);
-        ctx.gauges
-            .lazy_tombstones
-            .set(st.live.dead_entries() as i64);
+    }
+}
+
+/// Append one unit's inserts and tombstones to the open journal unit
+/// (the caller closes it), counting tolerated WAL write errors.
+fn journal_unit(
+    ctx: &ShardCtx,
+    journal: &mut Journal,
+    inserts: &[Vec<i64>],
+    tombstones: &[Vec<i64>],
+) {
+    for p in inserts {
+        if journal.append(p).is_err() {
+            wal_err(&ctx.stats);
+        }
+    }
+    for p in tombstones {
+        if journal.append_tombstone(p).is_err() {
+            wal_err(&ctx.stats);
+        }
     }
 }
 
@@ -1484,202 +1364,120 @@ fn correct_hull(ctx: &ShardCtx, st: &mut ShardState, dying: &[Vec<i64>]) {
     }
 }
 
-/// Rebuild the shard's hull from the live set's survivors through the
-/// parallel bulk constructor and compact: the journal is atomically
-/// rewritten to one checkpoint unit preserving the cumulative unit
-/// index, the replication log ships the checkpoint to followers, and the
-/// live set drops its dead entries. Only the `rebuild_ratio` and
-/// `journal_ratio` triggers get here, and only on a primary; `auto` tags
-/// a rebuild that only the journal-ratio trigger asked for (the
-/// auto-compaction counter).
+/// Rebuild from the live set's survivors and compact: the journal
+/// collapses to one checkpoint unit preserving the cumulative unit index
+/// (the WAL atomically rewritten, replication shipping it to followers),
+/// then [`install`] replays it — a live set of exactly the survivors — and
+/// bulk-builds their hull. Only the `rebuild_ratio` and `journal_ratio`
+/// triggers get here, and only on a primary; `auto` tags a rebuild that
+/// only the journal-ratio trigger asked for (the auto-compaction
+/// counter).
 fn rebuild_from_survivors(ctx: &ShardCtx, st: &mut ShardState, auto: bool) {
     // Failpoint `shard.rebuild`: may panic (worker death mid-rebuild).
     // Safe at any point in this function: the unit that triggered the
-    // rebuild — tombstones included — is journaled and synced, so the
-    // supervisor's replay reconstructs the live set and re-runs the
-    // rebuild decision.
+    // rebuild — tombstones included — is journaled and synced, and so is
+    // the checkpoint once written, so the supervisor's install serves
+    // the survivors either way.
     let _ = failpoint::eval(sites::SHARD_REBUILD);
-    let armed = chull_obs::armed();
     let t0 = Instant::now();
-    let survivors = st.live.survivors();
-    let (core, _report) = HullBuilder::seed_from_bulk(ctx.dim, &survivors, ctx.workers);
-    st.core = core;
-    // A rebuild shrinks `applied` to the survivor count; re-baseline so
-    // a later recovery never double-counts.
-    st.recorded = st.core.applied();
-    if st.journal.reset_checkpoint(&survivors).is_err() {
+    if st.journal.reset_checkpoint(st.live.survivors()).is_err() {
         wal_err(&ctx.stats);
     }
-    st.epoch = st.journal.batch_count();
-    ctx.repl.push_checkpoint(st.epoch, survivors);
-    st.live.compact(st.epoch);
-    ctx.stats
-        .journal_len
-        .store(st.journal.len() as u64, Ordering::Relaxed);
-    if auto {
-        ctx.stats.auto_compactions.fetch_add(1, Ordering::Relaxed);
-    }
+    install(ctx, st);
+    count_rebuild(ctx, t0, auto);
+}
+
+/// Count one checkpoint install — a ratio rebuild, or a follower landing
+/// a primary's checkpoint — that started at `t0`.
+fn count_rebuild(ctx: &ShardCtx, t0: Instant, auto: bool) {
     let us = t0.elapsed().as_micros() as u64;
     ctx.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
     ctx.stats.rebuild_us_last.store(us, Ordering::Relaxed);
     ctx.stats.rebuild_us_total.fetch_add(us, Ordering::Relaxed);
-    ctx.stats
-        .live_points
-        .store(st.live.live() as u64, Ordering::Relaxed);
-    ctx.stats
-        .lazy_tombstones
-        .store(st.live.dead_entries() as u64, Ordering::Relaxed);
-    publish(ctx, st);
-    if armed {
+    if auto {
+        ctx.stats.auto_compactions.fetch_add(1, Ordering::Relaxed);
+    }
+    if chull_obs::armed() {
         let m = service_metrics();
         m.rebuilds.incr();
         m.rebuild_us.record(us);
         if auto {
             m.auto_compactions.incr();
         }
-        ctx.gauges.journal_len.set(st.journal.len() as i64);
-        ctx.gauges.epoch.set(st.epoch as i64);
-        ctx.gauges.live_points.set(st.live.live() as i64);
-        ctx.gauges
-            .lazy_tombstones
-            .set(st.live.dead_entries() as i64);
     }
 }
 
-/// Follower-side mirror of a primary checkpoint: replace the journal
-/// with the survivors at cumulative unit index `units_after`, rebuild
-/// hull and live set from them, and republish. A stale checkpoint (at
-/// or below this shard's unit count) is skipped — the follower already
-/// holds everything it collapsed.
-fn apply_checkpoint(
-    ctx: &ShardCtx,
-    st: &mut ShardState,
-    units_after: u64,
-    survivors: Vec<Vec<i64>>,
-) {
-    if units_after <= st.epoch {
-        return;
-    }
-    let t0 = Instant::now();
-    if st
-        .journal
-        .install_checkpoint(&survivors, units_after)
-        .is_err()
-    {
-        wal_err(&ctx.stats);
-    }
-    let (core, _report) = HullBuilder::seed_from_bulk(ctx.dim, &survivors, ctx.workers);
-    st.core = core;
-    st.recorded = st.core.applied();
-    st.epoch = units_after;
-    let mut live = LiveSet::new();
-    for row in &survivors {
-        live.insert(row.clone(), units_after);
-    }
-    st.live = live;
-    ctx.repl.push_checkpoint(units_after, survivors);
-    let us = t0.elapsed().as_micros() as u64;
-    ctx.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-    ctx.stats.rebuild_us_last.store(us, Ordering::Relaxed);
-    ctx.stats.rebuild_us_total.fetch_add(us, Ordering::Relaxed);
-    ctx.stats
-        .journal_len
-        .store(st.journal.len() as u64, Ordering::Relaxed);
-    ctx.stats
-        .live_points
-        .store(st.live.live() as u64, Ordering::Relaxed);
-    ctx.stats.lazy_tombstones.store(0, Ordering::Relaxed);
-    publish(ctx, st);
-    if chull_obs::armed() {
-        let m = service_metrics();
-        m.rebuilds.incr();
-        m.rebuild_us.record(us);
-        ctx.gauges.journal_len.set(st.journal.len() as i64);
-        ctx.gauges.epoch.set(st.epoch as i64);
-        ctx.gauges.live_points.set(st.live.live() as i64);
-        ctx.gauges.lazy_tombstones.set(0);
-    }
-}
-
-/// Follower bootstrap: journal the whole replicated pure-insert prefix
-/// as its original batch units (each with its own marker — the 1:1
-/// index mirror replication depends on), then build the hull **once**
-/// instead of unit by unit — through the bulk constructor when the
-/// prefix clears the threshold — and publish a single snapshot for the
-/// final epoch.
-fn apply_bulk_units(
+/// Land one replicated shipment: units at absolute indices `from..`.
+/// Units below the shard's own unit count are already held and dropped
+/// (a checkpoint at index `i` covers units `..=i`); a shipment that would
+/// leave a gap is dropped whole, for the puller to re-fetch from its
+/// cursor. One `Ops` unit onto a shard that already holds units applies
+/// like local ingest ([`apply_unit`]: window and ratio triggers off — the
+/// primary ships their decisions). Anything else — a checkpoint, several
+/// units, or the first units of an empty shard — is journaled unit for
+/// unit (a checkpoint through [`Journal::install_checkpoint`]) and then
+/// [`install`]ed with one bulk build.
+fn apply_replica(
     ctx: &ShardCtx,
     st: &mut ShardState,
     prev_kernel: &mut KernelCounts,
-    units: Vec<Vec<Vec<i64>>>,
+    from: u64,
+    units: Vec<ReplUnit>,
 ) {
-    // Bootstrap lands on an empty shard; anything else (a racing unit
-    // already applied, a retry after a partial bootstrap) degrades to
-    // the ordinary one-unit-at-a-time path for safety.
-    if st.core.applied() > 0 || !st.journal.is_empty() {
-        for unit in units {
-            let unit: Vec<Mutation> = unit.into_iter().map(Mutation::Insert).collect();
-            apply_unit(ctx, st, prev_kernel, unit, true);
+    let held = st.journal.batch_count();
+    let skip = held.saturating_sub(from);
+    let units: Vec<ReplUnit> = units.into_iter().skip(skip as usize).collect();
+    match units.first() {
+        None => return,
+        Some(ReplUnit::Ops { .. }) if from + skip != held => return,
+        Some(ReplUnit::Ops {
+            inserts,
+            tombstones,
+        }) if held > 0 && units.len() == 1 => {
+            let muts = inserts
+                .iter()
+                .cloned()
+                .map(Mutation::Insert)
+                .chain(tombstones.iter().cloned().map(Mutation::Delete))
+                .collect();
+            apply_unit(ctx, st, prev_kernel, muts, true);
             service_metrics().repl_units_applied.incr();
+            return;
         }
-        return;
+        Some(_) => {}
     }
-    let armed = chull_obs::armed();
     let t0 = Instant::now();
-    let mut inserted = 0u64;
-    for unit in &units {
-        for p in unit {
-            if st.journal.append(p).is_err() {
-                wal_err(&ctx.stats);
+    let mut checkpoint = false;
+    for unit in units {
+        let res = match unit {
+            ReplUnit::Checkpoint {
+                units_after,
+                survivors,
+            } => {
+                checkpoint = true;
+                st.journal.install_checkpoint(survivors, units_after)
             }
-            inserted += 1;
-        }
-        if st.journal.mark_batch().is_err() {
+            ReplUnit::Ops {
+                inserts,
+                tombstones,
+            } => {
+                journal_unit(ctx, &mut st.journal, &inserts, &tombstones);
+                ctx.stats.record_batch(inserts.len() as u64);
+                st.journal.mark_batch()
+            }
+        };
+        if res.is_err() {
             wal_err(&ctx.stats);
         }
-    }
-    if inserted == 0 {
-        return;
-    }
-    if st.journal.sync().is_err() {
-        wal_err(&ctx.stats);
-    }
-    ctx.stats
-        .journal_len
-        .store(st.journal.len() as u64, Ordering::Relaxed);
-    // One bulk build over the whole prefix.
-    let rows: Vec<&[i64]> = units.iter().flatten().map(Vec::as_slice).collect();
-    st.core = bulk_core(ctx.dim, &rows, ctx.workers, &ctx.stats);
-    st.epoch = st.journal.batch_count();
-    let mut live = LiveSet::new();
-    for (i, unit) in units.iter().enumerate() {
-        for p in unit {
-            live.insert(p.clone(), i as u64 + 1);
-        }
-    }
-    st.live = live;
-    ctx.stats
-        .live_points
-        .store(st.live.live() as u64, Ordering::Relaxed);
-    for unit in units {
-        ctx.stats.record_batch(unit.len() as u64);
-        ctx.repl.push_ops(unit, Vec::new());
         service_metrics().repl_units_applied.incr();
     }
-    st.recorded = st.core.applied();
-    publish(ctx, st);
-    if armed {
-        let m = service_metrics();
-        m.batch_apply_us.record(t0.elapsed().as_micros() as u64);
-        let now_kernel = st.core.hull().map(|h| h.kernel).unwrap_or_default();
-        m.ingest_kernel.fold_delta(&now_kernel, prev_kernel);
-        *prev_kernel = now_kernel;
-        ctx.gauges.journal_len.set(st.journal.len() as i64);
-        ctx.gauges.epoch.set(st.epoch as i64);
-        ctx.gauges
-            .dep_depth
-            .set(st.core.hull().map(|h| h.dep_depth()).unwrap_or(0) as i64);
+    install(ctx, st);
+    if checkpoint {
+        count_rebuild(ctx, t0, false);
     }
+    // The bulk build is catch-up, not ingest: keep it out of the ingest
+    // kernel counters.
+    *prev_kernel = st.core.hull().map(|h| h.kernel).unwrap_or_default();
 }
 
 #[cfg(test)]
@@ -2607,6 +2405,281 @@ mod tests {
         let survivors: Vec<Vec<i64>> = rows.iter().filter(|p| **p != vertex).cloned().collect();
         assert_eq!(snap_canonical(&snap, 2), offline_canonical(&survivors, 2));
         assert_matches_fresh_freeze(&snap, r);
+        svc.shutdown();
+    }
+
+    fn disk_rows(n: usize, seed: u64) -> Vec<Vec<i64>> {
+        prepare_points(
+            &PointSet::from_points2(&generators::disk_2d(n, 1 << 20, seed)),
+            seed + 1,
+        )
+        .iter()
+        .map(|p| p.to_vec())
+        .collect()
+    }
+
+    fn ops_unit(inserts: &[Vec<i64>], tombstones: &[Vec<i64>]) -> ReplUnit {
+        ReplUnit::Ops {
+            inserts: inserts.to_vec(),
+            tombstones: tombstones.to_vec(),
+        }
+    }
+
+    /// Insert `p` as one unit of its own and wait for its publish. No
+    /// flush: a flush-only batch runs the window too, so flushing would
+    /// make the unit count depend on how the two coalesce.
+    fn insert_unit(svc: &HullService, p: [i64; 2]) {
+        let before = svc.snapshot(0).unwrap().epoch;
+        mutate_all(svc, 0, vec![Mutation::Insert(p.to_vec())]);
+        while svc.snapshot(0).unwrap().epoch == before {
+            std::thread::yield_now();
+        }
+    }
+
+    /// What an install must share with a restart: the canonical hull,
+    /// the live and lazily tombstoned rows, and the unit count.
+    type Observed = (std::collections::BTreeSet<Vec<Vec<i64>>>, u64, u64, u64);
+
+    fn observed(svc: &HullService) -> Observed {
+        let st = svc.stats_for(0).unwrap();
+        (
+            snap_canonical(&svc.snapshot(0).unwrap(), 2),
+            st.live_points.load(Ordering::Relaxed),
+            st.lazy_tombstones.load(Ordering::Relaxed),
+            svc.batch_units(0).unwrap(),
+        )
+    }
+
+    /// Install ≡ restart: a copy of `svc`'s WAL restarted with
+    /// [`HullService::new`] serves exactly what `svc` serves, and two more
+    /// units, inserting `FAR[0]` and `FAR[1]`, expire the same rows on
+    /// both — under an `Epochs` window that holds only when the two live
+    /// sets carry the same epoch stamps. The window must expire nothing
+    /// at the next epoch (a flush evaluates it too). Returns how many rows
+    /// the two units expired.
+    fn assert_install_matches_restart(svc: &HullService, config: &ServiceConfig) -> u64 {
+        svc.flush(0).unwrap();
+        let dir = config.wal_dir.as_ref().expect("a WAL to restart from");
+        let copy = dir.with_extension("copy");
+        let _ = std::fs::remove_dir_all(&copy);
+        std::fs::create_dir_all(&copy).unwrap();
+        std::fs::copy(
+            crate::journal::wal_path(dir, 0),
+            crate::journal::wal_path(&copy, 0),
+        )
+        .unwrap();
+        let restarted = HullService::new(ServiceConfig {
+            wal_dir: Some(copy.clone()),
+            ..config.clone()
+        })
+        .unwrap();
+        assert_eq!(observed(svc), observed(&restarted), "restart differs");
+        let expired = |s: &HullService| {
+            s.stats_for(0)
+                .unwrap()
+                .window_expirations
+                .load(Ordering::Relaxed)
+        };
+        let before = expired(svc);
+        assert_eq!(before, expired(&restarted));
+        for p in &FAR[..2] {
+            for s in [svc, &restarted] {
+                insert_unit(s, *p);
+            }
+            assert_eq!(expired(svc), expired(&restarted), "expired other rows");
+            assert_eq!(observed(svc), observed(&restarted), "diverged");
+        }
+        restarted.shutdown();
+        let _ = std::fs::remove_dir_all(&copy);
+        expired(svc) - before
+    }
+
+    /// Three far rows the hull ends up as once older rows expire.
+    const FAR: [[i64; 2]; 3] = [[1 << 22, 0], [0, 1 << 22], [-(1 << 22), -(1 << 22)]];
+
+    /// A ratio rebuild's install: the checkpoint survivors carry the
+    /// checkpoint's unit (3) as their stamp, so under `Epochs(2)` the unit
+    /// after it keeps them and the second expires them — in process and
+    /// after a restart alike.
+    #[test]
+    fn ratio_rebuild_install_matches_restart() {
+        let dir = temp_wal("install-ratio");
+        let mut config = cfg(2, 1);
+        config.wal_dir = Some(dir.clone());
+        config.window = WindowPolicy::Epochs(2);
+        config.rebuild_ratio = 0.0;
+        config.journal_ratio = 0.0;
+        let svc = HullService::new(config.clone()).unwrap();
+        let rows = disk_rows(40, 71);
+        svc.apply_replica_units(0, 0, vec![ops_unit(&rows, &[])])
+            .unwrap();
+        mutate_all(&svc, 0, vec![Mutation::Delete(rows[0].clone())]);
+        svc.flush(0).unwrap();
+        let st = svc.stats_for(0).unwrap();
+        assert_eq!(st.rebuilds.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            svc.batch_units(0).unwrap(),
+            3,
+            "rows, tombstone, checkpoint"
+        );
+        assert_eq!(st.lazy_tombstones.load(Ordering::Relaxed), 0);
+        let expired = assert_install_matches_restart(&svc, &config);
+        assert_eq!(
+            expired, 39,
+            "the second unit after the checkpoint expires it"
+        );
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Crash recovery through the `shard.rebuild` failpoint: the worker
+    /// dies correcting the hull after a vertex delete, and the
+    /// supervisor's install serves the survivors — stamped with their own
+    /// unit (1), the tombstoned arrival still a lazy entry — exactly as a
+    /// restart does.
+    #[test]
+    fn crash_recovery_install_matches_restart() {
+        let dir = temp_wal("install-crash");
+        let mut config = cfg(2, 1);
+        config.wal_dir = Some(dir.clone());
+        config.window = WindowPolicy::Epochs(3);
+        config.rebuild_ratio = 1e9;
+        config.journal_ratio = 0.0;
+        let rows = disk_rows(40, 73);
+        let mut recovered = false;
+        for round in 0..20 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let svc = HullService::new(config.clone()).unwrap();
+            svc.apply_replica_units(0, 0, vec![ops_unit(&rows, &[])])
+                .unwrap();
+            let (_, vertex) = svc.snapshot(0).unwrap().extreme(&[1, 0]).unwrap();
+            failpoint::arm(FaultPlan::new(0x1257_0000 + round).site(
+                sites::SHARD_REBUILD,
+                SiteSpec {
+                    panic_every: 1,
+                    max_fires: 1,
+                    ..SiteSpec::default()
+                },
+            ));
+            mutate_all(&svc, 0, vec![Mutation::Delete(vertex)]);
+            svc.flush(0).unwrap();
+            failpoint::disarm();
+            let st = svc.stats_for(0).unwrap();
+            if st.recoveries.load(Ordering::Relaxed) == 0 {
+                svc.shutdown();
+                continue;
+            }
+            assert_eq!(svc.batch_units(0).unwrap(), 2, "rows, tombstone");
+            assert_eq!(st.lazy_tombstones.load(Ordering::Relaxed), 1);
+            let expired = assert_install_matches_restart(&svc, &config);
+            assert_eq!(expired, 39, "the second unit after recovery expires them");
+            svc.shutdown();
+            recovered = true;
+            break;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(recovered, "no injected panic landed in the correction");
+    }
+
+    /// A follower landing a primary's checkpoint installs the survivors
+    /// stamped with the checkpoint's unit (5), as a restart does.
+    #[test]
+    fn follower_checkpoint_install_matches_restart() {
+        let dir = temp_wal("install-checkpoint");
+        let mut config = cfg(2, 1);
+        config.wal_dir = Some(dir.clone());
+        config.window = WindowPolicy::Epochs(2);
+        let svc = HullService::new(config.clone()).unwrap();
+        let rows = disk_rows(40, 75);
+        svc.apply_replica_units(0, 0, vec![ops_unit(&rows, &[])])
+            .unwrap();
+        let checkpoint = ReplUnit::Checkpoint {
+            units_after: 5,
+            survivors: rows[..20].to_vec(),
+        };
+        svc.apply_replica_units(0, 4, vec![checkpoint]).unwrap();
+        let st = svc.stats_for(0).unwrap();
+        assert_eq!(svc.batch_units(0).unwrap(), 5);
+        assert_eq!(st.rebuilds.load(Ordering::Relaxed), 1);
+        assert_eq!(st.bulk_builds.load(Ordering::Relaxed), 2);
+        assert_eq!(st.live_points.load(Ordering::Relaxed), 20);
+        assert_eq!(
+            snap_canonical(&svc.snapshot(0).unwrap(), 2),
+            offline_canonical(&rows[..20], 2)
+        );
+        let expired = assert_install_matches_restart(&svc, &config);
+        assert_eq!(
+            expired, 20,
+            "the second unit after the checkpoint expires it"
+        );
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A follower bootstrap — several units, tombstones among them —
+    /// installs with one bulk build, each unit's rows stamped with its
+    /// index, as a restart does.
+    #[test]
+    fn follower_bootstrap_install_matches_restart() {
+        let dir = temp_wal("install-bootstrap");
+        let mut config = cfg(2, 1);
+        config.wal_dir = Some(dir.clone());
+        config.window = WindowPolicy::Epochs(4);
+        let svc = HullService::new(config.clone()).unwrap();
+        let rows = disk_rows(30, 77);
+        let (a, b, c) = (&rows[..10], &rows[10..20], &rows[20..]);
+        let units = vec![ops_unit(a, &[]), ops_unit(b, &[]), ops_unit(c, &a[..4])];
+        svc.apply_replica_units(0, 0, units).unwrap();
+        let st = svc.stats_for(0).unwrap();
+        assert_eq!(svc.batch_units(0).unwrap(), 3);
+        assert_eq!(st.bulk_builds.load(Ordering::Relaxed), 1);
+        assert_eq!(st.live_points.load(Ordering::Relaxed), 26);
+        assert_eq!(st.lazy_tombstones.load(Ordering::Relaxed), 4);
+        assert_eq!(
+            snap_canonical(&svc.snapshot(0).unwrap(), 2),
+            offline_canonical(&rows[4..], 2)
+        );
+        let expired = assert_install_matches_restart(&svc, &config);
+        assert_eq!(expired, 6, "the second unit after it expires unit 1's rows");
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Shipping units `0..5` to a shard that already holds `0..2` lands
+    /// only `2..5`: the overlap is dropped, not journaled twice.
+    #[test]
+    fn overlapping_replica_shipment_lands_once() {
+        let svc = HullService::new(cfg(2, 1)).unwrap();
+        let rows = disk_rows(50, 79);
+        let units: Vec<ReplUnit> = vec![
+            ops_unit(&rows[..10], &[]),
+            ops_unit(&rows[10..20], &[]),
+            ops_unit(&rows[20..30], &rows[..3]),
+            ops_unit(&rows[30..40], &[]),
+            ops_unit(&rows[40..], &rows[10..15]),
+        ];
+        svc.apply_replica_units(0, 0, units[..2].to_vec()).unwrap();
+        assert_eq!(svc.batch_units(0).unwrap(), 2);
+        svc.apply_replica_units(0, 0, units).unwrap();
+        assert_eq!(
+            svc.batch_units(0).unwrap(),
+            5,
+            "units 0 and 1 journaled once"
+        );
+        let live: Vec<Vec<i64>> = rows[3..10].iter().chain(&rows[15..]).cloned().collect();
+        let st = svc.stats_for(0).unwrap();
+        assert_eq!(st.live_points.load(Ordering::Relaxed), live.len() as u64);
+        assert_eq!(st.lazy_tombstones.load(Ordering::Relaxed), 8);
+        assert_eq!(
+            snap_canonical(&svc.snapshot(0).unwrap(), 2),
+            offline_canonical(&live, 2)
+        );
+        // A stale single unit is a no-op too.
+        let epoch = svc.flush(0).unwrap();
+        svc.apply_replica_units(0, 3, vec![ops_unit(&rows[30..40], &[])])
+            .unwrap();
+        assert_eq!(svc.batch_units(0).unwrap(), 5);
+        assert_eq!(svc.flush(0).unwrap(), epoch);
         svc.shutdown();
     }
 }

@@ -10,7 +10,7 @@
 //! sequence, and the support property `C(t) ⊆ C(t1) ∪ C(t2)` guarantees
 //! the descent finds every visible facet of that prefix.
 //!
-//! A snapshot carries **query accelerators** ([`QueryAccel`]): the SoA
+//! A snapshot carries **query accelerators** (`QueryAccel`): the SoA
 //! packed-plane filter block over every facet plane in the history, and
 //! the hull's sorted vertex list for `Extreme`, shared read-only by every
 //! query thread (DESIGN §S18).
@@ -19,9 +19,9 @@
 //! history graph is append-only, so the worker does not copy the whole
 //! hull per batch: it keeps the snapshot it last swapped out and, once
 //! no reader holds it any more (`Arc::get_mut` succeeds), brings it up
-//! to date in place ([`HullSnapshot::refresh_live`]) at a cost
+//! to date in place (`HullSnapshot::refresh_live`) at a cost
 //! proportional to what the batches since changed, then publishes it
-//! again. Otherwise it freezes a fresh copy ([`HullSnapshot::freeze_live`]).
+//! again. Otherwise it freezes a fresh copy (`HullSnapshot::freeze_live`).
 //!
 //! A shard that has not yet seen `d + 1` affinely independent points is
 //! **bootstrapping**: it buffers arrivals and answers geometric queries

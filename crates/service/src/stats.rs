@@ -102,9 +102,11 @@ pub struct ShardStats {
     /// the shard had published. Should stay 0; non-zero means a recovery
     /// rebuilt from an incomplete journal.
     pub torn_tails: AtomicU64,
-    /// Journal rebuilds (cold start, supervised recovery, follower
-    /// bootstrap) done by one bulk build (DESIGN §S21); degenerate
-    /// journals that fall back to incremental replay are not counted.
+    /// Shard installs done by one bulk build (DESIGN §S21): every
+    /// whole-shard replacement — cold start, supervised recovery, a ratio
+    /// rebuild, a follower's bootstrap or checkpoint. Row sets without a
+    /// full-rank prefix fall back to incremental replay and are not
+    /// counted.
     pub bulk_builds: AtomicU64,
     /// Points the bulk prefilter dropped as strictly interior across
     /// those builds (never candidates, never touched the batch install).

@@ -58,7 +58,7 @@
 //! or `Checkpoint` (a survivor set that *replaces* the follower's shard
 //! state — how rebuilds from windowed or deleted shards replicate
 //! without shipping history). After a compaction the answered index may
-//! be *behind* `from_index`: the checkpoint the follower must reset to.
+//! be *ahead of* `from_index`: the checkpoint the follower must reset to.
 //! An empty `Ops` unit with `index == total` means "caught up, poll
 //! again". `ReplAck { shard, index }` tells the primary the follower
 //! has durably applied every unit below `index`; the primary answers
@@ -290,6 +290,30 @@ pub enum ReplUnit {
         /// The live rows the rebuilt hull was constructed from.
         survivors: Vec<Vec<i64>>,
     },
+}
+
+impl ReplUnit {
+    /// The rows the unit inserts (a checkpoint's survivors).
+    pub fn inserts(&self) -> &[Vec<i64>] {
+        match self {
+            ReplUnit::Ops { inserts, .. } => inserts,
+            ReplUnit::Checkpoint { survivors, .. } => survivors,
+        }
+    }
+
+    /// The rows the unit tombstones (none for a checkpoint).
+    pub fn tombstones(&self) -> &[Vec<i64>] {
+        match self {
+            ReplUnit::Ops { tombstones, .. } => tombstones,
+            ReplUnit::Checkpoint { .. } => &[],
+        }
+    }
+
+    /// True when the unit holds no rows: the caught-up reply, or the
+    /// checkpoint of an emptied shard.
+    pub fn is_empty(&self) -> bool {
+        self.inserts().is_empty() && self.tombstones().is_empty()
+    }
 }
 
 /// A decoded client request.

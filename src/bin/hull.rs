@@ -561,9 +561,8 @@ fn serve_main(args: &[String]) {
 fn compact_main(args: &[String]) {
     use convex_hull_suite::core::bulk::prefilter;
     use convex_hull_suite::core::online::{HullBuilder, PointLocation};
-    use convex_hull_suite::core::LiveSet;
     use convex_hull_suite::geometry::KernelCounts;
-    use convex_hull_suite::service::{rewrite_wal, Journal, JournalOp};
+    use convex_hull_suite::service::{rewrite_wal, Journal};
 
     let mut dim = 2usize;
     let mut wal: Option<std::path::PathBuf> = None;
@@ -622,19 +621,9 @@ fn compact_main(args: &[String]) {
         }
         let units = journal.batch_count();
         let ops = journal.len();
-        // Resolve tombstones first: a delete or window expiration kills
-        // the oldest live copy of its row, so the survivors are exactly
+        // The same replay a restart runs, so the survivors are exactly
         // what a restart would serve.
-        let mut live = LiveSet::new();
-        for op in journal.ops() {
-            match op {
-                JournalOp::Insert(r) => live.insert(r.clone(), 0),
-                JournalOp::Tombstone(r) => {
-                    live.remove(r);
-                }
-            }
-        }
-        let rows = live.survivors();
+        let rows = journal.replay().survivors();
         let kept: Vec<Vec<i64>> = match HullBuilder::seed_from_bulk(dim, &rows, workers).0.hull() {
             // Ascending survivor ids == original arrival order, so the
             // compacted journal replays with the same seed-basis choice.

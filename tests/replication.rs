@@ -21,13 +21,13 @@ use convex_hull_suite::concurrent::failpoint::{self, sites, FaultPlan, SiteSpec}
 use convex_hull_suite::core::seq::incremental_hull_run;
 use convex_hull_suite::geometry::{generators, PointSet};
 use convex_hull_suite::service::{
-    route, serve, FollowOptions, HullClient, MutationBatch, RouterOptions, ServeOptions,
+    route, serve, FollowOptions, HullClient, MutationBatch, ReplUnit, RouterOptions, ServeOptions,
     ServiceConfig, SnapshotReply,
 };
 use std::collections::BTreeSet;
 use std::io::BufRead;
 use std::net::SocketAddr;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Serialize tests: the failpoint registry is process-global and the
@@ -470,8 +470,9 @@ impl Drop for KillOnDrop {
 }
 
 /// Spawn `hull serve` with `extra` flags and parse the bound address
-/// off its stderr announcement.
-fn spawn_hull_serve(extra: &[&str]) -> (KillOnDrop, SocketAddr) {
+/// off its stderr announcement. The rest of its stderr is echoed, and
+/// handed line by line to the returned receiver.
+fn spawn_hull_serve(extra: &[&str]) -> (KillOnDrop, SocketAddr, mpsc::Receiver<String>) {
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_hull"));
     cmd.args([
         "serve",
@@ -499,12 +500,14 @@ fn spawn_hull_serve(extra: &[&str]) -> (KillOnDrop, SocketAddr) {
         }
     };
     // Keep draining stderr so the child never blocks on a full pipe.
+    let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         for l in lines.map_while(Result::ok) {
             eprintln!("[child] {l}");
+            let _ = tx.send(l);
         }
     });
-    (KillOnDrop(child), addr)
+    (KillOnDrop(child), addr, rx)
 }
 
 /// The kill-a-node chaos drill, against real processes: SIGKILL the
@@ -517,8 +520,8 @@ fn sigkill_primary_promoted_follower_serves_identical_hull() {
     let pts = generators::cube_d(2, 64, 1_000_000, 51);
     let rows = rows_of(&pts);
 
-    let (mut primary, paddr) = spawn_hull_serve(&[]);
-    let (_follower, faddr) =
+    let (mut primary, paddr, _) = spawn_hull_serve(&[]);
+    let (_follower, faddr, _) =
         spawn_hull_serve(&["--follow", &paddr.to_string(), "--promote-after", "5"]);
 
     let mut pc = connect(paddr);
@@ -576,9 +579,10 @@ fn follower_mirrors_deletes_and_checkpoints() {
     let mut primary = serve(opts(2)).unwrap();
     let mut pc = connect(primary.local_addr());
     insert_all(&mut pc, &rows);
-    // Delete two thirds of the rows — hull vertices among them, so at
-    // least one rebuild fires (hull-invalidating tombstone or the
-    // tombstone-ratio trigger) and checkpoints the journal.
+    // Delete two thirds of the rows: the dead entries pass
+    // `rebuild_ratio`, so the tombstone-ratio trigger rebuilds and
+    // checkpoints the journal. (Hull vertices are among them, but a
+    // vertex death alone is repaired in memory and checkpoints nothing.)
     let doomed = &rows[..80];
     for chunk in doomed.chunks(16) {
         let mut b = MutationBatch::new();
@@ -596,7 +600,7 @@ fn follower_mirrors_deletes_and_checkpoints() {
         .load(std::sync::atomic::Ordering::Relaxed);
     assert!(
         rebuilds >= 1,
-        "deleting hull vertices must have forced a survivor rebuild"
+        "deleting two thirds of the rows must have forced a survivor rebuild"
     );
     let units = primary.service().batch_units(0).unwrap();
     let survivors = PointSet::from_rows(2, &rows[80..]);
@@ -638,4 +642,91 @@ fn follower_mirrors_deletes_and_checkpoints() {
         "promoted follower lost the survivor hull after post-failover churn"
     );
     follower.shutdown();
+}
+
+/// Pull one numeric counter out of a stats JSON line.
+fn grab(json: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let at = json
+        .find(&pat)
+        .unwrap_or_else(|| panic!("stats json missing {key}: {json}"))
+        + pat.len();
+    json[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect::<String>()
+        .parse()
+        .expect("stats counter is a number")
+}
+
+/// A fresh follower of a churned primary — whose journal starts with a
+/// ratio checkpoint and goes on with tombstone units — bootstraps the
+/// whole window with one bulk build, ends on the primary's unit count,
+/// and serves offline Algorithm 2 on the survivors.
+#[test]
+fn follower_bootstraps_from_a_churned_primary() {
+    let _guard = repl_lock();
+    failpoint::disarm();
+    let rows = rows_of(&generators::cube_d(2, 120, 1_000_000, 57));
+    let more = rows_of(&generators::cube_d(2, 30, 1_000_000, 58));
+
+    let mut primary = serve(opts(2)).unwrap();
+    let mut pc = connect(primary.local_addr());
+    insert_all(&mut pc, &rows);
+    // Two thirds deleted: the tombstone-ratio trigger checkpoints.
+    let mut b = MutationBatch::new();
+    for p in &rows[..80] {
+        b = b.delete(p.clone());
+    }
+    pc.mutate(0, b).unwrap();
+    pc.flush(0).unwrap();
+    // Then more history on top of the checkpoint: inserts and deletes,
+    // a unit at a time, too few to trip the ratio again.
+    insert_all(&mut pc, &more);
+    for p in rows[80..85].iter().chain(&more[..5]) {
+        pc.mutate(0, MutationBatch::new().delete(p.clone()))
+            .unwrap();
+        pc.flush(0).unwrap();
+    }
+    let svc = primary.service();
+    let st = svc.stats_for(0).unwrap();
+    assert!(st.rebuilds.load(std::sync::atomic::Ordering::Relaxed) >= 1);
+    let units = svc.batch_units(0).unwrap();
+    let (index, _, _, first) = pc.repl_unit_fetch(0, 0).unwrap();
+    assert!(
+        index > 0 && matches!(first, ReplUnit::Checkpoint { .. }),
+        "the primary's journal starts with a checkpoint"
+    );
+    let mut tombstone_units = 0;
+    for at in index + 1..units {
+        let (_, _, _, unit) = pc.repl_unit_fetch(0, at).unwrap();
+        tombstone_units += usize::from(!unit.tombstones().is_empty());
+    }
+    assert!(tombstone_units >= 10, "every later delete is a unit");
+    let survivors: Vec<Vec<i64>> = rows[85..].iter().chain(&more[5..]).cloned().collect();
+
+    let (_follower, faddr, stderr) = spawn_hull_serve(&[
+        "--follow",
+        &primary.local_addr().to_string(),
+        "--promote-after",
+        "600",
+    ]);
+    let mut fc = connect(faddr);
+    wait_until("follower to bootstrap", || {
+        fc.repl_unit_fetch(0, u64::MAX).map(|(_, t, _, _)| t).ok() == Some(units)
+    });
+    let line = stderr
+        .iter()
+        .find(|l| l.contains("bootstrapped"))
+        .expect("the bootstrap line");
+    assert!(line.ends_with("via bulk build"), "{line}");
+    let stats = fc.stats(Some(0)).unwrap();
+    assert_eq!(grab(&stats, "bulk_builds"), 1, "one bulk build: {stats}");
+    assert_eq!(
+        canonical_served(&fc.snapshot(0).unwrap()),
+        canonical_offline(&PointSet::from_rows(2, &survivors)),
+        "bootstrapped follower differs from offline Algorithm 2 on the survivors"
+    );
+    fc.shutdown_server().unwrap();
+    primary.shutdown();
 }
