@@ -321,23 +321,6 @@ struct Units {
     units: Vec<Arc<ReplUnit>>,
 }
 
-impl Units {
-    /// Close one unit. The first unit after a checkpoint header is the
-    /// checkpoint's survivor rows (a reopened WAL reads them as inserts).
-    fn push(&mut self, unit: ReplUnit) {
-        let unit = match unit {
-            ReplUnit::Ops { inserts, .. } if self.base > 0 && self.units.is_empty() => {
-                ReplUnit::Checkpoint {
-                    units_after: self.base + 1,
-                    survivors: inserts,
-                }
-            }
-            unit => unit,
-        };
-        self.units.push(Arc::new(unit));
-    }
-}
-
 impl UnitLog {
     fn read(&self) -> RwLockReadGuard<'_, Units> {
         match self.0.read() {
@@ -431,26 +414,47 @@ impl Journal {
         }
         file.seek(SeekFrom::Start(scan.good_len))?;
         let mut units = Units::default();
+        let mut closed = scan.closed.into_iter();
+        let mut open = scan.open;
         match scan.header {
             // A checkpoint of an emptied shard has no survivor unit on
             // disk: the header alone stands for it.
             Some((base, survivors)) if base > 0 && survivors.min(scan.records as u64) == 0 => {
                 units.base = base - 1;
-                units.push(ReplUnit::Checkpoint {
+                units.units.push(Arc::new(ReplUnit::Checkpoint {
                     units_after: base,
                     survivors: Vec::new(),
-                });
+                }));
             }
-            Some((base, _)) => units.base = base,
-            None => {}
+            // Otherwise the first unit after the header is the
+            // checkpoint's survivor rows, read back as inserts. If a
+            // damaged tail took its marker, the marker is rewritten: the
+            // checkpoint is always one closed unit.
+            Some((base, _)) if base > 0 => {
+                units.base = base;
+                let first = match closed.next() {
+                    Some(unit) => unit,
+                    None => {
+                        file.write_all(&encode_marker(open.len() as u32))?;
+                        open.take()
+                    }
+                };
+                let survivors = match first {
+                    ReplUnit::Ops { inserts, .. } => inserts,
+                    ReplUnit::Checkpoint { survivors, .. } => survivors,
+                };
+                units.units.push(Arc::new(ReplUnit::Checkpoint {
+                    units_after: base + 1,
+                    survivors,
+                }));
+            }
+            _ => {}
         }
-        for unit in scan.closed {
-            units.push(unit);
-        }
+        units.units.extend(closed.map(Arc::new));
         Ok(Journal {
             dim,
             log: UnitLog(Arc::new(RwLock::new(units))),
-            open: scan.open,
+            open,
             ops: scan.records,
             wal: Some(BufWriter::new(file)),
             wal_at: Some((dir.to_path_buf(), shard)),
@@ -511,7 +515,41 @@ impl Journal {
                 .and_then(|()| w.flush()),
             None => Ok(()),
         };
-        self.log.write().push(self.open.take());
+        self.log.write().units.push(Arc::new(self.open.take()));
+        res
+    }
+
+    /// Journal whole units shipped by a replication primary, in order,
+    /// after any open ops have been closed: each unit's records and
+    /// marker are written, the WAL is flushed **once**, and only then do
+    /// the units join the [`UnitLog`] — so a long catch-up costs one
+    /// flush, and still no unit is fetchable before its flush. Units
+    /// holding no rows are skipped (markers never close empty units).
+    /// As with [`Journal::mark_batch`], the units land in memory even if
+    /// a WAL write errors.
+    pub fn append_units(&mut self, units: Vec<ReplUnit>) -> io::Result<()> {
+        debug_assert_eq!(self.open.len(), 0, "shipped units follow closed ones");
+        let mut res = Ok(());
+        let units: Vec<Arc<ReplUnit>> = units
+            .into_iter()
+            .filter(|unit| !unit.is_empty())
+            .map(Arc::new)
+            .collect();
+        for unit in &units {
+            let count = unit.inserts().len() + unit.tombstones().len();
+            self.ops += count;
+            if let Some(w) = &mut self.wal {
+                for p in unit.inserts() {
+                    res = res.and(w.write_all(&encode_record(p)));
+                }
+                for p in unit.tombstones() {
+                    res = res.and(w.write_all(&encode_tombstone(p)));
+                }
+                res = res.and(w.write_all(&encode_marker(count as u32)));
+            }
+        }
+        res = res.and(self.sync());
+        self.log.write().units.extend(units);
         res
     }
 
@@ -1186,6 +1224,67 @@ mod tests {
                 survivors: Vec::new(),
             }]
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_survivors_stay_one_unit_when_their_marker_is_lost() {
+        let dir = tmpdir("checkpoint-marker");
+        let survivors = vec![vec![1i64, 1], vec![2, 2]];
+        {
+            let mut j = Journal::with_wal(2, &dir, 0).unwrap();
+            j.append(&[5, 5]).unwrap();
+            j.mark_batch().unwrap();
+            j.reset_checkpoint(survivors.clone()).unwrap();
+        }
+        // Cut the checkpoint's closing marker off at a record boundary.
+        let path = wal_path(&dir, 0);
+        let len = std::fs::metadata(&path).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(len - (RECORD_HEADER + MARKER_LEN) as u64)
+            .unwrap();
+        drop(file);
+        let checkpoint = ReplUnit::Checkpoint {
+            units_after: 2,
+            survivors,
+        };
+        {
+            let mut j = Journal::with_wal(2, &dir, 0).unwrap();
+            assert_eq!(j.batch_count(), 2);
+            assert_eq!(units(&j), vec![checkpoint.clone()]);
+            j.append(&[9, 9]).unwrap();
+            j.mark_batch().unwrap();
+        }
+        // The marker was rewritten on reopen: the next unit stays apart.
+        let j = Journal::with_wal(2, &dir, 0).unwrap();
+        assert!(!j.tail_damaged());
+        assert_eq!(j.batch_count(), 3);
+        assert_eq!(units(&j), vec![checkpoint, ops(&[&[9, 9]], &[])]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_units_journals_whole_units_across_reopen() {
+        let dir = tmpdir("append-units");
+        let shipped = vec![
+            ops(&[&[1, 1], &[2, 2]], &[]),
+            ops(&[], &[]),
+            ops(&[&[3, 3]], &[&[1, 1]]),
+        ];
+        let want = vec![ops(&[&[0, 0]], &[]), shipped[0].clone(), shipped[2].clone()];
+        {
+            let mut j = Journal::with_wal(2, &dir, 0).unwrap();
+            j.append(&[0, 0]).unwrap();
+            j.mark_batch().unwrap();
+            j.append_units(shipped).unwrap();
+            assert_eq!(j.batch_count(), 3, "the empty unit is skipped");
+            assert_eq!(j.len(), 5);
+            assert_eq!(units(&j), want);
+        }
+        let j = Journal::with_wal(2, &dir, 0).unwrap();
+        assert!(!j.tail_damaged());
+        assert_eq!(j.batch_count(), 3);
+        assert_eq!(units(&j), want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,14 +20,17 @@
 //! durable batch count and lands it through
 //! [`HullService::apply_replica_units`], the one replica entry: an `Ops`
 //! unit extends the hull like local ingest, a checkpoint is journaled
-//! and installed with one bulk build. An empty follower shard first
-//! **bootstraps**: it fetches the primary's whole window — a leading
-//! checkpoint and tombstone units included — and lands it as one
-//! shipment, journaled unit for unit and installed with one bulk build.
-//! Because the resume cursor *is* the follower's own batch count,
-//! resubscribe-with-resume after any fault (link loss, dropped shipment,
-//! puller death mid-apply) is a plain reconnect: nothing is lost,
-//! duplicates are harmless, and the lag the primary reports is exact.
+//! and installed with one bulk build. The shard alone decides which
+//! shipped unit is new and reports how many landed; the puller counts
+//! and acks from that. An empty follower shard first **bootstraps**: it
+//! fetches the primary's whole window — a leading checkpoint and
+//! tombstone units included — and lands it as one shipment, journaled
+//! unit for unit under one WAL flush and installed with one bulk build.
+//! Because the resume cursor *is* the follower's own (published) batch
+//! count, resubscribe-with-resume after any fault (link loss, dropped
+//! shipment, puller death mid-apply) is a plain reconnect: nothing is
+//! lost, duplicates are harmless, and the lag the primary reports is
+//! exact.
 //! Followers never run window expiry or rebuild triggers themselves —
 //! the primary decides, and ships the decision as a checkpoint unit.
 //!
@@ -271,36 +274,33 @@ fn pull_unit(
     let (index, total, unit_dim, unit) = client.repl_unit_fetch(shard, from)?;
     state.note_total(shard, total);
     check_dim(service, unit_dim, &unit)?;
-    // A unit below our cursor is a duplicated/reordered shipment (a
-    // checkpoint covers units up to its own index): skip it. An empty
-    // `Ops` unit means caught up.
-    let fresh = match &unit {
-        ReplUnit::Checkpoint { .. } => index >= from,
-        ReplUnit::Ops { .. } => index == from && !unit.is_empty(),
-    };
-    if fresh {
-        // Failpoint `replica.apply`: follower death mid-apply (panic →
-        // resubscribe-with-resume one frame up) or a dropped fetched
-        // unit (forces a duplicate re-fetch).
-        if failpoint::eval(sites::REPL_APPLY) == FaultAction::SpuriousFull {
-            state.dropped.fetch_add(1, Ordering::SeqCst);
-        } else {
-            service
-                .apply_replica_units(shard, index, vec![unit])
-                .map_err(svc_err)?;
-            state.applied.fetch_add(1, Ordering::SeqCst);
-            let durable = service.batch_units(shard).map_err(svc_err)?;
-            let _ = client.repl_ack(shard, durable)?;
-        }
+    // An empty `Ops` unit means caught up. Whether any other unit is
+    // new is the shard's call (`apply_replica_units` drops what it
+    // already holds).
+    if matches!(unit, ReplUnit::Ops { .. }) && unit.is_empty() {
+        return Ok(total > from);
     }
-    Ok(fresh || total > service.batch_units(shard).map_err(svc_err)?)
+    // Failpoint `replica.apply`: follower death mid-apply (panic →
+    // resubscribe-with-resume one frame up) or a dropped fetched unit
+    // (forces a duplicate re-fetch).
+    if failpoint::eval(sites::REPL_APPLY) == FaultAction::SpuriousFull {
+        state.dropped.fetch_add(1, Ordering::SeqCst);
+        return Ok(true);
+    }
+    let landed = service
+        .apply_replica_units(shard, index, vec![unit])
+        .map_err(svc_err)?;
+    state.applied.fetch_add(landed, Ordering::SeqCst);
+    let durable = service.batch_units(shard).map_err(svc_err)?;
+    let _ = client.repl_ack(shard, durable)?;
+    Ok(landed > 0 || total > durable)
 }
 
 /// Follower **bootstrap**: when a shard is completely empty, fetch the
 /// primary's whole journaled window — a leading checkpoint, tombstone
 /// units and all — and land it as one shipment, which the shard journals
-/// unit for unit (the 1:1 index mirror) and installs with one bulk build
-/// (DESIGN §S21) instead of per-unit apply. A checkpoint fetched midway
+/// unit for unit (the 1:1 index mirror, under one WAL flush) and installs
+/// with one bulk build (DESIGN §S21) instead of per-unit apply. A checkpoint fetched midway
 /// (the primary compacted meanwhile) supersedes what came before it.
 fn bootstrap_bulk(
     service: &HullService,
@@ -339,9 +339,8 @@ fn bootstrap_bulk(
         state.dropped.fetch_add(1, Ordering::SeqCst);
         return Ok(());
     }
-    let applied = units.len() as u64;
     let points: usize = units.iter().map(|u| u.inserts().len()).sum();
-    service
+    let applied = service
         .apply_replica_units(shard, start, units)
         .map_err(svc_err)?;
     state.applied.fetch_add(applied, Ordering::SeqCst);

@@ -223,7 +223,7 @@ enum Ingest {
     /// A replicated shipment (follower apply path): the primary's units
     /// at absolute indices `from..`, landed by [`apply_replica`] so the
     /// follower's unit indices mirror the primary's 1:1. The ack carries
-    /// the publication epoch after the shipment landed.
+    /// how many of them landed.
     Replica {
         from: u64,
         units: Vec<ReplUnit>,
@@ -433,6 +433,16 @@ struct Shard {
     /// One past the highest unit a subscriber acked durably applied.
     acked: AtomicU64,
     worker: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Shard {
+    /// Batch units the shard serves: its journal's closed units, up to
+    /// the published epoch. A unit is journaled (and flushed) before the
+    /// hull applies it, so until that publish the journal is ahead of
+    /// what readers see; a torn tail can leave the epoch ahead instead.
+    fn units(&self) -> u64 {
+        self.log.total().min(load_snap(&self.snap).epoch)
+    }
 }
 
 /// Everything the shard worker owns and mutates: the hull under
@@ -713,14 +723,18 @@ impl HullService {
         if state.promoted() {
             return None;
         }
-        let have = self.shard(shard).ok()?.log.total();
+        let have = self.shard(shard).ok()?.units();
         Some(state.primary_total(shard).saturating_sub(have))
     }
 
-    /// Journal batch units this shard holds — a follower's resume
-    /// cursor: its next replication fetch asks for exactly this index.
+    /// Batch units this shard holds **and serves**: journaled, applied
+    /// and published. A follower's resume cursor — its next replication
+    /// fetch asks for exactly this index (a unit it journaled but has not
+    /// published yet comes back as a duplicate, which the shard drops) —
+    /// and the `have` side of [`HullService::replica_lag`], so a read is
+    /// plain only once the snapshot it reads holds every unit counted.
     pub fn batch_units(&self, shard: u16) -> Result<u64, ServiceError> {
-        Ok(self.shard(shard)?.log.total())
+        Ok(self.shard(shard)?.units())
     }
 
     /// Ship one **typed** journal batch unit to a replication
@@ -775,15 +789,17 @@ impl HullService {
 
     /// Land a replicated shipment (follower puller path, allowed even in
     /// read-only mode): the primary's units at absolute indices `from..`,
-    /// as [`HullService::repl_unit_fetch`] shipped them. The shard drops
-    /// every unit below its own unit count, so a duplicated or
-    /// overlapping shipment is harmless, and journals the rest 1:1 with
+    /// as [`HullService::repl_unit_fetch`] shipped them. The shard alone
+    /// decides what is new: it drops every unit below its own unit count,
+    /// so a duplicated or overlapping shipment is harmless, drops a
+    /// shipment that would leave a gap, and journals the rest 1:1 with
     /// the primary's indices (see `apply_replica`). Blocks until the
-    /// shipment is applied and published; if the shard worker dies
-    /// mid-apply, returns the current published epoch and the caller
-    /// re-derives its resume cursor from [`HullService::batch_units`]
-    /// (each unit is journaled before it touches the hull, so it either
-    /// survived whole or not at all).
+    /// shipment is applied and published, and returns how many of its
+    /// units landed (0 for a stale or gapped shipment). If the shard
+    /// worker dies mid-apply it returns 0 and the caller re-derives its
+    /// resume cursor from [`HullService::batch_units`] (each unit is
+    /// journaled before it touches the hull, so it either survived whole
+    /// or not at all).
     pub fn apply_replica_units(
         &self,
         shard: u16,
@@ -805,7 +821,7 @@ impl HullService {
         }
         let sh = self.shard(shard)?;
         if units.is_empty() {
-            return Ok(load_snap(&sh.snap).epoch);
+            return Ok(0);
         }
         let (done, rx) = mpsc::channel();
         if sh
@@ -815,12 +831,10 @@ impl HullService {
         {
             return Err(ServiceError::Closed);
         }
-        match rx.recv() {
-            Ok(epoch) => Ok(epoch),
-            // Worker died mid-apply; the supervisor replays the journal.
-            // Never re-enqueue — the caller reconciles via `batch_units`.
-            Err(_) => Ok(load_snap(&sh.snap).epoch),
-        }
+        // Err: the worker died mid-apply and the supervisor replays the
+        // journal. Never re-enqueue — the caller reconciles via
+        // `batch_units`.
+        Ok(rx.recv().unwrap_or(0))
     }
 
     /// The shard's current published snapshot (wait-free for ingest: the
@@ -1085,9 +1099,9 @@ fn apply_batch(
     }
     apply_unit(ctx, st, prev_kernel, muts, false);
     for (from, units, done) in replicas {
-        apply_replica(ctx, st, prev_kernel, from, units);
+        let landed = apply_replica(ctx, st, prev_kernel, from, units);
         // Receiver may have given up (puller resubscribing) — fine.
-        let _ = done.send(st.epoch);
+        let _ = done.send(landed);
     }
     for tx in flushes {
         // Receiver may have given up (client disconnect) — fine.
@@ -1407,29 +1421,31 @@ fn count_rebuild(ctx: &ShardCtx, t0: Instant, auto: bool) {
     }
 }
 
-/// Land one replicated shipment: units at absolute indices `from..`.
-/// Units below the shard's own unit count are already held and dropped
-/// (a checkpoint at index `i` covers units `..=i`); a shipment that would
-/// leave a gap is dropped whole, for the puller to re-fetch from its
-/// cursor. One `Ops` unit onto a shard that already holds units applies
-/// like local ingest ([`apply_unit`]: window and ratio triggers off — the
-/// primary ships their decisions). Anything else — a checkpoint, several
-/// units, or the first units of an empty shard — is journaled unit for
-/// unit (a checkpoint through [`Journal::install_checkpoint`]) and then
-/// [`install`]ed with one bulk build.
+/// Land one replicated shipment: units at absolute indices `from..`;
+/// returns how many landed. Units below the shard's own unit count are
+/// already held and dropped (a checkpoint at index `i` covers units
+/// `..=i`); a shipment that would leave a gap is dropped whole, for the
+/// puller to re-fetch from its cursor. One `Ops` unit onto a shard that
+/// already holds units applies like local ingest ([`apply_unit`]: window
+/// and ratio triggers off — the primary ships their decisions). Anything
+/// else — a checkpoint, several units, or the first units of an empty
+/// shard — is journaled (a checkpoint through
+/// [`Journal::install_checkpoint`], which supersedes every unit before
+/// it; the units after it through one [`Journal::append_units`]) and
+/// then [`install`]ed with one bulk build.
 fn apply_replica(
     ctx: &ShardCtx,
     st: &mut ShardState,
     prev_kernel: &mut KernelCounts,
     from: u64,
-    units: Vec<ReplUnit>,
-) {
+    mut units: Vec<ReplUnit>,
+) -> u64 {
     let held = st.journal.batch_count();
     let skip = held.saturating_sub(from);
-    let units: Vec<ReplUnit> = units.into_iter().skip(skip as usize).collect();
+    units.drain(..(skip as usize).min(units.len()));
     match units.first() {
-        None => return,
-        Some(ReplUnit::Ops { .. }) if from + skip != held => return,
+        None => return 0,
+        Some(ReplUnit::Ops { .. }) if from + skip != held => return 0,
         Some(ReplUnit::Ops {
             inserts,
             tombstones,
@@ -1442,42 +1458,56 @@ fn apply_replica(
                 .collect();
             apply_unit(ctx, st, prev_kernel, muts, true);
             service_metrics().repl_units_applied.incr();
-            return;
+            return 1;
         }
         Some(_) => {}
     }
     let t0 = Instant::now();
-    let mut checkpoint = false;
-    for unit in units {
-        let res = match unit {
-            ReplUnit::Checkpoint {
-                units_after,
-                survivors,
-            } => {
-                checkpoint = true;
-                st.journal.install_checkpoint(survivors, units_after)
-            }
-            ReplUnit::Ops {
-                inserts,
-                tombstones,
-            } => {
-                journal_unit(ctx, &mut st.journal, &inserts, &tombstones);
-                ctx.stats.record_batch(inserts.len() as u64);
-                st.journal.mark_batch()
-            }
-        };
-        if res.is_err() {
+    let landed = units.len() as u64;
+    // The last checkpoint supersedes every unit before it.
+    let cut = units
+        .iter()
+        .rposition(|u| matches!(u, ReplUnit::Checkpoint { .. }));
+    let after = units.split_off(cut.map_or(0, |at| at + 1));
+    if let Some(ReplUnit::Checkpoint {
+        units_after,
+        survivors,
+    }) = units.pop()
+    {
+        if st
+            .journal
+            .install_checkpoint(survivors, units_after)
+            .is_err()
+        {
             wal_err(&ctx.stats);
         }
-        service_metrics().repl_units_applied.incr();
     }
+    let checkpoint = cut.is_some();
+    for unit in &after {
+        ctx.stats.record_batch(unit.inserts().len() as u64);
+    }
+    if st.journal.append_units(after).is_err() {
+        wal_err(&ctx.stats);
+    }
+    service_metrics().repl_units_applied.add(landed);
+    // Failpoint `shard.drain.before_publish`: the shipment is journaled
+    // but not installed — readers still see the previous snapshot.
+    let _ = failpoint::eval(sites::SHARD_BEFORE_PUBLISH);
     install(ctx, st);
     if checkpoint {
         count_rebuild(ctx, t0, false);
+        // A checkpoint replaces the hull; it is not ingest, so it stays
+        // out of the ingest kernel counters.
+        *prev_kernel = st.core.hull().map(|h| h.kernel).unwrap_or_default();
+    } else if chull_obs::armed() {
+        // A catch-up without a checkpoint is ingest, built in one go.
+        let m = service_metrics();
+        m.batch_apply_us.record(t0.elapsed().as_micros() as u64);
+        let now_kernel = st.core.hull().map(|h| h.kernel).unwrap_or_default();
+        m.ingest_kernel.fold_delta(&now_kernel, prev_kernel);
+        *prev_kernel = now_kernel;
     }
-    // The bulk build is catch-up, not ingest: keep it out of the ingest
-    // kernel counters.
-    *prev_kernel = st.core.hull().map(|h| h.kernel).unwrap_or_default();
+    landed
 }
 
 #[cfg(test)]
@@ -2658,9 +2688,13 @@ mod tests {
             ops_unit(&rows[30..40], &[]),
             ops_unit(&rows[40..], &rows[10..15]),
         ];
-        svc.apply_replica_units(0, 0, units[..2].to_vec()).unwrap();
+        assert_eq!(svc.apply_replica_units(0, 0, units[..2].to_vec()), Ok(2));
         assert_eq!(svc.batch_units(0).unwrap(), 2);
-        svc.apply_replica_units(0, 0, units).unwrap();
+        assert_eq!(
+            svc.apply_replica_units(0, 0, units),
+            Ok(3),
+            "only 2..5 land"
+        );
         assert_eq!(
             svc.batch_units(0).unwrap(),
             5,
@@ -2674,10 +2708,12 @@ mod tests {
             snap_canonical(&svc.snapshot(0).unwrap(), 2),
             offline_canonical(&live, 2)
         );
-        // A stale single unit is a no-op too.
+        // A stale single unit is a no-op too, and so is one past a gap.
         let epoch = svc.flush(0).unwrap();
-        svc.apply_replica_units(0, 3, vec![ops_unit(&rows[30..40], &[])])
-            .unwrap();
+        let stale = svc.apply_replica_units(0, 3, vec![ops_unit(&rows[30..40], &[])]);
+        assert_eq!(stale, Ok(0));
+        let gapped = svc.apply_replica_units(0, 6, vec![ops_unit(&rows[..5], &[])]);
+        assert_eq!(gapped, Ok(0));
         assert_eq!(svc.batch_units(0).unwrap(), 5);
         assert_eq!(svc.flush(0).unwrap(), epoch);
         svc.shutdown();

@@ -458,6 +458,58 @@ fn follower_bootstraps_via_bulk_build() {
     primary.shutdown();
 }
 
+/// The staleness bound counts what readers can see, not what the
+/// journal holds: while a follower's install is held open between
+/// journaling a shipment and publishing it, its reads still come from the
+/// previous snapshot and must carry the whole lag; they turn plain only
+/// with the publish.
+#[test]
+fn follower_reads_stay_stale_until_the_install_publishes() {
+    let _guard = repl_lock();
+    let pts = generators::cube_d(2, 120, 1_000_000, 63);
+    let rows = rows_of(&pts);
+
+    let mut primary = serve(opts(2)).unwrap();
+    let mut pc = connect(primary.local_addr());
+    insert_all(&mut pc, &rows);
+    let units = primary.service().batch_units(0).unwrap();
+
+    // The primary is idle from here on, so the one delay lands on the
+    // follower's bootstrap install, after the shipment is journaled.
+    failpoint::arm(FaultPlan::new(0x57A1E).site(
+        sites::SHARD_BEFORE_PUBLISH,
+        SiteSpec {
+            delay_ppm: 1_000_000,
+            delay_us: 3_000_000,
+            max_fires: 1,
+            ..SiteSpec::default()
+        },
+    ));
+    let mut follower = serve(follower_opts(2, primary.local_addr(), 0)).unwrap();
+    wait_until("the bootstrap install to stall", || {
+        failpoint::fires(sites::SHARD_BEFORE_PUBLISH) == 1
+    });
+    let mut fc = connect(follower.local_addr());
+    let snap = fc.snapshot(0).unwrap();
+    assert!(snap.points.is_empty(), "nothing published yet");
+    assert_eq!(
+        fc.last_stale(),
+        Some(units),
+        "a journaled but unpublished shipment must not shrink the lag"
+    );
+    assert_eq!(follower.service().batch_units(0).unwrap(), 0);
+
+    wait_until("the install to publish", || {
+        follower.service().batch_units(0).unwrap() == units
+    });
+    failpoint::disarm();
+    let snap = fc.snapshot(0).unwrap();
+    assert_eq!(fc.last_stale(), None, "published reads are plain");
+    assert_eq!(canonical_served(&snap), canonical_offline(&pts));
+    follower.shutdown();
+    primary.shutdown();
+}
+
 /// SIGKILL a child process on drop: chaos teardown must not leak
 /// servers when an assertion fails mid-test.
 struct KillOnDrop(std::process::Child);
