@@ -3,9 +3,6 @@
 //! headline comparison of the **staged visibility kernel** (cached exact
 //! hyperplane + f64 filter + i128/BigInt fallback) against the naive
 //! per-query `O(d^3)` determinant it replaced on the hull hot path.
-//!
-//! Writes a machine-readable snapshot to `BENCH_predicates.json` in the
-//! current directory (the repo root under `cargo bench`).
 
 use chull_bench::harness::{black_box, Bench};
 use chull_geometry::exact::det_sign_i64;
@@ -194,9 +191,4 @@ fn main() {
     }
 
     b.report();
-    // Snapshot lands at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_predicates.json");
-    if let Err(e) = b.write_json(out) {
-        eprintln!("could not write {out}: {e}");
-    }
 }

@@ -3,7 +3,7 @@
 //!
 //! Usage mirrors the shape of the old criterion benches: create a
 //! [`Bench`], register closures under names, then [`Bench::report`] prints
-//! a table and [`Bench::write_json`] records a machine-readable snapshot.
+//! a table.
 //!
 //! Timing model: one warm-up call, then the per-iteration cost is
 //! calibrated so each sample batch runs for roughly
@@ -114,23 +114,6 @@ impl Bench {
             println!("{:<44} {:>14.1} ns/iter", r.name, r.ns_per_iter);
         }
     }
-
-    /// Write the results as a JSON array to `path`.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let mut out = String::from("[\n");
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str(&format!(
-                "  {{\"name\": \"{}\", \"ns_per_iter\": {:.2}, \"iters\": {}, \"samples\": {}}}{}\n",
-                r.name,
-                r.ns_per_iter,
-                r.iters,
-                r.samples,
-                if i + 1 < self.results.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out)
-    }
 }
 
 #[cfg(test)]
@@ -143,17 +126,5 @@ mod tests {
         b.bench("noop_sum", || (0..100u64).sum::<u64>());
         assert_eq!(b.results().len(), 1);
         assert!(b.results()[0].ns_per_iter > 0.0);
-    }
-
-    #[test]
-    fn json_shape() {
-        let mut b = Bench::new().samples(3).target_sample_time(0.001);
-        b.bench("a", || 1 + 1);
-        let dir = std::env::temp_dir().join("chull_bench_test.json");
-        let path = dir.to_str().unwrap();
-        b.write_json(path).unwrap();
-        let s = std::fs::read_to_string(path).unwrap();
-        assert!(s.contains("\"name\": \"a\""));
-        std::fs::remove_file(path).ok();
     }
 }

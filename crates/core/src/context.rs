@@ -125,23 +125,10 @@ impl<'a> HullContext<'a> {
         self.kernel_sign(facet, q, counts) == facet.visible_sign
     }
 
-    /// One visibility-test sign through the active kernel.
-    #[cfg(not(feature = "naive-kernel"))]
+    /// One visibility-test sign through the staged kernel.
     #[inline]
     fn kernel_sign(&self, facet: &Facet, q: u32, counts: &mut KernelCounts) -> Sign {
         facet.plane.sign_point(self.pts.pt(q), counts)
-    }
-
-    /// One visibility-test sign through the naive `O(d³)` determinant —
-    /// the pre-staged-kernel behavior, kept behind the `naive-kernel`
-    /// feature purely for A/B benchmarking. Counted as an exact fallback so
-    /// the counter partition invariant still holds.
-    #[cfg(feature = "naive-kernel")]
-    #[inline]
-    fn kernel_sign(&self, facet: &Facet, q: u32, counts: &mut KernelCounts) -> Sign {
-        counts.tests += 1;
-        counts.i128_fallbacks += 1;
-        self.sign_vs_point(&facet.verts, q)
     }
 
     /// Create a facet: computes its cached hyperplane and visible

@@ -499,7 +499,6 @@ mod tests {
             s.filter_hits + s.i128_fallbacks + s.bigint_fallbacks,
             "kernel stages must partition the tests"
         );
-        #[cfg(not(feature = "naive-kernel"))]
         assert!(
             s.filter_hits > 0,
             "generic input should mostly resolve in the filter"

@@ -19,8 +19,8 @@
 //! * [`slab`] — [`Slab`], stable keys for connection state.
 //!
 //! The reactor built on these lives in `chull-service::event_server`;
-//! the `service_load` bench drives tens of thousands of client
-//! connections off the same poller (one thread, no blocking reads).
+//! [`raise_nofile_limit`] lets `hull serve` hold tens of thousands of
+//! client connections (the workspace's `tests/fanin.rs` opens 10 000).
 
 #![warn(missing_docs)]
 #![cfg(unix)]

@@ -90,7 +90,8 @@ pub struct ServiceMetrics {
     pub batch_apply_us: Arc<Histogram>,
     /// Wall time to journal one batch before applying it (µs).
     pub journal_append_us: Arc<Histogram>,
-    /// Wall time of the journal `sync` (WAL fsync) per batch (µs).
+    /// Wall time to close one batch unit: write its WAL marker and flush
+    /// the WAL buffer (one `write(2)`, no fsync) (µs).
     pub wal_sync_us: Arc<Histogram>,
     /// WAL append/sync errors (journal stays authoritative in memory).
     pub wal_errors: Arc<Counter>,
@@ -195,7 +196,7 @@ pub fn service_metrics() -> &'static ServiceMetrics {
             ),
             wal_sync_us: r.histogram(
                 "chull_wal_sync_us",
-                "Microseconds in the journal sync (WAL fsync) per batch.",
+                "Microseconds to write and flush (no fsync) one batch unit's WAL marker.",
             ),
             wal_errors: r.counter(
                 "chull_wal_errors_total",

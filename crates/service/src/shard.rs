@@ -1134,11 +1134,15 @@ fn dying_rows(st: &ShardState, tombstones: &[Vec<i64>]) -> Vec<Vec<i64>> {
 
 /// Resolve, journal, mark, sync, apply, and publish one batch unit
 /// (no-op when nothing survives resolution — batch units are never
-/// empty). `replica` marks a follower-applied unit: the window policy
-/// does not run (the primary already ran it and shipped the resulting
-/// tombstones) and the ratio triggers stay off (the primary ships its
-/// checkpoint units instead). A hull-invalidating tombstone triggers
-/// the same in-memory [`correct_hull`] on primaries and followers.
+/// empty). A batch with no mutations (flush barriers only) returns
+/// before the window policy runs, so a flush never advances an
+/// `Epochs` window and the unit count does not depend on how flushes
+/// coalesce with the mutations around them. `replica` marks a
+/// follower-applied unit: the window policy does not run (the primary
+/// already ran it and shipped the resulting tombstones) and the ratio
+/// triggers stay off (the primary ships its checkpoint units instead).
+/// A hull-invalidating tombstone triggers the same in-memory
+/// [`correct_hull`] on primaries and followers.
 fn apply_unit(
     ctx: &ShardCtx,
     st: &mut ShardState,
@@ -1146,6 +1150,9 @@ fn apply_unit(
     muts: Vec<Mutation>,
     replica: bool,
 ) {
+    if muts.is_empty() {
+        return;
+    }
     // One relaxed load per batch; timing blocks below pay for
     // `Instant::now` only when telemetry is armed.
     let armed = chull_obs::armed();
@@ -2455,15 +2462,10 @@ mod tests {
         }
     }
 
-    /// Insert `p` as one unit of its own and wait for its publish. No
-    /// flush: a flush-only batch runs the window too, so flushing would
-    /// make the unit count depend on how the two coalesce.
+    /// Insert `p` as one unit of its own and wait for its publish.
     fn insert_unit(svc: &HullService, p: [i64; 2]) {
-        let before = svc.snapshot(0).unwrap().epoch;
         mutate_all(svc, 0, vec![Mutation::Insert(p.to_vec())]);
-        while svc.snapshot(0).unwrap().epoch == before {
-            std::thread::yield_now();
-        }
+        svc.flush(0).unwrap();
     }
 
     /// What an install must share with a restart: the canonical hull,
@@ -2484,9 +2486,10 @@ mod tests {
     /// [`HullService::new`] serves exactly what `svc` serves, and two more
     /// units, inserting `FAR[0]` and `FAR[1]`, expire the same rows on
     /// both — under an `Epochs` window that holds only when the two live
-    /// sets carry the same epoch stamps. The window must expire nothing
-    /// at the next epoch (a flush evaluates it too). Returns how many rows
-    /// the two units expired.
+    /// sets carry the same epoch stamps. Before each unit `svc` alone
+    /// also takes a flush-only batch, which must journal nothing, expire
+    /// nothing, and leave the next unit expiring what the unflushed
+    /// restart expires. Returns how many rows the two units expired.
     fn assert_install_matches_restart(svc: &HullService, config: &ServiceConfig) -> u64 {
         svc.flush(0).unwrap();
         let dir = config.wal_dir.as_ref().expect("a WAL to restart from");
@@ -2513,6 +2516,10 @@ mod tests {
         let before = expired(svc);
         assert_eq!(before, expired(&restarted));
         for p in &FAR[..2] {
+            let (units, expired_before) = (svc.batch_units(0).unwrap(), expired(svc));
+            svc.flush(0).unwrap();
+            assert_eq!(svc.batch_units(0).unwrap(), units, "a flush journaled");
+            assert_eq!(expired(svc), expired_before, "a flush ran the window");
             for s in [svc, &restarted] {
                 insert_unit(s, *p);
             }

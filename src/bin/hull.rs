@@ -373,6 +373,10 @@ fn die(msg: &str) -> ! {
 }
 
 fn serve_main(args: &[String]) {
+    // The event loop holds one descriptor per client connection: lift
+    // the soft RLIMIT_NOFILE (often 1 024) to the hard limit, so fan-in
+    // is bounded by what the host allows rather than by the default.
+    convex_hull_suite::net::raise_nofile_limit(u64::MAX);
     let mut opts = ServeOptions {
         addr: "127.0.0.1:4077".to_string(),
         ..Default::default()

@@ -17,6 +17,9 @@
 //! shared mutex before touching a server (armed or not — a concurrent
 //! armed test would leak faults into an unarmed one).
 
+mod common;
+
+use common::spawn_hull_serve;
 use convex_hull_suite::concurrent::failpoint::{self, sites, FaultPlan, SiteSpec};
 use convex_hull_suite::core::seq::incremental_hull_run;
 use convex_hull_suite::geometry::{generators, PointSet};
@@ -25,9 +28,9 @@ use convex_hull_suite::service::{
     ServiceConfig, SnapshotReply,
 };
 use std::collections::BTreeSet;
-use std::io::BufRead;
 use std::net::SocketAddr;
-use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Serialize tests: the failpoint registry is process-global and the
@@ -392,7 +395,6 @@ fn follower_promotes_and_accepts_writes() {
 /// pulling would have produced.
 #[test]
 fn follower_bootstraps_via_bulk_build() {
-    use std::sync::atomic::Ordering;
     let _guard = repl_lock();
     failpoint::disarm();
     let pts = generators::cube_d(2, 400, 1_000_000, 61);
@@ -510,71 +512,35 @@ fn follower_reads_stay_stale_until_the_install_publishes() {
     primary.shutdown();
 }
 
-/// SIGKILL a child process on drop: chaos teardown must not leak
-/// servers when an assertion fails mid-test.
-struct KillOnDrop(std::process::Child);
-
-impl Drop for KillOnDrop {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Spawn `hull serve` with `extra` flags and parse the bound address
-/// off its stderr announcement. The rest of its stderr is echoed, and
-/// handed line by line to the returned receiver.
-fn spawn_hull_serve(extra: &[&str]) -> (KillOnDrop, SocketAddr, mpsc::Receiver<String>) {
-    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_hull"));
-    cmd.args([
-        "serve",
-        "--addr",
-        "127.0.0.1:0",
-        "--dim",
-        "2",
-        "--shards",
-        "1",
-    ])
-    .args(extra)
-    .stdin(std::process::Stdio::null())
-    .stdout(std::process::Stdio::null())
-    .stderr(std::process::Stdio::piped());
-    let mut child = cmd.spawn().expect("spawning hull serve");
-    let stderr = child.stderr.take().unwrap();
-    let mut lines = std::io::BufReader::new(stderr).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .expect("hull serve exited before announcing its address")
-            .expect("child stderr");
-        if let Some(rest) = line.strip_prefix("hull: listening on ") {
-            break rest.trim().parse().expect("announced address");
-        }
-    };
-    // Keep draining stderr so the child never blocks on a full pipe.
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        for l in lines.map_while(Result::ok) {
-            eprintln!("[child] {l}");
-            let _ = tx.send(l);
-        }
-    });
-    (KillOnDrop(child), addr, rx)
-}
-
 /// The kill-a-node chaos drill, against real processes: SIGKILL the
-/// primary mid-cluster, assert reads stay available on the follower
-/// throughout, and that after self-promotion the promoted hull is
-/// bit-identical to offline Algorithm 2 on the primary's points.
+/// primary mid-cluster while a reader polls `contains` through a
+/// `route` front end, and assert that every read in flight across the
+/// kill, the router's failover and the follower's self-promotion is
+/// answered, and answered right. After promotion, writes through the
+/// router land again and the promoted hull is bit-identical to offline
+/// Algorithm 2 on the primary's points.
 #[test]
 fn sigkill_primary_promoted_follower_serves_identical_hull() {
     let _guard = repl_lock();
     let pts = generators::cube_d(2, 64, 1_000_000, 51);
     let rows = rows_of(&pts);
+    // The centroid of the points lies inside their hull: one probe with
+    // one known answer.
+    let centroid: Vec<i64> = (0..2)
+        .map(|k| rows.iter().map(|r| r[k]).sum::<i64>() / rows.len() as i64)
+        .collect();
 
     let (mut primary, paddr, _) = spawn_hull_serve(&[]);
     let (_follower, faddr, _) =
         spawn_hull_serve(&["--follow", &paddr.to_string(), "--promote-after", "5"]);
+    let mut router = route(RouterOptions {
+        addr: "127.0.0.1:0".to_string(),
+        nodes: vec![paddr.to_string(), faddr.to_string()],
+        probe_interval: Duration::from_millis(20),
+        deadline: Duration::from_millis(500),
+    })
+    .unwrap();
+    let raddr = router.local_addr();
 
     let mut pc = connect(paddr);
     insert_all(&mut pc, &rows);
@@ -588,29 +554,75 @@ fn sigkill_primary_promoted_follower_serves_identical_hull() {
         fc.repl_unit_fetch(0, u64::MAX).map(|(_, t, _, _)| t).ok() == Some(total)
     });
 
-    // Kill -9: no drain, no goodbye. The degraded window starts here.
-    primary.0.kill().expect("SIGKILL primary");
-    let _ = primary.0.wait();
+    /// Stops the reader on drop, so a failed assertion below cannot
+    /// leave the scope joining a reader that polls forever.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let (done, killed) = (AtomicBool::new(false), AtomicBool::new(false));
+    let (answered, after_kill, failed) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut rc = connect(raddr);
+            let (mut answered, mut after_kill, mut failed) = (0u64, 0u64, Vec::new());
+            while !done.load(Ordering::SeqCst) {
+                let post = killed.load(Ordering::SeqCst);
+                match rc.contains(0, &centroid) {
+                    Ok(Some(true)) => answered += 1,
+                    other => failed.push(format!("{other:?}")),
+                }
+                after_kill += u64::from(post);
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            (answered, after_kill, failed)
+        });
+        let stop = Stop(&done);
+        wait_until("reads through the router before the kill", || {
+            router.forwarded() >= 10
+        });
 
-    // Availability through the window: the follower answers reads
-    // immediately (read-only, lag 0 — its primary died caught-up).
-    let snap = fc.snapshot(0).expect("reads must survive the kill");
-    assert_eq!(canonical_served(&snap), canonical_offline(&pts));
+        // Kill -9: no drain, no goodbye. The degraded window starts here.
+        primary.0.kill().expect("SIGKILL primary");
+        let _ = primary.0.wait();
+        killed.store(true, Ordering::SeqCst);
 
-    // Writes start succeeding exactly when the follower promotes. A
-    // duplicate of an existing point is the probe — harmless to the
-    // hull by Theorem 4.2, whatever moment it lands.
-    wait_until("follower self-promotion", || {
-        fc.mutate(0, MutationBatch::new().insert(rows[0].clone()))
-            .is_ok()
+        // Availability through the window: the follower answers reads
+        // immediately (read-only, lag 0 — its primary died caught-up).
+        let snap = fc.snapshot(0).expect("reads must survive the kill");
+        assert_eq!(canonical_served(&snap), canonical_offline(&pts));
+
+        // Writes through the router start succeeding once the follower
+        // promotes and the write path fails over to it. A duplicate of
+        // an existing point is the probe — harmless to the hull by
+        // Theorem 4.2, whatever moment it lands.
+        let mut wc = connect(raddr);
+        wait_until("follower self-promotion", || {
+            wc.mutate(0, MutationBatch::new().insert(rows[0].clone()))
+                .is_ok()
+        });
+        drop(stop);
+        reader.join().expect("reader thread")
     });
-    fc.flush(0).unwrap();
-    let snap = fc.snapshot(0).unwrap();
+    assert!(
+        failed.is_empty(),
+        "{} of {} reads through the router failed across the kill and promotion: {failed:?}",
+        failed.len(),
+        answered + failed.len() as u64,
+    );
+    assert!(after_kill > 0, "no read ran between the kill and promotion");
+    assert!(router.failovers() >= 1, "write failover must be counted");
+
+    let mut rc = connect(raddr);
+    rc.flush(0).unwrap();
+    let snap = rc.snapshot(0).unwrap();
     assert_eq!(
         canonical_served(&snap),
         canonical_offline(&pts),
         "promoted hull differs from offline Algorithm 2 after SIGKILL"
     );
+    router.shutdown();
     fc.shutdown_server().unwrap();
 }
 
