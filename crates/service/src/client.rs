@@ -658,40 +658,30 @@ impl HullClient {
         }
     }
 
-    /// Pull one typed replication unit: the
-    /// journal unit at `from_index` as `(index, total, dim, unit)`,
-    /// where the unit distinguishes ordinary ops (inserts plus
-    /// tombstones) from a survivor checkpoint that replaces everything
-    /// before it. `index == total` with an empty `Ops` unit means
-    /// caught up — poll again later. A shipment dropped by the
-    /// primary's `replica.ship` failpoint surfaces as `WouldBlock`.
+    /// Pull typed replication units: every journal unit from
+    /// `from_index` on that fits one frame, as `(index, total, dim,
+    /// units)` with `units` at indices `index..`. Each unit is either
+    /// ordinary ops (inserts plus tombstones) or a survivor checkpoint
+    /// that replaces everything before it. No units means caught up —
+    /// poll again later. The primary records `from_index` as this
+    /// subscriber's ack. A shipment dropped by the primary's
+    /// `replica.ship` failpoint surfaces as `WouldBlock`.
     pub fn repl_unit_fetch(
         &mut self,
         shard: u16,
         from_index: u64,
-    ) -> io::Result<(u64, u64, usize, ReplUnit)> {
+    ) -> io::Result<(u64, u64, usize, Vec<ReplUnit>)> {
         match self.ask(&Request::ReplUnitFetch { shard, from_index })? {
-            Response::ReplUnit {
+            Response::ReplUnits {
                 index,
                 total,
                 dim,
-                unit,
-            } => Ok((index, total, dim, unit)),
+                units,
+            } => Ok((index, total, dim, units)),
             Response::Overloaded => Err(io::Error::new(
                 io::ErrorKind::WouldBlock,
                 "primary dropped the replication shipment",
             )),
-            Response::Error(m) => Err(server_error(m)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Tell the primary this follower has durably applied every unit
-    /// below `index`; returns the primary's view of the follower's lag
-    /// in batch units (feeds the `chull_replica_*` gauges there).
-    pub fn repl_ack(&mut self, shard: u16, index: u64) -> io::Result<u64> {
-        match self.ask(&Request::ReplAck { shard, index })? {
-            Response::ReplAcked { lag } => Ok(lag),
             Response::Error(m) => Err(server_error(m)),
             other => Err(unexpected(other)),
         }

@@ -72,6 +72,16 @@ const MAX_TAGGED_INFLIGHT: usize = 64;
 const PARKED_CAP: usize = 1024;
 /// Pending reply bytes above which reads pause (peer not draining).
 const WBUF_HIGH: usize = 1 << 20;
+/// `accept` errno values for "out of file descriptors" (process and
+/// system table), the same on Linux and the BSDs.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
+/// How long a listener parked on `EMFILE`/`ENFILE` waits before it
+/// retries `accept` when no connection of its own closes first: the
+/// descriptor that frees may be held elsewhere in the process (WAL files,
+/// the metrics server, a follower's puller) or, for `ENFILE`, by another
+/// process.
+const STARVED_RETRY: Duration = Duration::from_millis(100);
 const TOKEN_LISTENER: Token = Token(0);
 const TOKEN_WAKER: Token = Token(1);
 const TOKEN_BASE: usize = 2;
@@ -294,6 +304,7 @@ pub(crate) fn spawn_reactor(
                 oneshot,
                 oneshot_accepted: false,
                 accepting: true,
+                fd_starved: None,
                 shutdown_grace: None,
             };
             // Contain reactor panics (e.g. an armed failpoint with a
@@ -348,6 +359,10 @@ struct Reactor {
     oneshot: bool,
     oneshot_accepted: bool,
     accepting: bool,
+    /// When the listener was parked because `accept` ran out of
+    /// descriptors; the next closed connection re-registers it, or the
+    /// loop does once [`STARVED_RETRY`] has passed.
+    fd_starved: Option<Instant>,
     shutdown_grace: Option<Instant>,
 }
 
@@ -392,6 +407,12 @@ impl Reactor {
             }
             self.drain_completions();
             self.sweep_deadlines();
+            if self
+                .fd_starved
+                .is_some_and(|t| t.elapsed() >= STARVED_RETRY)
+            {
+                self.resume_accepting();
+            }
         }
         // Shutdown: drop whatever is left (grace expired or none open).
         for key in self.conns.keys() {
@@ -429,6 +450,13 @@ impl Reactor {
                 Ok((s, _)) => s,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                    // The backlog keeps the listener readable, so polling
+                    // it now would spin; park it until a descriptor frees.
+                    let _ = self.poller.deregister(self.listener.as_raw_fd());
+                    self.fd_starved = Some(Instant::now());
+                    break;
+                }
                 Err(_) => break,
             };
             // Failpoint `server.accept`: a chaos schedule may stall (or
@@ -675,6 +703,19 @@ impl Reactor {
         }
     }
 
+    /// Re-register a listener parked on `EMFILE`/`ENFILE`; a failed
+    /// register parks it for another [`STARVED_RETRY`].
+    fn resume_accepting(&mut self) {
+        if self.fd_starved.is_none() || !self.accepting {
+            return;
+        }
+        let fd = self.listener.as_raw_fd();
+        self.fd_starved = match self.poller.register(fd, TOKEN_LISTENER, Interest::READABLE) {
+            Ok(()) => None,
+            Err(_) => Some(Instant::now()),
+        };
+    }
+
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         for key in self.conns.keys() {
@@ -697,6 +738,7 @@ impl Reactor {
         m.connections_closed.incr();
         m.connections_active.add(-1);
         drop(conn);
+        self.resume_accepting();
         if self.oneshot && self.oneshot_accepted && self.conns.is_empty() {
             trigger_shutdown(&self.shared);
         }

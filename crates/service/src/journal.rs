@@ -40,7 +40,7 @@
 //! and one Algorithm 3 batch installs the rest — cheap enough that
 //! "recovery = re-run the algorithm" is the *whole* recovery story.
 
-use crate::wire::ReplUnit;
+use crate::wire::{units_per_frame, ReplUnit};
 use chull_core::LiveSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -342,16 +342,23 @@ impl UnitLog {
         g.base + g.units.len() as u64
     }
 
-    /// The unit a subscriber at absolute cursor `from` needs: `None`
-    /// when caught up; the checkpoint at `base` when `from` points into
-    /// compacted history; otherwise the unit at `from` itself. The
-    /// returned index is the unit's absolute position (it may be
-    /// *above* `from` for the checkpoint case).
-    pub fn get(&self, from: u64) -> Option<(u64, Arc<ReplUnit>)> {
+    /// The units a subscriber at absolute cursor `from` lacks, as many
+    /// as fit one reply frame ([`units_per_frame`]), with the absolute
+    /// index of the first and the [`UnitLog::total`]: the run from
+    /// `max(from, base)` on — led by the checkpoint at `base` when `from`
+    /// points into compacted history (so the index may be *above*
+    /// `from`), and empty, at `total`, when the subscriber is caught up.
+    /// Only the units that fit are cloned under the lock.
+    pub fn get(&self, from: u64) -> (u64, u64, Vec<Arc<ReplUnit>>) {
         let g = self.read();
-        let at = from.max(g.base);
-        let unit = g.units.get((at - g.base) as usize)?;
-        Some((at, Arc::clone(unit)))
+        let skip = from.saturating_sub(g.base).min(g.units.len() as u64);
+        let tail = &g.units[skip as usize..];
+        let fit = units_per_frame(tail.iter().map(|u| &**u));
+        (
+            g.base + skip,
+            g.base + g.units.len() as u64,
+            tail[..fit].to_vec(),
+        )
     }
 }
 
@@ -815,13 +822,15 @@ mod tests {
 
     /// The closed units, from the oldest held one.
     fn units(j: &Journal) -> Vec<ReplUnit> {
-        let mut out = Vec::new();
-        let mut at = 0;
-        while let Some((i, u)) = j.log().get(at) {
-            out.push((*u).clone());
-            at = i + 1;
+        let (mut out, mut at) = (Vec::new(), 0);
+        loop {
+            let (index, _, units) = j.log().get(at);
+            if units.is_empty() {
+                return out;
+            }
+            at = index + units.len() as u64;
+            out.extend(units.iter().map(|u| (**u).clone()));
         }
-        out
     }
 
     fn ops(inserts: &[&[i64]], tombstones: &[&[i64]]) -> ReplUnit {
@@ -1170,7 +1179,7 @@ mod tests {
                 survivors,
             };
             assert_eq!(units(&j), vec![checkpoint.clone()]);
-            assert_eq!(j.log().get(0).unwrap().0, 6, "lagging cursors get it");
+            assert_eq!(j.log().get(0).0, 6, "lagging cursors get it");
             // Appending keeps counting from there.
             j.append(&[9, 9]).unwrap();
             j.mark_batch().unwrap();

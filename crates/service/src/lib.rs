@@ -19,7 +19,7 @@
 //!   expirations in one envelope), the `Contains`/`Visible`/`Extreme`
 //!   queries, `Stats`, `Snapshot`, `Flush`, `Shutdown`, `Metrics`, a
 //!   `Hello` version check, `Tagged` correlation-id frames for
-//!   pipelining, `ReplUnitFetch`/`ReplAck` journal shipping, and the
+//!   pipelining, `ReplUnitFetch` journal shipping, and the
 //!   `Degraded`/`Stale` status wrappers;
 //! * [`replica`] — follower replicas: a puller thread pulls a primary's
 //!   typed journal units (pull-based, resume cursor = its own unit

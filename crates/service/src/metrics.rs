@@ -3,9 +3,9 @@
 //! Naming: everything is `chull_*`; durations are microsecond
 //! histograms suffixed `_us`; monotone counts end `_total`. Per-shard
 //! levels (queue depth, journal length, dependence depth, epoch) are
-//! gauges labeled `shard="N"`, refreshed by the owning worker after
-//! each batch and by [`crate::shard::HullService::update_scrape_gauges`]
-//! at scrape time; per-op request series are labeled `op="..."`.
+//! gauges labeled `shard="N"`, set in one place,
+//! [`crate::shard::HullService::update_scrape_gauges`], at scrape time;
+//! per-op request series are labeled `op="..."`.
 
 use chull_geometry::KernelCounts;
 use chull_obs::{registry, Counter, Gauge, Histogram};

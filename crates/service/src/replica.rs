@@ -16,16 +16,20 @@
 //! under one marker) or a `Checkpoint` (the survivor set of a
 //! tombstone/journal-ratio rebuild, which *replaces* the follower's
 //! shard state and moves its cursor past the compacted history). The
-//! follower's puller thread asks for the unit at `from_index = ` its own
-//! durable batch count and lands it through
-//! [`HullService::apply_replica_units`], the one replica entry: an `Ops`
-//! unit extends the hull like local ingest, a checkpoint is journaled
-//! and installed with one bulk build. The shard alone decides which
-//! shipped unit is new and reports how many landed; the puller counts
-//! and acks from that. An empty follower shard first **bootstraps**: it
-//! fetches the primary's whole window — a leading checkpoint and
-//! tombstone units included — and lands it as one shipment, journaled
-//! unit for unit under one WAL flush and installed with one bulk build.
+//! follower's puller thread has one loop: it asks for every unit from
+//! `from_index = ` its own published batch count, gets as many as fit
+//! one frame, and lands the reply through one
+//! [`HullService::apply_replica_units`], the one replica entry. Onto a
+//! shard that holds units, a run of `Ops` units extends the hull like
+//! local ingest, unit by unit; a reply that holds a checkpoint is
+//! journaled unit for unit under one WAL flush and installed with one
+//! bulk build. An empty shard **bootstraps** the same way from the
+//! primary's whole window, fetched frame after frame before it lands.
+//! The shard alone decides which shipped unit is new and reports how
+//! many landed; the puller counts from that. Each reply lands before the
+//! next fetch, so every `from_index` is also a true ack (a bootstrap's
+//! gather aside), which the primary's `chull_replica_*` gauges report;
+//! there is no separate ack op.
 //! Because the resume cursor *is* the follower's own (published) batch
 //! count, resubscribe-with-resume after any fault (link loss, dropped
 //! shipment, puller death mid-apply) is a plain reconnect: nothing is
@@ -111,7 +115,7 @@ impl ReplicaState {
         self.resubscribes.load(Ordering::SeqCst)
     }
 
-    /// Fetched units dropped before apply by the `replica.apply`
+    /// Fetched shipments dropped before apply by the `replica.apply`
     /// failpoint (each forces a duplicate re-fetch).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::SeqCst)
@@ -235,7 +239,7 @@ fn puller(service: &HullService, state: &ReplicaState, opts: &FollowOptions) {
     }
 }
 
-/// One subscription session: connect, then pull/apply/ack round-robin
+/// One subscription session: connect, then pull and apply round-robin
 /// across shards until an error (resubscribe) or stop. `Ok(())` only on
 /// a requested stop.
 fn session(service: &HullService, state: &ReplicaState, opts: &FollowOptions) -> io::Result<()> {
@@ -243,16 +247,13 @@ fn session(service: &HullService, state: &ReplicaState, opts: &FollowOptions) ->
         .deadline(opts.connect_deadline)
         .connect()?;
     let shards = service.num_shards() as u16;
-    for shard in 0..shards {
-        bootstrap_bulk(service, state, &mut client, shard)?;
-    }
     loop {
         if state.stop.load(Ordering::SeqCst) {
             return Ok(());
         }
         let mut caught_up = true;
         for shard in 0..shards {
-            if pull_unit(service, state, &mut client, shard)? {
+            if pull(service, state, &mut client, shard)? {
                 caught_up = false;
             }
         }
@@ -262,106 +263,70 @@ fn session(service: &HullService, state: &ReplicaState, opts: &FollowOptions) ->
     }
 }
 
-/// Pull and apply one typed unit for `shard`. Returns whether the
-/// shard made (or still needs) progress.
-fn pull_unit(
+/// Fetch every unit `shard` lacks that fits one frame, from its
+/// published unit count (which the primary records as this follower's
+/// ack), and land the reply with one
+/// [`HullService::apply_replica_units`]. An empty shard instead fetches
+/// the primary's whole window, however many frames it spans, and lands
+/// it as one shipment: its bootstrap, one bulk build (DESIGN §S21).
+/// Returns whether the primary shipped anything, i.e. whether the shard
+/// was behind.
+fn pull(
     service: &HullService,
     state: &ReplicaState,
     client: &mut HullClient,
     shard: u16,
 ) -> io::Result<bool> {
+    let dim = service.config().dim;
+    let mut fetch = |at: u64| -> io::Result<(u64, u64, Vec<ReplUnit>)> {
+        let (index, total, unit_dim, units) = client.repl_unit_fetch(shard, at)?;
+        state.note_total(shard, total);
+        if !units.is_empty() && unit_dim != dim {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("primary ships dimension {unit_dim}, follower is {dim}"),
+            ));
+        }
+        Ok((index, total, units))
+    };
     let from = service.batch_units(shard).map_err(svc_err)?;
-    let (index, total, unit_dim, unit) = client.repl_unit_fetch(shard, from)?;
-    state.note_total(shard, total);
-    check_dim(service, unit_dim, &unit)?;
-    // An empty `Ops` unit means caught up. Whether any other unit is
-    // new is the shard's call (`apply_replica_units` drops what it
-    // already holds).
-    if matches!(unit, ReplUnit::Ops { .. }) && unit.is_empty() {
-        return Ok(total > from);
+    let (mut index, mut total, mut units) = fetch(from)?;
+    if units.is_empty() {
+        return Ok(false);
     }
-    // Failpoint `replica.apply`: follower death mid-apply (panic →
-    // resubscribe-with-resume one frame up) or a dropped fetched unit
-    // (forces a duplicate re-fetch).
+    // A checkpoint fetched midway (the primary compacted meanwhile)
+    // supersedes what came before it.
+    while from == 0 && total > index + units.len() as u64 {
+        let next = index + units.len() as u64;
+        let (at, now, more) = fetch(next)?;
+        total = now;
+        if more.is_empty() {
+            break;
+        }
+        if at == next {
+            units.extend(more);
+        } else {
+            (index, units) = (at, more);
+        }
+    }
+    // Failpoint `replica.apply`, once per shipment: follower death
+    // mid-apply (panic → resubscribe-with-resume one frame up) or a
+    // dropped shipment (forces a duplicate re-fetch).
     if failpoint::eval(sites::REPL_APPLY) == FaultAction::SpuriousFull {
         state.dropped.fetch_add(1, Ordering::SeqCst);
         return Ok(true);
     }
-    let landed = service
-        .apply_replica_units(shard, index, vec![unit])
-        .map_err(svc_err)?;
-    state.applied.fetch_add(landed, Ordering::SeqCst);
-    let durable = service.batch_units(shard).map_err(svc_err)?;
-    let _ = client.repl_ack(shard, durable)?;
-    Ok(landed > 0 || total > durable)
-}
-
-/// Follower **bootstrap**: when a shard is completely empty, fetch the
-/// primary's whole journaled window — a leading checkpoint, tombstone
-/// units and all — and land it as one shipment, which the shard journals
-/// unit for unit (the 1:1 index mirror, under one WAL flush) and installs
-/// with one bulk build (DESIGN §S21) instead of per-unit apply. A checkpoint fetched midway
-/// (the primary compacted meanwhile) supersedes what came before it.
-fn bootstrap_bulk(
-    service: &HullService,
-    state: &ReplicaState,
-    client: &mut HullClient,
-    shard: u16,
-) -> io::Result<()> {
-    if service.batch_units(shard).map_err(svc_err)? != 0 {
-        return Ok(());
-    }
-    let mut start = 0u64;
-    let mut units: Vec<ReplUnit> = Vec::new();
-    loop {
-        let next = start + units.len() as u64;
-        let (index, total, unit_dim, unit) = client.repl_unit_fetch(shard, next)?;
-        state.note_total(shard, total);
-        check_dim(service, unit_dim, &unit)?;
-        match unit {
-            ReplUnit::Checkpoint { .. } => {
-                start = index;
-                units = vec![unit];
-            }
-            ReplUnit::Ops { .. } if index == next && !unit.is_empty() => units.push(unit),
-            ReplUnit::Ops { .. } => break,
-        }
-        if start + units.len() as u64 >= total {
-            break;
-        }
-    }
-    if units.is_empty() {
-        return Ok(());
-    }
-    // Failpoint `replica.apply`, once for the whole window: a dropped
-    // bootstrap leaves the shard empty for the per-unit loop to re-fetch.
-    if failpoint::eval(sites::REPL_APPLY) == FaultAction::SpuriousFull {
-        state.dropped.fetch_add(1, Ordering::SeqCst);
-        return Ok(());
-    }
     let points: usize = units.iter().map(|u| u.inserts().len()).sum();
     let applied = service
-        .apply_replica_units(shard, start, units)
+        .apply_replica_units(shard, index, units)
         .map_err(svc_err)?;
     state.applied.fetch_add(applied, Ordering::SeqCst);
-    let durable = service.batch_units(shard).map_err(svc_err)?;
-    let _ = client.repl_ack(shard, durable)?;
-    eprintln!(
-        "replica: shard {shard} bootstrapped {points} points / {applied} units via bulk build"
-    );
-    Ok(())
-}
-
-/// Refuse a unit with rows of another dimension than this follower's.
-fn check_dim(service: &HullService, unit_dim: usize, unit: &ReplUnit) -> io::Result<()> {
-    let dim = service.config().dim;
-    if !unit.is_empty() && unit_dim != dim {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("primary ships dimension {unit_dim}, follower is {dim}"),
-        ));
+    if from == 0 && applied > 0 {
+        eprintln!(
+            "replica: shard {shard} bootstrapped {points} points / {applied} units via bulk build"
+        );
     }
-    Ok(())
+    Ok(true)
 }
 
 fn svc_err(e: crate::shard::ServiceError) -> io::Error {

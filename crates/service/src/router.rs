@@ -252,8 +252,7 @@ fn shard_of(req: &Request) -> u16 {
         | Request::Snapshot { shard }
         | Request::Flush { shard }
         | Request::Mutate { shard, .. }
-        | Request::ReplUnitFetch { shard, .. }
-        | Request::ReplAck { shard, .. } => *shard,
+        | Request::ReplUnitFetch { shard, .. } => *shard,
         Request::Tagged { inner, .. } => shard_of(inner),
         Request::Hello { .. } | Request::Shutdown | Request::Metrics => 0,
     }
@@ -265,8 +264,7 @@ fn is_write(req: &Request) -> bool {
         Request::Mutate { .. }
         | Request::Flush { .. }
         | Request::Shutdown
-        | Request::ReplUnitFetch { .. }
-        | Request::ReplAck { .. } => true,
+        | Request::ReplUnitFetch { .. } => true,
         Request::Tagged { inner, .. } => is_write(inner),
         _ => false,
     }

@@ -417,28 +417,25 @@ fn dispatch(service: &HullService, req: Request) -> (Response, bool) {
         Request::Hello { version } => Response::Error(format!(
             "protocol version {version} unsupported; this server speaks {PROTOCOL_VERSION}"
         )),
-        // Replication: ship the typed journal unit at `from_index` (pull
-        // model — the subscriber's cursor is its own unit count, so a
-        // lost reply is just re-fetched). The `replica.ship` failpoint
-        // models a dropped/aborted shipment on the link.
+        // Replication: ship the typed journal units from `from_index`
+        // that fit one frame (pull model — the subscriber's cursor is its
+        // own unit count, so a lost reply is just re-fetched, and it is
+        // the subscriber's ack). The `replica.ship` failpoint models a
+        // dropped/aborted shipment on the link.
         Request::ReplUnitFetch { shard, from_index } => match failpoint::eval(sites::REPL_SHIP) {
             failpoint::FaultAction::SpuriousFull => Response::Overloaded,
             failpoint::FaultAction::TruncateWrite(_) => {
                 Response::Error("replication shipment aborted (failpoint)".to_string())
             }
             failpoint::FaultAction::Proceed => match service.repl_unit_fetch(shard, from_index) {
-                Ok((index, total, unit)) => Response::ReplUnit {
+                Ok((index, total, units)) => Response::ReplUnits {
                     index,
                     total,
                     dim: service.config().dim,
-                    unit,
+                    units,
                 },
                 Err(e) => err_response(e),
             },
-        },
-        Request::ReplAck { shard, index } => match service.repl_ack(shard, index) {
-            Ok(lag) => Response::ReplAcked { lag },
-            Err(e) => err_response(e),
         },
         Request::Metrics => {
             // Refresh level gauges so an idle service still scrapes

@@ -357,8 +357,7 @@ fn bulk_core<R: AsRef<[i64]>>(
 /// the replaced hull's facets, possibly with different internal ids,
 /// which every query surface is insensitive to. The epoch becomes the
 /// journal's unit count (never lower: a torn tail keeps the published
-/// epoch); the level stats and gauges are refreshed, and the result is
-/// published.
+/// epoch); the level stats are refreshed, and the result is published.
 fn install(ctx: &ShardCtx, st: &mut ShardState) {
     let live = st.journal.replay();
     let rows: Vec<&[i64]> = live.live_rows().collect();
@@ -370,17 +369,11 @@ fn install(ctx: &ShardCtx, st: &mut ShardState) {
     st.recorded = st.core.applied();
     st.epoch = st.journal.batch_count().max(st.epoch);
     refresh_levels(ctx, st);
-    if chull_obs::armed() {
-        ctx.gauges.epoch.set(st.epoch as i64);
-        ctx.gauges
-            .dep_depth
-            .set(st.core.hull().map(|h| h.dep_depth()).unwrap_or(0) as i64);
-    }
     publish(ctx, st);
 }
 
-/// Store the journal and live-set levels in the shard's stats (and
-/// gauges, when armed).
+/// Store the journal and live-set levels in the shard's stats (the
+/// scrape-time gauges read them there).
 fn refresh_levels(ctx: &ShardCtx, st: &ShardState) {
     let (journal, live, dead) = (st.journal.len(), st.live.live(), st.live.dead_entries());
     ctx.stats
@@ -390,11 +383,6 @@ fn refresh_levels(ctx: &ShardCtx, st: &ShardState) {
     ctx.stats
         .lazy_tombstones
         .store(dead as u64, Ordering::Relaxed);
-    if chull_obs::armed() {
-        ctx.gauges.journal_len.set(journal as i64);
-        ctx.gauges.live_points.set(live as i64);
-        ctx.gauges.lazy_tombstones.set(dead as i64);
-    }
 }
 
 /// Seal the journal's open tail for replay, surfacing a torn tail (a
@@ -519,11 +507,17 @@ impl HullService {
             // Every recovered unit counts as one replayed batch (the
             // checkpoint of an emptied shard holds no rows: not a batch).
             let mut at = 0;
-            while let Some((i, unit)) = log.get(at) {
-                if !unit.is_empty() {
-                    stats.record_batch(unit.inserts().len() as u64);
+            loop {
+                let (index, _, units) = log.get(at);
+                if units.is_empty() {
+                    break;
                 }
-                at = i + 1;
+                for unit in &units {
+                    if !unit.is_empty() {
+                        stats.record_batch(unit.inserts().len() as u64);
+                    }
+                }
+                at = index + units.len() as u64;
             }
             let core = HullBuilder::new(config.dim);
             let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
@@ -737,54 +731,27 @@ impl HullService {
         Ok(self.shard(shard)?.units())
     }
 
-    /// Ship one **typed** journal batch unit to a replication
-    /// subscriber: returns `(index, total, unit)` — the unit at
-    /// `from_index`, or the pending checkpoint unit (whose `index` may
-    /// be **ahead** of `from_index`: units the checkpoint collapsed are
-    /// no longer individually available and the follower must apply the
-    /// checkpoint instead), or an empty `Ops` unit with `index == total`
-    /// when the subscriber is caught up.
+    /// Ship a replication subscriber the **typed** journal units it
+    /// lacks, as many as fit one frame ([`crate::wire::units_per_frame`]): returns
+    /// `(index, total, units)` — the run from `from_index`, or from the
+    /// pending checkpoint unit (whose `index` may be **ahead** of
+    /// `from_index`: units the checkpoint collapsed are no longer
+    /// individually available and the follower must apply the
+    /// checkpoint instead), and empty, with `index == total`, when the
+    /// subscriber is caught up. A follower fetches from its published
+    /// unit count (save while an empty shard gathers a bootstrap), so
+    /// the fetch is also its ack: it is recorded for the
+    /// `chull_replica_*` gauges.
     pub fn repl_unit_fetch(
         &self,
         shard: u16,
         from_index: u64,
-    ) -> Result<(u64, u64, ReplUnit), ServiceError> {
+    ) -> Result<(u64, u64, Vec<ReplUnit>), ServiceError> {
         let sh = self.shard(shard)?;
-        let total = sh.log.total();
-        match sh.log.get(from_index) {
-            Some((index, unit)) => {
-                service_metrics().repl_units_shipped.incr();
-                Ok((index, total, (*unit).clone()))
-            }
-            None => Ok((
-                total,
-                total,
-                ReplUnit::Ops {
-                    inserts: Vec::new(),
-                    tombstones: Vec::new(),
-                },
-            )),
-        }
-    }
-
-    /// Record a subscriber's durable-apply ack (`ReplAck` dispatch):
-    /// every unit below `index` is applied on the subscriber. Returns
-    /// the subscriber's lag in batch units and refreshes the
-    /// `chull_replica_*` gauges.
-    pub fn repl_ack(&self, shard: u16, index: u64) -> Result<u64, ServiceError> {
-        let sh = self.shard(shard)?;
-        let total = sh.log.total();
-        let index = index.min(total);
-        let acked = sh.acked.fetch_max(index, Ordering::SeqCst).max(index);
-        if chull_obs::armed() {
-            sh.gauges
-                .replica_last_acked
-                .set(acked.min(i64::MAX as u64) as i64);
-            sh.gauges
-                .replica_lag_batches
-                .set(total.saturating_sub(acked).min(i64::MAX as u64) as i64);
-        }
-        Ok(total.saturating_sub(acked))
+        let (index, total, units) = sh.log.get(from_index);
+        sh.acked.fetch_max(from_index.min(total), Ordering::SeqCst);
+        service_metrics().repl_units_shipped.add(units.len() as u64);
+        Ok((index, total, units.iter().map(|u| (**u).clone()).collect()))
     }
 
     /// Land a replicated shipment (follower puller path, allowed even in
@@ -1051,9 +1018,6 @@ fn drain_loop(ctx: &ShardCtx, st: &mut ShardState) {
     // (possibly replayed) hull on every loop (re)entry, so recovery replay
     // work is never double-counted into the ingest counters.
     let mut prev_kernel = st.core.hull().map(|h| h.kernel).unwrap_or_default();
-    if chull_obs::armed() {
-        ctx.gauges.workers.set(ctx.workers as i64);
-    }
     loop {
         batch.clear();
         if ctx.queue.pop_batch(ctx.max_batch, &mut batch) == 0 {
@@ -1314,11 +1278,6 @@ fn apply_unit(
         let now_kernel = st.core.hull().map(|h| h.kernel).unwrap_or_default();
         m.ingest_kernel.fold_delta(&now_kernel, prev_kernel);
         *prev_kernel = now_kernel;
-        ctx.gauges.queue_depth.set(ctx.queue.len() as i64);
-        ctx.gauges
-            .dep_depth
-            .set(st.core.hull().map(|h| h.dep_depth()).unwrap_or(0) as i64);
-        ctx.gauges.epoch.set(st.epoch as i64);
     }
 }
 
@@ -1432,11 +1391,12 @@ fn count_rebuild(ctx: &ShardCtx, t0: Instant, auto: bool) {
 /// returns how many landed. Units below the shard's own unit count are
 /// already held and dropped (a checkpoint at index `i` covers units
 /// `..=i`); a shipment that would leave a gap is dropped whole, for the
-/// puller to re-fetch from its cursor. One `Ops` unit onto a shard that
-/// already holds units applies like local ingest ([`apply_unit`]: window
-/// and ratio triggers off — the primary ships their decisions). Anything
-/// else — a checkpoint, several units, or the first units of an empty
-/// shard — is journaled (a checkpoint through
+/// puller to re-fetch from its cursor. A run of `Ops` units onto a shard
+/// that already holds units applies like local ingest, unit by unit in
+/// order ([`apply_unit`]: window and ratio triggers off — the primary
+/// ships their decisions), so a catch-up never rebuilds the whole hull.
+/// A shipment that holds a checkpoint, or the first units of an empty
+/// shard, is journaled (a checkpoint through
 /// [`Journal::install_checkpoint`], which supersedes every unit before
 /// it; the units after it through one [`Journal::append_units`]) and
 /// then [`install`]ed with one bulk build.
@@ -1453,24 +1413,28 @@ fn apply_replica(
     match units.first() {
         None => return 0,
         Some(ReplUnit::Ops { .. }) if from + skip != held => return 0,
-        Some(ReplUnit::Ops {
-            inserts,
-            tombstones,
-        }) if held > 0 && units.len() == 1 => {
-            let muts = inserts
-                .iter()
-                .cloned()
-                .map(Mutation::Insert)
-                .chain(tombstones.iter().cloned().map(Mutation::Delete))
-                .collect();
-            apply_unit(ctx, st, prev_kernel, muts, true);
-            service_metrics().repl_units_applied.incr();
-            return 1;
-        }
         Some(_) => {}
     }
-    let t0 = Instant::now();
     let landed = units.len() as u64;
+    if held > 0 && units.iter().all(|u| matches!(u, ReplUnit::Ops { .. })) {
+        for unit in units {
+            if let ReplUnit::Ops {
+                inserts,
+                tombstones,
+            } = unit
+            {
+                let muts = inserts
+                    .into_iter()
+                    .map(Mutation::Insert)
+                    .chain(tombstones.into_iter().map(Mutation::Delete))
+                    .collect();
+                apply_unit(ctx, st, prev_kernel, muts, true);
+                service_metrics().repl_units_applied.incr();
+            }
+        }
+        return landed;
+    }
+    let t0 = Instant::now();
     // The last checkpoint supersedes every unit before it.
     let cut = units
         .iter()
@@ -2697,10 +2661,17 @@ mod tests {
         ];
         assert_eq!(svc.apply_replica_units(0, 0, units[..2].to_vec()), Ok(2));
         assert_eq!(svc.batch_units(0).unwrap(), 2);
+        let st = svc.stats_for(0).unwrap();
+        let bulk_builds = st.bulk_builds.load(Ordering::Relaxed);
         assert_eq!(
             svc.apply_replica_units(0, 0, units),
             Ok(3),
             "only 2..5 land"
+        );
+        assert_eq!(
+            st.bulk_builds.load(Ordering::Relaxed),
+            bulk_builds,
+            "a catch-up of ops units lands unit by unit, never as a rebuild"
         );
         assert_eq!(
             svc.batch_units(0).unwrap(),
@@ -2708,7 +2679,6 @@ mod tests {
             "units 0 and 1 journaled once"
         );
         let live: Vec<Vec<i64>> = rows[3..10].iter().chain(&rows[15..]).cloned().collect();
-        let st = svc.stats_for(0).unwrap();
         assert_eq!(st.live_points.load(Ordering::Relaxed), live.len() as u64);
         assert_eq!(st.lazy_tombstones.load(Ordering::Relaxed), 8);
         assert_eq!(
@@ -2723,6 +2693,49 @@ mod tests {
         assert_eq!(gapped, Ok(0));
         assert_eq!(svc.batch_units(0).unwrap(), 5);
         assert_eq!(svc.flush(0).unwrap(), epoch);
+        svc.shutdown();
+    }
+
+    /// One fetch ships the window: from 0, every unit in one reply; from
+    /// below a checkpoint's base, the checkpoint first; caught up, no
+    /// units. Each fetch's cursor is recorded as the subscriber's ack,
+    /// clamped to the unit count and never moving back.
+    #[test]
+    fn repl_unit_fetch_ships_the_window_and_records_the_ack() {
+        let svc = HullService::new(cfg(2, 1)).unwrap();
+        let rows = disk_rows(40, 81);
+        let units = vec![
+            ops_unit(&rows[..10], &[]),
+            ops_unit(&rows[10..20], &[]),
+            ops_unit(&rows[20..30], &rows[..2]),
+        ];
+        svc.apply_replica_units(0, 0, units.clone()).unwrap();
+        let acked = || svc.shards[0].acked.load(Ordering::SeqCst);
+        assert_eq!(svc.repl_unit_fetch(0, 0), Ok((0, 3, units.clone())));
+        assert_eq!(svc.repl_unit_fetch(0, 2), Ok((2, 3, units[2..].to_vec())));
+        assert_eq!(acked(), 2);
+        assert_eq!(svc.repl_unit_fetch(0, 0).unwrap().0, 0);
+        assert_eq!(acked(), 2, "an older cursor does not move the ack back");
+
+        // Compact to unit 4, then one more unit on top.
+        let checkpoint = ReplUnit::Checkpoint {
+            units_after: 4,
+            survivors: rows[5..30].to_vec(),
+        };
+        svc.apply_replica_units(0, 3, vec![checkpoint.clone()])
+            .unwrap();
+        let tail = ops_unit(&rows[30..], &[]);
+        svc.apply_replica_units(0, 4, vec![tail.clone()]).unwrap();
+        assert_eq!(
+            svc.repl_unit_fetch(0, 1),
+            Ok((3, 5, vec![checkpoint, tail])),
+            "a cursor below the base gets the checkpoint first"
+        );
+
+        assert_eq!(svc.repl_unit_fetch(0, 5), Ok((5, 5, vec![])));
+        assert_eq!(acked(), 5, "a caught-up fetch is an ack");
+        assert_eq!(svc.repl_unit_fetch(0, u64::MAX), Ok((5, 5, vec![])));
+        assert_eq!(acked(), 5, "a cursor past the log is clamped");
         svc.shutdown();
     }
 }

@@ -20,9 +20,8 @@
 //! | `0x09` | `Metrics`  | `u32` length + Prometheus text exposition utf-8 |
 //! | `0x0B` | `Hello`    | `u16` protocol version                          |
 //! | `0x0F` | `Tagged`   | status `0x05` + `u64` id + complete inner reply |
-//! | `0x11` | `ReplAck`  | `u64` lag (total − acked units)                 |
 //! | `0x12` | `Mutate`   | `u32` count, per-mutation accepted bitmap, `u64` epoch |
-//! | `0x13` | `ReplUnitFetch` | `u64` index, `u64` total, `u8` dim, typed unit |
+//! | `0x13` | `ReplUnitFetch` | `u64` index, `u64` total, `u8` dim, typed units to frame end |
 //!
 //! There is one protocol version, [`PROTOCOL_VERSION`]. `Hello` carries
 //! the client's version and the server answers it only when it is
@@ -30,7 +29,7 @@
 //! built against another wire format fails at connect instead of
 //! misreading frames later. `Hello` is stateless and optional: a peer
 //! may send requests without it. Opcodes missing from the table (among
-//! them the retired `0x01`, `0x0A`, `0x0C`–`0x0E` and `0x10`) decode to
+//! them the retired `0x01`, `0x0A`, `0x0C`–`0x0E`, `0x10` and `0x11`) decode to
 //! [`WireError::BadOpcode`] and get an `Error` reply; the connection
 //! stays usable.
 //!
@@ -52,19 +51,16 @@
 //! order, one at a time.
 //!
 //! **Replication** is *pull-based*. A follower sends `ReplUnitFetch {
-//! shard, from_index }` and the primary answers with the typed journal
-//! unit at that index plus its current unit total: a [`ReplUnit`] that
-//! is either `Ops` (inserts plus tombstones journaled under one marker)
-//! or `Checkpoint` (a survivor set that *replaces* the follower's shard
-//! state — how rebuilds from windowed or deleted shards replicate
-//! without shipping history). After a compaction the answered index may
-//! be *ahead of* `from_index`: the checkpoint the follower must reset to.
-//! An empty `Ops` unit with `index == total` means "caught up, poll
-//! again". `ReplAck { shard, index }` tells the primary the follower
-//! has durably applied every unit below `index`; the primary answers
-//! the follower's current lag and feeds the `chull_replica_*` gauges.
-//! The follower skips indices it already holds, so a re-fetched or
-//! duplicated shipment is harmless.
+//! shard, from_index }`, its published unit count, which is also its ack
+//! (it feeds the primary's `chull_replica_*` gauges). The primary answers
+//! with its unit total and every typed journal unit from that index that
+//! fits one frame, none when caught up. A [`ReplUnit`] is `Ops` (inserts
+//! plus tombstones journaled under one marker) or `Checkpoint` (a
+//! survivor set that *replaces* the follower's shard state, so rebuilds
+//! replicate without shipping history): after a compaction the run starts
+//! with it, at an index *ahead of* `from_index`. The follower skips
+//! indices it already holds, so a re-fetched or duplicated shipment is
+//! harmless.
 //!
 //! **Status wrappers.** `Degraded` (`u32` recovery generation + a
 //! complete nested response): the shard's worker died and is replaying
@@ -97,7 +93,7 @@ pub const ALL_SHARDS: u16 = u16::MAX;
 
 /// The one wire version this build speaks; `Hello` with any other
 /// version is refused.
-pub const PROTOCOL_VERSION: u16 = 7;
+pub const PROTOCOL_VERSION: u16 = 8;
 
 const OP_CONTAINS: u8 = 0x02;
 const OP_VISIBLE: u8 = 0x03;
@@ -109,7 +105,6 @@ const OP_SHUTDOWN: u8 = 0x08;
 const OP_METRICS: u8 = 0x09;
 const OP_HELLO: u8 = 0x0B;
 const OP_TAGGED: u8 = 0x0F;
-const OP_REPL_ACK: u8 = 0x11;
 const OP_MUTATE: u8 = 0x12;
 const OP_REPL_UNIT: u8 = 0x13;
 
@@ -118,7 +113,7 @@ const MUT_INSERT: u8 = 0;
 const MUT_DELETE: u8 = 1;
 const MUT_EXPIRE: u8 = 2;
 
-// ReplUnit kind tags inside a `ReplUnit` reply.
+// ReplUnit kind tags inside a `ReplUnits` reply.
 const UNIT_OPS: u8 = 0;
 const UNIT_CHECKPOINT: u8 = 1;
 
@@ -158,7 +153,6 @@ pub const OP_TABLE: &[OpSpec] = &[
     op(OP_METRICS, "metrics", true, false),
     op(OP_HELLO, "hello", true, false),
     op(OP_TAGGED, "tagged", false, false),
-    op(OP_REPL_ACK, "repl_ack", true, false),
     op(OP_MUTATE, "mutate", true, true),
     op(OP_REPL_UNIT, "repl_unit", true, false),
 ];
@@ -309,11 +303,43 @@ impl ReplUnit {
         }
     }
 
-    /// True when the unit holds no rows: the caught-up reply, or the
-    /// checkpoint of an emptied shard.
+    /// True when the unit holds no rows (the checkpoint of an emptied
+    /// shard).
     pub fn is_empty(&self) -> bool {
         self.inserts().is_empty() && self.tombstones().is_empty()
     }
+
+    /// Bytes the unit's encoding adds to a `ReplUnits` reply.
+    fn wire_len(&self) -> usize {
+        let rows = self.inserts().iter().chain(self.tombstones());
+        let rows: usize = rows.map(|r| 8 * r.len()).sum();
+        match self {
+            ReplUnit::Ops { .. } => 1 + 4 + 4 + rows,
+            ReplUnit::Checkpoint { .. } => 1 + 8 + 4 + rows,
+        }
+    }
+}
+
+/// How many of `units`, in order, one `ReplUnits` reply carries: the
+/// longest run whose frame stays within [`MAX_FRAME`] even inside a
+/// `Tagged` wrapper, and at least one unit, so a fetch makes progress.
+pub fn units_per_frame<'a>(units: impl IntoIterator<Item = &'a ReplUnit>) -> usize {
+    let empty = Box::new(Response::ReplUnits {
+        index: 0,
+        total: 0,
+        dim: 2,
+        units: Vec::new(),
+    });
+    let tagged = Response::Tagged {
+        id: 0,
+        inner: empty,
+    };
+    let mut used = tagged.encode().len();
+    let mut fits = |(i, unit): &(usize, &ReplUnit)| {
+        used += unit.wire_len();
+        *i == 0 || used <= MAX_FRAME
+    };
+    units.into_iter().enumerate().take_while(&mut fits).count()
 }
 
 /// A decoded client request.
@@ -375,14 +401,6 @@ pub enum Request {
         /// The request being pipelined.
         inner: Box<Request>,
     },
-    /// Tell the primary every unit below `index` is durably applied on
-    /// this subscriber; drives the replica lag gauges.
-    ReplAck {
-        /// Source shard on the primary.
-        shard: u16,
-        /// One past the highest batch unit applied by the subscriber.
-        index: u64,
-    },
     /// Apply a mixed mutation list to `shard` as one journal unit —
     /// the only write op.
     Mutate {
@@ -391,16 +409,16 @@ pub enum Request {
         /// The mutations, applied in list order within one unit.
         muts: Vec<Mutation>,
     },
-    /// Pull one typed journal unit from `shard`'s replication log. The
-    /// reply can carry tombstones or a rebuild checkpoint, and after a
-    /// compaction the answered index may be *behind* `from_index` (the
-    /// checkpoint the follower must reset to).
+    /// Pull the typed journal units from `from_index` on that fit one
+    /// frame from `shard`'s replication log. After a compaction the
+    /// answered index may be *ahead of* `from_index`: the run then
+    /// starts with the checkpoint the follower must reset to.
     ReplUnitFetch {
         /// Source shard on the primary.
         shard: u16,
         /// Index of the first unit the subscriber still needs — its own
-        /// applied unit count, which makes resubscribe-with-resume a
-        /// plain reconnect.
+        /// published unit count, which makes resubscribe-with-resume a
+        /// plain reconnect and is the subscriber's ack to the primary.
         from_index: u64,
     },
 }
@@ -468,12 +486,6 @@ pub enum Response {
         /// The answer to the wrapped request.
         inner: Box<Response>,
     },
-    /// Ack accepted (reply to [`Request::ReplAck`]).
-    ReplAcked {
-        /// Batch units the subscriber still trails by, as seen by the
-        /// primary (`total - acked index`, saturating).
-        lag: u64,
-    },
     /// Mutation envelope outcome: which mutations were queued, and the
     /// shard's publication epoch at enqueue time. The bitmap is
     /// positional over the request's mutation list.
@@ -484,20 +496,21 @@ pub enum Response {
         /// Snapshot epoch when the envelope was enqueued.
         epoch: u64,
     },
-    /// One typed journal unit (reply to [`Request::ReplUnitFetch`]).
-    /// An empty `Ops` unit with `index == total` means caught up.
-    ReplUnit {
-        /// Index of this unit in the shard's (possibly checkpointed)
-        /// replication log. May be below the requested `from_index`
-        /// when the unit is a checkpoint the follower must reset to.
+    /// A run of consecutive typed journal units (reply to
+    /// [`Request::ReplUnitFetch`]), as many as fit one frame
+    /// ([`units_per_frame`]). An empty run means caught up.
+    ReplUnits {
+        /// Index of the first unit in the shard's (possibly
+        /// checkpointed) replication log; above the requested
+        /// `from_index` when the run starts with a checkpoint.
         index: u64,
         /// The shard's total unit count at reply time — the
         /// subscriber's staleness bound is `total - applied`.
         total: u64,
         /// Dimension.
         dim: usize,
-        /// The unit itself.
-        unit: ReplUnit,
+        /// The units, at indices `index..`.
+        units: Vec<ReplUnit>,
     },
     /// The answer was served by a follower `lag` batch units behind
     /// its replication source: the epoch-staleness bound,
@@ -655,7 +668,6 @@ impl Request {
             Request::Metrics => OP_METRICS,
             Request::Hello { .. } => OP_HELLO,
             Request::Tagged { .. } => OP_TAGGED,
-            Request::ReplAck { .. } => OP_REPL_ACK,
             Request::Mutate { .. } => OP_MUTATE,
             Request::ReplUnitFetch { .. } => OP_REPL_UNIT,
         }
@@ -719,11 +731,6 @@ impl Request {
                 put_u16(&mut out, 0);
                 put_u64(&mut out, *id);
                 out.extend_from_slice(&inner.encode());
-            }
-            Request::ReplAck { shard, index } => {
-                out.push(OP_REPL_ACK);
-                put_u16(&mut out, *shard);
-                put_u64(&mut out, *index);
             }
             Request::Mutate { shard, muts } => {
                 out.push(OP_MUTATE);
@@ -795,10 +802,6 @@ impl Request {
                     inner: Box::new(Self::decode_at(c, false)?),
                 }
             }
-            OP_REPL_ACK => Request::ReplAck {
-                shard,
-                index: c.u64()?,
-            },
             OP_MUTATE => {
                 let declared = c.u32()? as usize;
                 // Smallest wire mutation: 1 tag byte + u32 expire count.
@@ -897,38 +900,35 @@ impl Response {
                 out.push(OP_HELLO);
                 put_u16(&mut out, *version);
             }
-            Response::ReplAcked { lag } => {
-                out.push(ST_OK);
-                out.push(OP_REPL_ACK);
-                put_u64(&mut out, *lag);
-            }
-            Response::ReplUnit {
+            Response::ReplUnits {
                 index,
                 total,
                 dim,
-                unit,
+                units,
             } => {
                 out.push(ST_OK);
                 out.push(OP_REPL_UNIT);
                 put_u64(&mut out, *index);
                 put_u64(&mut out, *total);
                 out.push(*dim as u8);
-                match unit {
-                    ReplUnit::Ops {
-                        inserts,
-                        tombstones,
-                    } => {
-                        out.push(UNIT_OPS);
-                        put_rows(&mut out, inserts);
-                        put_rows(&mut out, tombstones);
-                    }
-                    ReplUnit::Checkpoint {
-                        units_after,
-                        survivors,
-                    } => {
-                        out.push(UNIT_CHECKPOINT);
-                        put_u64(&mut out, *units_after);
-                        put_rows(&mut out, survivors);
+                for unit in units {
+                    match unit {
+                        ReplUnit::Ops {
+                            inserts,
+                            tombstones,
+                        } => {
+                            out.push(UNIT_OPS);
+                            put_rows(&mut out, inserts);
+                            put_rows(&mut out, tombstones);
+                        }
+                        ReplUnit::Checkpoint {
+                            units_after,
+                            survivors,
+                        } => {
+                            out.push(UNIT_CHECKPOINT);
+                            put_u64(&mut out, *units_after);
+                            put_rows(&mut out, survivors);
+                        }
                     }
                 }
             }
@@ -1095,7 +1095,6 @@ impl Response {
                         .map_err(|_| WireError::BadUtf8("metrics"))?;
                     Response::Metrics(text)
                 }
-                OP_REPL_ACK => Response::ReplAcked { lag: c.u64()? },
                 OP_REPL_UNIT => {
                     let index = c.u64()?;
                     let total = c.u64()?;
@@ -1103,25 +1102,29 @@ impl Response {
                     if !(2..=chull_core::facet::MAX_DIM).contains(&dim) {
                         return Err(WireError::BadDim(dim));
                     }
-                    let unit = match c.u8()? {
-                        UNIT_OPS => ReplUnit::Ops {
-                            inserts: c.rows(dim)?,
-                            tombstones: c.rows(dim)?,
-                        },
-                        UNIT_CHECKPOINT => {
-                            let units_after = c.u64()?;
-                            ReplUnit::Checkpoint {
-                                units_after,
-                                survivors: c.rows(dim)?,
+                    // Units run to the frame's end (wrappers are prefixes).
+                    let mut units = Vec::new();
+                    while c.at < c.buf.len() {
+                        units.push(match c.u8()? {
+                            UNIT_OPS => ReplUnit::Ops {
+                                inserts: c.rows(dim)?,
+                                tombstones: c.rows(dim)?,
+                            },
+                            UNIT_CHECKPOINT => {
+                                let units_after = c.u64()?;
+                                ReplUnit::Checkpoint {
+                                    units_after,
+                                    survivors: c.rows(dim)?,
+                                }
                             }
-                        }
-                        other => return Err(WireError::BadTag(other)),
-                    };
-                    Response::ReplUnit {
+                            other => return Err(WireError::BadTag(other)),
+                        });
+                    }
+                    Response::ReplUnits {
                         index,
                         total,
                         dim,
-                        unit,
+                        units,
                     }
                 }
                 other => return Err(WireError::BadTag(other)),
@@ -1234,7 +1237,6 @@ mod tests {
                 id: u64::MAX,
                 inner: Box::new(Request::Flush { shard: 0 }),
             },
-            Request::ReplAck { shard: 1, index: 7 },
             Request::Mutate {
                 shard: 2,
                 muts: vec![
@@ -1329,8 +1331,6 @@ mod tests {
                 id: 0,
                 inner: Box::new(Response::Error("boom".to_string())),
             },
-            Response::ReplAcked { lag: 0 },
-            Response::ReplAcked { lag: u64::MAX },
             Response::Stale {
                 lag: 3,
                 inner: Box::new(Response::Bool(true)),
@@ -1361,32 +1361,35 @@ mod tests {
                 accepted: vec![],
                 epoch: 0,
             },
-            Response::ReplUnit {
+            Response::ReplUnits {
                 index: 4,
                 total: 9,
                 dim: 2,
-                unit: ReplUnit::Ops {
+                units: vec![ReplUnit::Ops {
                     inserts: vec![vec![0, 0], vec![5, -5]],
                     tombstones: vec![vec![7, 7]],
-                },
+                }],
             },
-            Response::ReplUnit {
+            Response::ReplUnits {
                 index: 9,
                 total: 9,
                 dim: 3,
-                unit: ReplUnit::Ops {
-                    inserts: vec![],
-                    tombstones: vec![],
-                },
+                units: vec![],
             },
-            Response::ReplUnit {
+            Response::ReplUnits {
                 index: 2,
-                total: 3,
+                total: 4,
                 dim: 2,
-                unit: ReplUnit::Checkpoint {
-                    units_after: 3,
-                    survivors: vec![vec![1, 1], vec![-1, -1], vec![9, 0]],
-                },
+                units: vec![
+                    ReplUnit::Checkpoint {
+                        units_after: 3,
+                        survivors: vec![vec![1, 1], vec![-1, -1], vec![9, 0]],
+                    },
+                    ReplUnit::Ops {
+                        inserts: vec![vec![2, 2]],
+                        tombstones: vec![],
+                    },
+                ],
             },
             Response::Tagged {
                 id: 6,
@@ -1397,6 +1400,11 @@ mod tests {
             },
         ];
         for r in resps {
+            if let Response::ReplUnits { units, .. } = &r {
+                // Status, op, index, total and dim, then each unit.
+                let body: usize = units.iter().map(ReplUnit::wire_len).sum();
+                assert_eq!(r.encode().len(), 2 + 8 + 8 + 1 + body, "{r:?}");
+            }
             assert_eq!(Response::decode(&r.encode()).unwrap(), r, "{r:?}");
         }
     }
@@ -1421,7 +1429,7 @@ mod tests {
 
     #[test]
     fn retired_opcodes_are_unknown() {
-        for op in [0x01, 0x0A, 0x0C, 0x0D, 0x0E, 0x10] {
+        for op in [0x01, 0x0A, 0x0C, 0x0D, 0x0E, 0x10, 0x11] {
             assert_eq!(op_spec(op), None);
             assert_eq!(
                 Request::decode(&[op, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
@@ -1460,14 +1468,14 @@ mod tests {
         buf.push(1);
         buf.extend_from_slice(&[0; 8]);
         assert_eq!(Request::decode(&buf), Err(WireError::BadDim(1)));
-        // ReplUnit with an unknown unit kind.
+        // ReplUnits with an unknown unit kind.
         let mut buf = vec![ST_OK, OP_REPL_UNIT];
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&1u64.to_le_bytes());
         buf.push(2);
         buf.push(7);
         assert_eq!(Response::decode(&buf), Err(WireError::BadTag(7)));
-        // ReplUnit checkpoint claiming a gigantic survivor count.
+        // ReplUnits checkpoint claiming a gigantic survivor count.
         let mut buf = vec![ST_OK, OP_REPL_UNIT];
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&1u64.to_le_bytes());
@@ -1562,15 +1570,6 @@ mod tests {
         assert_eq!(Response::decode(&buf), Err(WireError::NestedTagged));
         // Truncated Stale header (lag cut short).
         assert!(Response::decode(&[ST_STALE, 1, 2]).is_err());
-    }
-
-    #[test]
-    fn repl_ack_bodies_are_checked() {
-        assert!(Request::decode(&[OP_REPL_ACK, 0, 0]).is_err());
-        // Trailing bytes after a complete ReplAck.
-        let mut buf = Request::ReplAck { shard: 0, index: 3 }.encode();
-        buf.push(0xAA);
-        assert_eq!(Request::decode(&buf), Err(WireError::Trailing(1)));
     }
 
     #[test]

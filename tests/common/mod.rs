@@ -20,20 +20,33 @@ impl Drop for KillOnDrop {
 /// off its stderr announcement. The rest of its stderr is echoed, and
 /// handed line by line to the returned receiver.
 pub fn spawn_hull_serve(extra: &[&str]) -> (KillOnDrop, SocketAddr, mpsc::Receiver<String>) {
-    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_hull"));
-    cmd.args([
-        "serve",
-        "--addr",
-        "127.0.0.1:0",
-        "--dim",
-        "2",
-        "--shards",
-        "1",
-    ])
-    .args(extra)
-    .stdin(std::process::Stdio::null())
-    .stdout(std::process::Stdio::null())
-    .stderr(std::process::Stdio::piped());
+    spawn_announced(
+        std::process::Command::new(env!("CARGO_BIN_EXE_hull")),
+        extra,
+    )
+}
+
+/// [`spawn_hull_serve`] through `launcher`, a command that runs `hull`
+/// with whatever arguments are appended to it: the binary itself, or a
+/// wrapper such as `sh -c '...; exec "$0" "$@"' HULL`.
+pub fn spawn_announced(
+    mut launcher: std::process::Command,
+    extra: &[&str],
+) -> (KillOnDrop, SocketAddr, mpsc::Receiver<String>) {
+    let cmd = launcher
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--dim",
+            "2",
+            "--shards",
+            "1",
+        ])
+        .args(extra)
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped());
     let mut child = cmd.spawn().expect("spawning hull serve");
     let stderr = child.stderr.take().unwrap();
     let mut lines = std::io::BufReader::new(stderr).lines();

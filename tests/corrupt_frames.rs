@@ -16,15 +16,15 @@
 //!   on another connection keeps being served;
 //! * **refusal** — well-formed frames of the retired ops (`0x01`
 //!   `Insert`, `0x0A` `InsertBatch`, `0x0C`–`0x0E` `*Scan`, `0x10`
-//!   `ReplSubscribe`) and a `Hello` with any version but
+//!   `ReplSubscribe`, `0x11` `ReplAck`) and a `Hello` with any version but
 //!   `PROTOCOL_VERSION` get `Error` replies on a connection that keeps
 //!   serving, and the client refuses a server that speaks another
 //!   version.
 
 use convex_hull_suite::geometry::rng::ChaCha8Rng;
 use convex_hull_suite::service::wire::{
-    read_frame, write_frame, Mutation, ReplUnit, Request, Response, WireError, ALL_SHARDS,
-    MAX_FRAME, PROTOCOL_VERSION,
+    read_frame, units_per_frame, write_frame, Mutation, ReplUnit, Request, Response, WireError,
+    ALL_SHARDS, MAX_FRAME, PROTOCOL_VERSION,
 };
 use convex_hull_suite::service::{serve, HullClient, MutationBatch, ServeOptions, ServiceConfig};
 use std::io::{Read, Write};
@@ -51,6 +51,9 @@ fn retired_frames() -> Vec<(u8, Vec<u8>)> {
     // 0x10 ReplSubscribe: u64 from_index.
     let mut subscribe = vec![0x10, 0, 0];
     subscribe.extend_from_slice(&3u64.to_le_bytes());
+    // 0x11 ReplAck: u64 index.
+    let mut ack = vec![0x11, 0, 0];
+    ack.extend_from_slice(&9u64.to_le_bytes());
     vec![
         (0x01, shard0_point(0x01, &[3, -4])), // Insert
         (0x0A, batch),                        // InsertBatch
@@ -58,6 +61,7 @@ fn retired_frames() -> Vec<(u8, Vec<u8>)> {
         (0x0D, shard0_point(0x0D, &[1, 1])),  // VisibleScan
         (0x0E, shard0_point(0x0E, &[1, 0])),  // ExtremeScan
         (0x10, subscribe),                    // ReplSubscribe
+        (0x11, ack),                          // ReplAck
     ]
 }
 
@@ -78,8 +82,7 @@ fn corpus() -> Vec<Vec<u8>> {
         Request::Hello {
             version: PROTOCOL_VERSION,
         },
-        // Replication ops, bare and nested under the tag wrapper.
-        Request::ReplAck { shard: 0, index: 9 },
+        // The replication fetch nested under the tag wrapper.
         Request::Tagged {
             id: 77,
             inner: Box::new(Request::ReplUnitFetch {
@@ -136,7 +139,6 @@ fn corpus() -> Vec<Vec<u8>> {
         },
         // Replication replies and the Stale staleness wrapper, at every
         // legal nesting depth (Tagged ⊃ Stale ⊃ Degraded).
-        Response::ReplAcked { lag: 3 },
         Response::Stale {
             lag: 4,
             inner: Box::new(Response::Bool(true)),
@@ -161,23 +163,26 @@ fn corpus() -> Vec<Vec<u8>> {
             accepted: vec![true, false, true],
             epoch: 6,
         },
-        Response::ReplUnit {
+        Response::ReplUnits {
             index: 1,
-            total: 3,
+            total: 4,
             dim: 2,
-            unit: ReplUnit::Ops {
-                inserts: vec![vec![1, 2]],
-                tombstones: vec![vec![3, 4]],
-            },
+            units: vec![
+                ReplUnit::Ops {
+                    inserts: vec![vec![1, 2]],
+                    tombstones: vec![vec![3, 4]],
+                },
+                ReplUnit::Checkpoint {
+                    units_after: 3,
+                    survivors: vec![vec![0, 0], vec![9, 9]],
+                },
+            ],
         },
-        Response::ReplUnit {
+        Response::ReplUnits {
             index: 3,
             total: 3,
             dim: 2,
-            unit: ReplUnit::Checkpoint {
-                units_after: 3,
-                survivors: vec![vec![0, 0], vec![9, 9]],
-            },
+            units: vec![],
         },
     ];
     let mut out: Vec<Vec<u8>> = reqs.iter().map(|r| r.encode()).collect();
@@ -247,6 +252,34 @@ fn decode_never_panics_on_seeded_corrupt_corpus() {
     }
     // Sanity: the corpus actually exercises the error paths.
     assert!(rejected > 1000, "only {rejected} mutants were rejected");
+}
+
+/// A `ReplUnits` reply carries the longest run of units whose frame fits
+/// `MAX_FRAME` even inside a `Tagged` wrapper, and at least one unit.
+#[test]
+fn repl_units_reply_is_cut_at_one_frame() {
+    // One 1 MiB row per unit: the frame size does not depend on row width.
+    let unit = |len: usize| ReplUnit::Ops {
+        inserts: vec![vec![0; len]],
+        tombstones: vec![vec![1, 2]],
+    };
+    let big = unit(1 << 17);
+    let fit = units_per_frame(std::iter::repeat_n(&big, 20));
+    assert_eq!(fit, 15);
+    let reply = |n: usize| Response::ReplUnits {
+        index: 0,
+        total: 20,
+        dim: 2,
+        units: vec![big.clone(); n],
+    };
+    let tagged = Response::Tagged {
+        id: u64::MAX,
+        inner: Box::new(reply(fit)),
+    };
+    assert!(tagged.encode().len() <= MAX_FRAME);
+    assert!(reply(fit + 1).encode().len() > MAX_FRAME);
+    assert_eq!(units_per_frame([&unit(MAX_FRAME / 8), &big]), 1);
+    assert_eq!(units_per_frame(&[]), 0);
 }
 
 fn server(request_timeout: Duration) -> convex_hull_suite::service::ServerHandle {
@@ -470,11 +503,12 @@ fn slow_loris_dribbler_reaped_without_stalling_healthy_clients() {
     server.shutdown();
 }
 
-/// Replication ops under attack: malformed `ReplUnitFetch`/`ReplAck`
-/// payloads get typed `Error` replies (no panic, connection kept), a
-/// stale ack absurdly past the journal is clamped rather than trusted,
-/// and a healthy subscriber on another connection keeps shipping units
-/// throughout.
+/// Replication ops under attack: malformed `ReplUnitFetch` payloads
+/// and the retired `ReplAck` get typed `Error` replies (no panic,
+/// connection kept), a fetch cursor — the subscriber's ack — absurdly
+/// past the journal is clamped to a caught-up reply rather than
+/// trusted, and a healthy subscriber on another connection keeps
+/// shipping units throughout.
 #[test]
 fn repl_garbage_and_stale_acks_never_stall_replication() {
     let mut server = server(Duration::from_secs(2));
@@ -490,7 +524,7 @@ fn repl_garbage_and_stale_acks_never_stall_replication() {
     for garbage in [
         &[0x13u8][..],             // ReplUnitFetch, no body
         &[0x13, 0x00, 0x00, 0x01], // truncated from_index
-        &[0x11, 0xFF, 0xFF],       // ReplAck, index missing
+        &[0x11, 0xFF, 0xFF],       // retired ReplAck, index missing
         // Well-formed ReplUnitFetch body plus trailing junk.
         &[
             0x13, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x77,
@@ -501,43 +535,48 @@ fn repl_garbage_and_stale_acks_never_stall_replication() {
         let resp = Response::decode(&payload).unwrap();
         assert!(matches!(resp, Response::Error(_)), "{resp:?}");
     }
-    // A stale/lying ack far past the journal is clamped to the unit
-    // count — the primary's lag gauge must not go negative or wrap.
+    // A stale/lying cursor far past the journal is clamped to the unit
+    // count: a caught-up reply, so the primary's lag gauge must not go
+    // negative or wrap.
     write_frame(
         &mut s,
-        &Request::ReplAck {
+        &Request::ReplUnitFetch {
             shard: 0,
-            index: u64::MAX,
+            from_index: u64::MAX,
         }
         .encode(),
     )
     .unwrap();
-    let payload = read_frame(&mut s).unwrap().expect("ack reply");
-    match Response::decode(&payload).unwrap() {
-        Response::ReplAcked { lag } => assert_eq!(lag, 0, "clamped ack must show zero lag"),
-        other => panic!("stale ack answered {other:?}"),
-    }
+    let payload = read_frame(&mut s).unwrap().expect("fetch reply");
+    let clamped = match Response::decode(&payload).unwrap() {
+        Response::ReplUnits {
+            index,
+            total,
+            units,
+            ..
+        } => {
+            assert_eq!(index, total, "clamped cursor must read as caught up");
+            assert!(units.is_empty(), "clamped cursor shipped {units:?}");
+            total
+        }
+        other => panic!("stale cursor answered {other:?}"),
+    };
 
     // Healthy subscriber on a fresh connection: units still ship, and
     // asking from the end reads as caught-up, not an error.
-    let (index, total, dim, unit) = c.repl_unit_fetch(0, 0).unwrap();
+    let (index, total, dim, units) = c.repl_unit_fetch(0, 0).unwrap();
     assert_eq!(index, 0);
     assert!(total >= 1, "no units shipped (total {total})");
+    assert_eq!(total, clamped);
     assert_eq!(dim, 2);
+    assert_eq!(units.len() as u64, total, "one fetch ships the window");
     assert!(
-        matches!(&unit, ReplUnit::Ops { inserts, .. } if !inserts.is_empty()),
-        "first unit empty: {unit:?}"
+        matches!(&units[0], ReplUnit::Ops { inserts, .. } if !inserts.is_empty()),
+        "first unit empty: {units:?}"
     );
-    let (i2, t2, _, unit2) = c.repl_unit_fetch(0, total).unwrap();
+    let (i2, t2, _, units2) = c.repl_unit_fetch(0, total).unwrap();
     assert_eq!((i2, t2), (total, total));
-    assert_eq!(
-        unit2,
-        ReplUnit::Ops {
-            inserts: vec![],
-            tombstones: vec![],
-        },
-        "caught-up fetch returned rows"
-    );
+    assert!(units2.is_empty(), "caught-up fetch returned {units2:?}");
     assert_healthy(addr);
     server.shutdown();
 }
@@ -592,16 +631,17 @@ fn mutate_garbage_and_bad_envelopes_never_stall_ingest() {
     let mut h = HullClient::builder(addr.to_string()).connect().unwrap();
     h.mutate(0, MutationBatch::new().insert([9, 9])).unwrap();
     h.flush(0).unwrap();
-    let (index, total, dim, _) = h.repl_unit_fetch(0, 0).unwrap();
+    let (index, total, dim, units) = h.repl_unit_fetch(0, 0).unwrap();
     assert_eq!(index, 0);
     assert!(total >= 1, "no units shipped (total {total})");
+    assert_eq!(units.len() as u64, total, "one fetch ships the window");
     assert_eq!(dim, 2);
     // Queue coalescing decides how the envelope splits into units; walk
     // them all and demand the tombstone shipped typed from one of them.
     let mut all_inserts = 0usize;
     let mut all_tombstones: Vec<Vec<i64>> = Vec::new();
-    for i in 0..total {
-        match h.repl_unit_fetch(0, i).unwrap().3 {
+    for (i, unit) in units.into_iter().enumerate() {
+        match unit {
             ReplUnit::Ops {
                 inserts,
                 tombstones,
@@ -625,7 +665,7 @@ fn exchange(s: &mut TcpStream, payload: &[u8]) -> Response {
     Response::decode(&reply).unwrap()
 }
 
-/// Each retired op (0x01, 0x0A, 0x0C–0x0E, 0x10), sent well-formed,
+/// Each retired op (0x01, 0x0A, 0x0C–0x0E, 0x10, 0x11), sent well-formed,
 /// decodes to `BadOpcode` and is answered `Error`; the very next
 /// `Mutate` and `Contains` on the *same* connection still succeed.
 #[test]
@@ -674,13 +714,14 @@ fn retired_ops_get_error_replies_and_the_connection_keeps_serving() {
     server.shutdown();
 }
 
-/// `Hello` is one exact version check: versions 1 and 6 (and any other
-/// but `PROTOCOL_VERSION`) get `Error`, and the connection stays usable.
+/// `Hello` is one exact version check: versions 1, 6 and 7 (and any
+/// other but `PROTOCOL_VERSION`) get `Error`, and the connection stays
+/// usable.
 #[test]
 fn hello_with_another_version_is_refused() {
     let mut server = server(Duration::from_secs(2));
     let mut s = TcpStream::connect(server.local_addr()).unwrap();
-    for version in [1u16, 6, PROTOCOL_VERSION + 1, 0] {
+    for version in [1u16, 6, 7, PROTOCOL_VERSION + 1, 0] {
         let resp = exchange(&mut s, &Request::Hello { version }.encode());
         assert!(
             matches!(resp, Response::Error(_)),
@@ -727,6 +768,7 @@ fn client_connect_refuses_a_server_of_another_version() {
     old_format.extend_from_slice(&31u32.to_le_bytes());
     for reply in [
         Response::Hello { version: 6 }.encode(),
+        Response::Hello { version: 7 }.encode(),
         Response::Error("protocol version 7 unsupported".to_string()).encode(),
         old_format,
     ] {

@@ -100,15 +100,22 @@ fn wire_and_http_scrapes_agree_and_cover_every_layer() {
     assert!(c.visible(1, &[1 << 19, 0]).unwrap().is_some());
 
     // Exercise the replication surface so its op series and gauges
-    // carry real values: ship shard 0's first unit, ack it applied.
-    let (index, total, dim, unit) = c.repl_unit_fetch(0, 0).unwrap();
+    // carry real values: ship shard 0's whole window, then fetch again
+    // from unit 1, which acks unit 0 applied.
+    let (index, total, dim, units) = c.repl_unit_fetch(0, 0).unwrap();
     assert_eq!((index, dim), (0, 2));
     assert!(
-        total >= 1 && matches!(&unit, ReplUnit::Ops { inserts, .. } if !inserts.is_empty()),
-        "nothing shipped"
+        total >= 1
+            && units.len() as u64 == total
+            && matches!(&units[0], ReplUnit::Ops { inserts, .. } if !inserts.is_empty()),
+        "window not shipped"
     );
-    let lag = c.repl_ack(0, 1).unwrap();
-    assert_eq!(lag, total - 1, "ack through unit 0 leaves total-1 lag");
+    let (index, _, _, rest) = c.repl_unit_fetch(0, 1).unwrap();
+    assert_eq!(
+        (index, rest.len() as u64),
+        (1, total - 1),
+        "a fetch from 1 ships the rest"
+    );
 
     // Delete shard 0's extreme vertices until one death takes the
     // closed-star repair: the first correction of a hull built point by
@@ -196,7 +203,8 @@ fn wire_and_http_scrapes_agree_and_cover_every_layer() {
         assert!(wf.contains(family), "family {family} missing:\n{wire_text}");
     }
 
-    // The ack above landed in the per-shard replication gauges.
+    // The fetch cursor above landed in the per-shard replication gauges
+    // as the subscriber's ack.
     let acked_needle = "chull_replica_last_acked{shard=\"0\"} 1";
     assert!(
         wire_text.contains(acked_needle),
@@ -256,7 +264,6 @@ fn wire_and_http_scrapes_agree_and_cover_every_layer() {
         "stats",
         "metrics",
         "repl_unit",
-        "repl_ack",
     ] {
         let needle = format!("chull_server_requests_total{{op=\"{op}\"}}");
         assert!(wire_text.contains(&needle), "missing {needle}");

@@ -460,6 +460,75 @@ fn follower_bootstraps_via_bulk_build() {
     primary.shutdown();
 }
 
+/// A window too large for one reply frame still bootstraps with one bulk
+/// build and one publish: the follower fetches frame after frame before
+/// it lands anything. Each of the primary's units inserts fresh interior
+/// rows and deletes the previous unit's, so the shipment is big on the
+/// wire and its live set small.
+#[test]
+fn follower_bootstraps_a_window_over_one_frame_in_one_install() {
+    let _guard = repl_lock();
+    failpoint::disarm();
+    const UNITS: usize = 20;
+    const ROWS: usize = 30_000;
+    let fresh = |k: usize| -> Vec<Vec<i64>> {
+        (0..ROWS)
+            .map(|i| {
+                let x = (k * ROWS + i) as i64 * 7_919;
+                vec![1 + x % 99_998, 1 + (x / 99_998) % 99_998]
+            })
+            .collect()
+    };
+    let corners = vec![
+        vec![0, 0],
+        vec![100_000, 0],
+        vec![0, 100_000],
+        vec![100_000, 100_000],
+    ];
+    let mut units = vec![ReplUnit::Ops {
+        inserts: corners,
+        tombstones: Vec::new(),
+    }];
+    for k in 0..UNITS {
+        units.push(ReplUnit::Ops {
+            inserts: fresh(k),
+            tombstones: if k == 0 { Vec::new() } else { fresh(k - 1) },
+        });
+    }
+    let total = units.len() as u64;
+
+    let mut primary = serve(opts(2)).unwrap();
+    let pservice = primary.service();
+    assert_eq!(pservice.apply_replica_units(0, 0, units), Ok(total));
+    let first_frame = pservice.repl_unit_fetch(0, 0).unwrap().2.len() as u64;
+    assert!(
+        first_frame < total,
+        "the window must span more than one frame"
+    );
+
+    let mut follower = serve(follower_opts(2, primary.local_addr(), 0)).unwrap();
+    let fservice = follower.service();
+    wait_until("follower to bootstrap", || {
+        fservice.batch_units(0).unwrap() == total
+    });
+    let stats = fservice.stats_for(0).unwrap();
+    let publishes = stats.publishes_refreshed.load(Ordering::Relaxed)
+        + stats.publishes_cloned.load(Ordering::Relaxed);
+    assert_eq!(stats.bulk_builds.load(Ordering::Relaxed), 1);
+    assert_eq!(publishes, 2, "cold start, then the one bootstrap install");
+    assert_eq!(stats.live_points.load(Ordering::Relaxed), (4 + ROWS) as u64);
+    let (mut pc, mut fc) = (
+        connect(primary.local_addr()),
+        connect(follower.local_addr()),
+    );
+    assert_eq!(
+        canonical_served(&fc.snapshot(0).unwrap()),
+        canonical_served(&pc.snapshot(0).unwrap())
+    );
+    follower.shutdown();
+    primary.shutdown();
+}
+
 /// The staleness bound counts what readers can see, not what the
 /// journal holds: while a follower's install is held open between
 /// journaling a shipment and publishing it, its reads still come from the
@@ -756,16 +825,16 @@ fn follower_bootstraps_from_a_churned_primary() {
     let st = svc.stats_for(0).unwrap();
     assert!(st.rebuilds.load(std::sync::atomic::Ordering::Relaxed) >= 1);
     let units = svc.batch_units(0).unwrap();
-    let (index, _, _, first) = pc.repl_unit_fetch(0, 0).unwrap();
+    let (index, _, _, window) = pc.repl_unit_fetch(0, 0).unwrap();
     assert!(
-        index > 0 && matches!(first, ReplUnit::Checkpoint { .. }),
+        index > 0 && matches!(window[0], ReplUnit::Checkpoint { .. }),
         "the primary's journal starts with a checkpoint"
     );
-    let mut tombstone_units = 0;
-    for at in index + 1..units {
-        let (_, _, _, unit) = pc.repl_unit_fetch(0, at).unwrap();
-        tombstone_units += usize::from(!unit.tombstones().is_empty());
-    }
+    assert_eq!(index + window.len() as u64, units, "one fetch ships it all");
+    let tombstone_units = window[1..]
+        .iter()
+        .filter(|unit| !unit.tombstones().is_empty())
+        .count();
     assert!(tombstone_units >= 10, "every later delete is a unit");
     let survivors: Vec<Vec<i64>> = rows[85..].iter().chain(&more[5..]).cloned().collect();
 
