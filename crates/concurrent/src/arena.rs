@@ -63,6 +63,22 @@ impl<T> ConcurrentArena<T> {
         }
     }
 
+    /// An empty arena whose segments for the first `capacity` ids are
+    /// allocated now, by the calling thread, rather than by whichever
+    /// worker first pushes into each. Big transient segments then come
+    /// from the caller's allocator arena, not a pool helper's: glibc keeps
+    /// a long-lived thread's freed pages resident in that thread's arena,
+    /// where nothing else reuses them.
+    pub fn with_capacity(capacity: usize) -> ConcurrentArena<T> {
+        let arena = ConcurrentArena::new();
+        if capacity > 0 {
+            for seg in 0..=locate(capacity - 1).0.min(SEGMENTS - 1) {
+                arena.segment(seg);
+            }
+        }
+        arena
+    }
+
     /// Number of ids handed out so far (some may still be mid-write by
     /// other threads; their `get` would spin briefly).
     pub fn len(&self) -> usize {
@@ -187,6 +203,26 @@ mod tests {
         }
         let all: Vec<&String> = arena.iter().collect();
         assert_eq!(all.len(), 1000);
+    }
+
+    #[test]
+    fn with_capacity_allocates_up_front_and_still_grows() {
+        let arena: ConcurrentArena<u64> = ConcurrentArena::with_capacity(100);
+        let allocated = |a: &ConcurrentArena<u64>| {
+            a.segments
+                .iter()
+                .filter(|p| !p.load(Ordering::Relaxed).is_null())
+                .count()
+        };
+        // Ids 0..100 span segments 0 (64 ids) and 1 (128 ids).
+        assert_eq!(allocated(&arena), 2);
+        assert!(arena.is_empty());
+        for i in 0..500u64 {
+            assert_eq!(arena.push(i), i as u32);
+        }
+        assert_eq!(allocated(&arena), 4);
+        assert_eq!(*arena.get(499), 499);
+        assert_eq!(allocated(&ConcurrentArena::<u64>::with_capacity(0)), 0);
     }
 
     #[test]

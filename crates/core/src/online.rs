@@ -57,20 +57,23 @@ thread_local! {
     };
 }
 
-/// Batches smaller than this insert sequentially in
-/// [`OnlineHull::insert_batch_par`]: the parallel path pays two pool
-/// fork-joins (location, then the `ProcessRidge` recursion) that only
-/// amortize for real batches. The cutoff depends solely on the batch
-/// length, so a journal replay re-derives the same sequential/parallel
-/// decision per batch.
+/// Batches smaller than this insert point by point in
+/// [`OnlineHull::insert_batch_par`]: the batch path's set-up (locating
+/// the batch in the pre-batch history, seeding, the canonical
+/// integration sort) only amortizes for real batches. The cutoff depends
+/// solely on the batch length, so a journal replay re-derives the same
+/// per-point/batch decision, and with it the same kernel counters, per
+/// batch.
 pub const MIN_PAR_BATCH: usize = 8;
 
-/// Bulk installs of fewer points run on the calling thread: each of
-/// Algorithm 3's two fork-joins spawns its pool threads afresh, which
-/// costs more than a repair's few dozen points save (a repair's install
-/// took ≈0.41 ms at 2 workers and ≈0.32 ms at 1 on a 2-vCPU host). Like
-/// [`MIN_PAR_BATCH`], the cutoff depends only on the input, and the
-/// installed hull is the same for every worker count.
+/// Bulk installs of fewer points run on the calling thread. A fork-join
+/// on the shared pool costs a few microseconds, but below this size a
+/// second worker still loses more to sharing the ridge map and facet
+/// arena than it saves. On a 2-vCPU host, `seed_from_bulk` of 24, 48
+/// and 96 points on a circle had p50s, over three rounds, of 99–105,
+/// 138–188 and 240–263 µs at 1 worker and 135–137, 189–231 and
+/// 342–367 µs at 2. Like [`MIN_PAR_BATCH`], the cutoff depends only on
+/// the input, and the installed hull is the same for every worker count.
 const MIN_PAR_INSTALL: usize = 256;
 
 /// Where a point sits relative to the current hull — the answer of

@@ -149,7 +149,9 @@ pub(crate) fn run_batch(
     let ridges = &seeds.ridges;
     let shared = Shared {
         ctx,
-        arena: ConcurrentArena::new(),
+        // Sized for `dim` created facets per point (exact in 2D), so the
+        // big segments of a bulk install are allocated here.
+        arena: ConcurrentArena::with_capacity(seed_count + batch_len * dim),
         map: BatchMap::growable_with_capacity(batch_len * dim * 4 + ridges.len() + 1024),
         tests: StripedCounter::new(),
         filter_hits: StripedCounter::new(),

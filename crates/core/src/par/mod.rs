@@ -243,9 +243,9 @@ impl<'a, M: RidgeMultimap<RidgeKey>> Shared<'a, M> {
     }
 }
 
-/// Run Algorithm 3 with a dedicated pool of `threads` workers
-/// (for thread-scaling experiments and for stress-testing the concurrent
-/// paths with more workers than cores).
+/// Run Algorithm 3 with `threads` workers: the calling thread plus
+/// helpers of the process-wide pool (for thread-scaling experiments and
+/// for stress-testing the concurrent paths with more workers than cores).
 pub fn parallel_hull_with_threads(pts: &PointSet, options: ParOptions, threads: usize) -> ParRun {
     dispatch_map(pts, options, threads)
 }

@@ -143,10 +143,13 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Largest batch one publication coalesces.
     pub max_batch: usize,
-    /// Pool worker threads each shard applies batches with (`0` = auto,
-    /// one per available core). `1` pins batch apply to the shard thread
-    /// — the A/B baseline for measuring parallel batch speedup. Any
-    /// value yields bit-identical hulls.
+    /// The most threads one batch apply may use, the shard thread
+    /// included (`0` = auto, one per available core). `1` pins batch
+    /// apply to the shard thread — the A/B baseline for measuring
+    /// parallel batch speedup. The other threads are helpers borrowed
+    /// from the process-wide pool that every shard shares, which holds at
+    /// most [`chull_concurrent::pool::MAX_HELPERS`] (64): larger values
+    /// share those. Any value yields bit-identical hulls.
     pub workers: usize,
     /// Directory for per-shard write-ahead logs. `None` keeps the
     /// journal purely in memory: worker crashes are still recovered, but

@@ -85,7 +85,8 @@ fn usage() -> ! {
          \x20                 [--window N | --window-epochs N] [--rebuild-ratio R] [--journal-ratio R]\n\
          \x20                 [--chaos-seed S] [--oneshot] [--stats-json]\n\
          \x20                 [--dispatchers N] [--follow PRIMARY] [--promote-after N]\n\
-         \x20        --workers W sizes the pool each shard applies batches with (0 = auto, 1 = sequential baseline);\n\
+         \x20        --workers W caps the threads one batch applies with (0 = auto, 1 = sequential baseline;\n\
+         \x20        beyond 1 they come from one shared pool of at most {max_helpers} helpers);\n\
          \x20        --wal DIR persists per-shard insert WALs under DIR (crash-safe restart: the\n\
          \x20        hull is rebuilt by one bulk build, canonically identical to the lost one);\n\
          \x20        --window N keeps only the newest N points per shard (sliding window: older\n\
@@ -116,7 +117,8 @@ fn usage() -> ! {
          \x20      hull metrics [--raw] ADDR\n\
          \x20        scrape ADDR (HTTP /metrics, falling back to the wire Metrics op) and\n\
          \x20        pretty-print a sorted table; --raw emits the exposition text verbatim\n\
-         Offline mode reads one point per line (D whitespace-separated integers); FILE defaults to stdin."
+         Offline mode reads one point per line (D whitespace-separated integers); FILE defaults to stdin.",
+        max_helpers = convex_hull_suite::concurrent::pool::MAX_HELPERS
     );
     std::process::exit(2);
 }

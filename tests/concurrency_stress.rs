@@ -1,4 +1,4 @@
-//! Concurrency stress: run Algorithm 3 on oversubscribed rayon pools so the
+//! Concurrency stress: run Algorithm 3 with more workers than cores so the
 //! lock-free ridge multimaps, the facet arena, and the `ProcessRidge`
 //! spawning discipline are exercised under real thread interleaving —
 //! results must stay identical to the sequential run for every engine and
